@@ -7,20 +7,30 @@ applying the (embedded) structure map to the very same states, never by a
 second dynamics.  Thermal baths can be purified with ancilla modes so that
 the global state stays pure; ancillas never evolve and count as part of the
 environment side of every bipartition.
+
+The model is diagonalised once per run (structure.normal_modes); written in
+its normal modes it is decoupled, so gaussian.propagator moves every mode in
+closed form and no scenario exponentiates a generator.
+Diagnostics of mode 0 (purity, mean, variance, and the 1|rest
+log-negativity of a pure global state) use only the mode-0 rows of the flow
+and cost O(N^2) per time sample.  Two paths still form the full state at
+O(N^3) per sample: log-negativity of a mixed global state, and the branch
+proxy of run_exclusivity.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-import scipy.stats
+import scipy.special
 
 from . import fock_oracle as fo
-from .errors import DomainError
+from .errors import ConditioningError, DomainError
 from .gaussian import (
+    NEGATIVITY_FLOOR,
+    UNCERTAINTY_TOL,
     GaussianState,
     cat_state,
     coherent_state,
@@ -37,12 +47,11 @@ from .gaussian import (
     thermal_state,
 )
 from .model import POTENTIAL_HARMONIC, ModelParams, QuadraticHamiltonian, build_qbm_hamiltonian
-from .structure import StructureMap, collective_mode_map, transform_hamiltonian
+from .structure import StructureMap, collective_mode_map, normal_modes
 
 ER_PRODUCT_TOL = 1e-8
 ER_WITNESS_THRESHOLD = 1e-3
 EXCLUSIVITY_THRESHOLD = 1e-3
-THREADS_ENV_VAR = "QBM_STRUCTURES_THREADS"
 
 PARTICLE_STATE_COHERENT = "coherent"
 
@@ -118,6 +127,16 @@ class IncompatibilityReport:
 
 
 @dataclass(frozen=True)
+class MarginalReport:
+    times: np.ndarray
+    mean_1: np.ndarray
+    var_1: np.ndarray
+    mean_sp: np.ndarray
+    var_sp: np.ndarray
+    l1_distance: np.ndarray
+
+
+@dataclass(frozen=True)
 class OracleCompareReport:
     times: np.ndarray
     delta_purity: np.ndarray
@@ -142,9 +161,49 @@ class OracleCompareReport:
 # shared scaffolding
 
 
+def _check_conjugate(rows: np.ndarray) -> None:
+    """Rows g_x, g_p of a symplectic matrix must satisfy g_x^T Omega g_p = 1."""
+    n = rows.shape[1] // 2
+    product = rows[0, :n] @ rows[1, n:] - rows[0, n:] @ rows[1, :n]
+    scale = max(1.0, float(np.linalg.norm(rows[0]) * np.linalg.norm(rows[1])))
+    if abs(product - 1.0) > UNCERTAINTY_TOL * scale:
+        raise ConditioningError(f"mode-0 rows lost canonicity (g_x^T Omega g_p = {product!r})")
+
+
+def _pure_log_negativity(rows: np.ndarray) -> float:
+    """1|rest log-negativity of a pure global state sigma = G G^T / 2 from two rows of G.
+
+    rows are the mode-0 x and p rows g_x, g_p of the symplectic G.  With
+    z = (x part) + i (p part) of each row, |z1|^2 |z2|^2 - |z1^H z2|^2 =
+    det(2 sigma_1) - (g_x^T Omega g_p)^2 = 4 nu^2 - 1, where nu is the
+    symplectic eigenvalue of the mode-0 reduction.  Hence
+    E_N = log2(2 nu + 2 sqrt(nu^2 - 1/4)) = asinh(|z1| |z2_perp|) / ln 2,
+    with z2_perp the part of z2 orthogonal to z1 (Adesso & Illuminati,
+    J. Phys. A 40, 7821 (2007); Serafini, Quantum Continuous Variables
+    (2017)).  The projection carries no cancellation: product instants give
+    roundoff, floored to exactly 0 like log_negativity, where the nu form
+    leaves about 4e-8.
+    """
+    _check_conjugate(rows)
+    n = rows.shape[1] // 2
+    z1 = rows[0, :n] + 1j * rows[0, n:]
+    z2 = rows[1, :n] + 1j * rows[1, n:]
+    z2_perp = z2 - z1 * (np.vdot(z1, z2) / np.vdot(z1, z1).real)
+    neg = float(np.arcsinh(np.linalg.norm(z1) * np.linalg.norm(z2_perp)) / np.log(2.0))
+    return 0.0 if neg < NEGATIVITY_FLOOR else neg
+
+
 @dataclass(frozen=True)
 class _World:
-    """Everything a scenario needs: Hamiltonian, map, initial global state, embeddings."""
+    """Everything a scenario needs: model, map, initial global state, and the model's normal modes.
+
+    With V^T M V = I from structure.normal_modes, x = V q and p = M V pi over
+    the physical modes, so the flow is S(t) = P^-1 D(t) P with P =
+    diag((M V)^T, V^T) and D(t) = propagator(normal, t), the closed-form
+    flow of the decoupled normal-mode Hamiltonian.  A split is given by the
+    2 x 2n normal-mode coefficients of its mode-0 position and momentum;
+    `rows` turns them into the mode-0 rows of S(t) (or lift S(t)) in O(N^2).
+    """
 
     config: ScenarioConfig
     hamiltonian: QuadraticHamiltonian
@@ -154,16 +213,60 @@ class _World:
     n_total: int
     width_mass: float
     width_freq: float
+    normal: QuadraticHamiltonian
+    to_modes: np.ndarray
+    from_modes: np.ndarray
+    particle: np.ndarray
+    collective: np.ndarray
 
     @property
     def lift_total(self) -> np.ndarray:
         return embed_symplectic(self.smap.lift, self.n_total, range(self.n_phys))
 
-    def flow(self, t: float) -> np.ndarray:
-        return embed_symplectic(propagator(self.hamiltonian, t), self.n_total, range(self.n_phys))
+    @cached_property
+    def _phys(self) -> np.ndarray:
+        n, N = self.n_phys, self.n_total
+        return np.r_[0:n, N : N + n]
+
+    @cached_property
+    def _factor(self) -> np.ndarray:
+        """Physical rows of S0 = sqrt(2 sigma0), symplectic when the global state is pure."""
+        lam, U = np.linalg.eigh(2 * self.initial.cov)
+        return ((U * np.sqrt(lam)) @ U.T)[self._phys]
+
+    def mode_flow(self, t: float) -> np.ndarray:
+        """D(t): the flow in normal-mode coordinates, closed form per mode."""
+        return propagator(self.normal, t)
+
+    def flow(self, D: np.ndarray) -> np.ndarray:
+        """Dense S(t) on all modes (identity on ancillas); O(N^3), for callers that need the full state."""
+        return embed_symplectic(self.from_modes @ D @ self.to_modes, self.n_total, range(self.n_phys))
+
+    def rows(self, D: np.ndarray, split: np.ndarray) -> np.ndarray:
+        """Mode-0 x and p rows of the split's flow over the physical (x.., p..) coordinates."""
+        rows = split @ D @ self.to_modes
+        _check_conjugate(rows)
+        return rows
+
+    def reduced(self, rows: np.ndarray) -> GaussianState:
+        """Mode-0 state of the split whose rows are given."""
+        idx = self._phys
+        cov = self.initial.cov[np.ix_(idx, idx)]
+        return GaussianState(rows @ self.initial.mean[idx], rows @ cov @ rows.T)
+
+    def pure_log_negativity(self, rows: np.ndarray) -> float:
+        """1|rest log-negativity from the split's rows; pure global states only."""
+        return _pure_log_negativity(rows @ self._factor)
 
     def pure_global(self) -> bool:
         return self.config.bath_temperature == 0.0 or self.config.purified
+
+
+def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]))
+    out[: a.shape[0], : a.shape[1]] = a
+    out[a.shape[0] :, a.shape[1] :] = b
+    return out
 
 
 def _prepare(cfg: ScenarioConfig, smap: StructureMap | None) -> _World:
@@ -180,29 +283,23 @@ def _prepare(cfg: ScenarioConfig, smap: StructureMap | None) -> _World:
     if cfg.purified:
         bath = purify(bath)
     initial = product_state(particle, bath)
-    return _World(cfg, H, smap, initial, n, initial.n_modes, params.m1, w_width)
-
-
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "")
-    if raw.strip():
-        try:
-            count = int(raw)
-        except ValueError as exc:
-            raise DomainError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from exc
-        if count < 1:
-            raise DomainError(f"{THREADS_ENV_VAR} must be >= 1")
-        return count
-    return os.cpu_count() or 1
-
-
-def _map_times(fn, times: np.ndarray) -> list:
-    """Evaluate fn over the grid, in parallel when configured; output order is the grid's."""
-    workers = _thread_count()
-    if workers == 1 or len(times) < 2:
-        return [fn(t) for t in times]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, times))
+    sq_freqs, V, M = normal_modes(H, range(n))
+    MV = M @ V
+    return _World(
+        cfg,
+        H,
+        smap,
+        initial,
+        n,
+        initial.n_modes,
+        params.m1,
+        w_width,
+        normal=QuadraticHamiltonian(n, np.diag(np.r_[sq_freqs, np.ones(n)])),
+        to_modes=_block_diag(MV.T, V.T),
+        from_modes=_block_diag(V, MV),
+        particle=_block_diag(V[:1], MV[:1]),
+        collective=_block_diag(smap.T[:1] @ V, smap.T_inv[:, :1].T @ MV),
+    )
 
 
 def _first_crossing(times: np.ndarray, values: np.ndarray, threshold: float) -> float:
@@ -233,21 +330,27 @@ def _has_recurrence(values: np.ndarray, tol: float = 1e-6) -> bool:
 
 
 def run_pod(cfg: ScenarioConfig, smap: StructureMap | None = None) -> PODReport:
-    """Purity and entanglement of both open systems along one global evolution."""
+    """Purity and entanglement of both open systems along one global evolution.
+
+    Purities always come from the mode-0 rows; so do the log-negativities
+    of a pure global state.  A mixed global state takes the full
+    log_negativity route on the dense S(t).
+    """
     world = _prepare(cfg, smap)
+    pure = world.pure_global()
     lift = world.lift_total
 
     def sample(t: float):
-        state = evolve(world.initial, world.flow(t))
-        alt = evolve(state, lift)
-        return (
-            purity(reduce(state, [0])),
-            purity(reduce(alt, [0])),
-            log_negativity(state, [0]),
-            log_negativity(alt, [0]),
-        )
+        D = world.mode_flow(t)
+        rows_1 = world.rows(D, world.particle)
+        rows_sp = world.rows(D, world.collective)
+        purities = purity(world.reduced(rows_1)), purity(world.reduced(rows_sp))
+        if pure:
+            return purities + (world.pure_log_negativity(rows_1), world.pure_log_negativity(rows_sp))
+        state = evolve(world.initial, world.flow(D))
+        return purities + (log_negativity(state, [0]), log_negativity(evolve(state, lift), [0]))
 
-    rows = np.array(_map_times(sample, cfg.times))
+    rows = np.array([sample(t) for t in cfg.times])
     p1, psp, n12, nsp = rows.T
     return PODReport(
         times=cfg.times,
@@ -272,14 +375,10 @@ def run_er_check(cfg: ScenarioConfig, smap: StructureMap | None = None) -> ERRep
     world = _prepare(cfg, smap)
     if not world.pure_global():
         raise DomainError("entanglement check needs a pure global state; purify the bath")
-    lift = world.lift_total
-
-    def sample(t: float):
-        state = evolve(world.initial, world.flow(t))
-        return log_negativity(state, [0]), log_negativity(evolve(state, lift), [0])
-
-    rows = np.array(_map_times(sample, cfg.times))
-    n12, nsp = rows.T
+    splits = (world.particle, world.collective)
+    n12, nsp = np.array(
+        [[world.pure_log_negativity(world.rows(D, s)) for s in splits] for D in map(world.mode_flow, cfg.times)]
+    ).T
     witnessed = ((n12 < ER_PRODUCT_TOL) & (nsp > ER_WITNESS_THRESHOLD)) | (
         (nsp < ER_PRODUCT_TOL) & (n12 > ER_WITNESS_THRESHOLD)
     )
@@ -315,10 +414,10 @@ def run_exclusivity(cfg: ScenarioConfig, smap: StructureMap | None = None) -> Ex
     lift = world.lift_total
 
     def sample(t: float) -> float:
-        state = evolve(world.initial, world.flow(t))
+        state = evolve(world.initial, world.flow(world.mode_flow(t)))
         return log_negativity(evolve(branch_proxy(world, state), lift), [0])
 
-    neg = np.array(_map_times(sample, cfg.times))
+    neg = np.array([sample(t) for t in cfg.times])
     excluding = neg > EXCLUSIVITY_THRESHOLD
     return ExclusivityReport(
         times=cfg.times,
@@ -326,6 +425,13 @@ def run_exclusivity(cfg: ScenarioConfig, smap: StructureMap | None = None) -> Ex
         excluding=excluding,
         flagged_fraction=float(np.mean(excluding)),
     )
+
+
+def run_marginal(cfg: ScenarioConfig, smap: StructureMap | None = None) -> MarginalReport:
+    """marginal_incompatibility over the whole grid, from one prepared world."""
+    world = _prepare(cfg, smap)
+    cols = np.array([_marginal_row(world, t) for t in cfg.times]).T
+    return MarginalReport(cfg.times, *cols)
 
 
 def marginal_incompatibility(
@@ -337,21 +443,16 @@ def marginal_incompatibility(
     for the collective coordinate is the forbidden move; the report
     quantifies how wrong it is.  Zero exactly when the map is the identity.
     """
-    world = _prepare(cfg, smap)
-    state = evolve(world.initial, world.flow(t))
-    alt = evolve(state, world.lift_total)
-    red1 = reduce(state, [0])
-    redsp = reduce(alt, [0])
+    return IncompatibilityReport(float(t), *_marginal_row(_prepare(cfg, smap), t))
+
+
+def _marginal_row(world: _World, t: float) -> tuple[float, float, float, float, float]:
+    D = world.mode_flow(t)
+    red1 = world.reduced(world.rows(D, world.particle))
+    redsp = world.reduced(world.rows(D, world.collective))
     mean_1, var_1 = float(red1.mean[0]), float(red1.cov[0, 0])
     mean_sp, var_sp = float(redsp.mean[0]), float(redsp.cov[0, 0])
-    return IncompatibilityReport(
-        time=float(t),
-        mean_1=mean_1,
-        var_1=var_1,
-        mean_sp=mean_sp,
-        var_sp=var_sp,
-        l1_distance=gaussian_l1_distance(mean_1, var_1, mean_sp, var_sp),
-    )
+    return mean_1, var_1, mean_sp, var_sp, gaussian_l1_distance(mean_1, var_1, mean_sp, var_sp)
 
 
 def gaussian_l1_distance(mean_a: float, var_a: float, mean_b: float, var_b: float) -> float:
@@ -377,8 +478,9 @@ def gaussian_l1_distance(mean_a: float, var_a: float, mean_b: float, var_b: floa
         else:
             sq = np.sqrt(disc)
             roots = sorted([(-b - sq) / (2 * a), (-b + sq) / (2 * a)])
-    cdf_a = scipy.stats.norm.cdf(roots, loc=mean_a, scale=np.sqrt(var_a))
-    cdf_b = scipy.stats.norm.cdf(roots, loc=mean_b, scale=np.sqrt(var_b))
+    roots = np.asarray(roots)
+    cdf_a = scipy.special.ndtr((roots - mean_a) / np.sqrt(var_a))
+    cdf_b = scipy.special.ndtr((roots - mean_b) / np.sqrt(var_b))
     gaps = np.concatenate([[0.0], cdf_a - cdf_b, [0.0]])
     return float(np.sum(np.abs(np.diff(gaps))))
 
@@ -407,7 +509,6 @@ def run_oracle_compare(
     if cfg.bath_temperature != 0.0 or cfg.purified:
         raise DomainError("oracle comparison runs with a zero-temperature, unpurified bath")
     world = _prepare(cfg, None)
-    H = world.hamiltonian
 
     mu_plus = world.initial.mean.copy()
     mu_minus = mu_plus.copy()
@@ -418,7 +519,7 @@ def run_oracle_compare(
     def gaussian_rows():
         out = []
         for t in cfg.times:
-            S = propagator(H, t)
+            S = world.flow(world.mode_flow(t))
             state = evolve(world.initial, S)
             red = reduce(state, [0])
             out.append((purity(red), red.mean, red.cov, decoherence_factor(evolve(cat0, S), env)))

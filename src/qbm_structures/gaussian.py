@@ -302,24 +302,35 @@ def purify(state: GaussianState) -> GaussianState:
 # dynamics
 
 
-def propagator(H: QuadraticHamiltonian, t: float, method: str = "pade") -> np.ndarray:
+def propagator(H: QuadraticHamiltonian, t: float) -> np.ndarray:
     """Exact phase-space flow S(t) = exp(Omega K t).
 
-    method "pade" uses scaling-and-squaring; "eig" diagonalizes Omega K and
-    raises ConditioningError when that generator is defective (e.g. a free
-    particle), where only the Pade route applies.
+    A decoupled generator (diagonal K, as for a model written in its normal
+    modes) flows in closed form per mode at O(N^2): with a = K_xx, b = K_pp
+    of a mode, x(t) = c x0 + b s p0 and p(t) = -a s x0 + c p0, where
+    (c, s) = (cos, sin/Omega) of Omega t for ab = Omega^2 > 0, (1, t) for
+    ab = 0, and (cosh, sinh/gamma) of gamma t for ab = -gamma^2 < 0
+    (unstable modes).  Any other K, including position-momentum terms, takes
+    Pade scaling-and-squaring.
     """
-    A = symplectic_form(H.n_modes) @ H.K
-    if method == "pade":
-        return scipy.linalg.expm(A * t)
-    if method == "eig":
-        lam, V = np.linalg.eig(A)
-        cond = np.linalg.cond(V)
-        if not np.isfinite(cond) or cond > 1e12:
-            raise ConditioningError("generator is not diagonalizable; use the pade route")
-        S = (V * np.exp(lam * t)) @ np.linalg.inv(V)
-        return np.real(S)
-    raise DomainError(f"unknown propagator method {method!r}")
+    K, n = H.K, H.n_modes
+    d = np.diagonal(K)
+    if np.count_nonzero(K) != np.count_nonzero(d):
+        return scipy.linalg.expm(symplectic_form(n) @ K * t)
+    a, b = d[:n], d[n:]
+    ab = a * b
+    c = np.ones(n)
+    s = np.full(n, float(t))
+    root = np.sqrt(np.abs(ab))
+    for mask, cos, sin in ((ab > 0, np.cos, np.sin), (ab < 0, np.cosh, np.sinh)):
+        c[mask] = cos(root[mask] * t)
+        s[mask] = sin(root[mask] * t) / root[mask]
+    S = np.zeros((2 * n, 2 * n))
+    i = np.arange(n)
+    S[i, i] = S[n + i, n + i] = c
+    S[i, n + i] = b * s
+    S[n + i, i] = -(a * s)
+    return S
 
 
 def evolve(state, S: np.ndarray):

@@ -19,13 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DomainError
+from .errors import ConditioningError, DomainError
 from .model import QuadraticHamiltonian, symplectic_form
 
 INVERTIBILITY_TOL = 1e-12
 CANONICITY_TOL = 1e-10
 DENSITY_TOL = 1e-12
 DECOUPLING_TOL = 1e-10
+NORMAL_MODE_TOL = 1e-10
 
 SERIAL_HEADER = "# qbm-structures structure-map v1"
 
@@ -124,16 +125,19 @@ def transform_hamiltonian(H: QuadraticHamiltonian, m: StructureMap) -> Quadratic
     return QuadraticHamiltonian(n, (K + K.T) / 2)
 
 
-def normal_mode_map(H: QuadraticHamiltonian, block) -> StructureMap:
-    """Decouple the given modes: diagonalize their position and momentum blocks jointly.
+def normal_modes(H: QuadraticHamiltonian, block) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Normal modes of the given block: squared frequencies w, mode matrix V, mass matrix M.
 
     Solves the generalized symmetric eigenproblem B v = w M v, where B is the
     block's position form and M the inverse of its (positive-definite)
-    momentum form, i.e. the effective mass matrix.  The returned map acts as
-    the identity outside the block; inside, the new modes have unit mass and
-    potential coefficients w (squared frequencies), sorted ascending.
-    Degenerate frequencies are ordered lexicographically by eigenvector
-    entries after fixing the first nonzero entry of each vector positive.
+    momentum form, i.e. the effective mass matrix.  V is M-orthonormal,
+    V^T M V = I, so x = V q and p = M V pi are canonical with
+    H = (1/2) sum_k (pi_k^2 + w_k q_k^2) when the block has no
+    position-momentum terms.  w is sorted ascending; negative entries are
+    unstable directions.  Degenerate frequencies are ordered
+    lexicographically by eigenvector entries after fixing the first nonzero
+    entry of each vector positive.  Raises ConditioningError when the
+    returned V misses V^T M V = I by more than NORMAL_MODE_TOL.
     """
     block = sorted(set(int(i) for i in block))
     n = H.n_modes
@@ -156,7 +160,23 @@ def normal_mode_map(H: QuadraticHamiltonian, block) -> StructureMap:
             V[:, k] = -col
     order = _tie_broken_order(w, V)
     w, V = w[order], V[:, order]
+    residual = float(np.max(np.abs(V.T @ eff_mass @ V - np.eye(len(idx)))))
+    if residual > NORMAL_MODE_TOL:
+        raise ConditioningError(f"normal modes are not mass-orthonormal (residual {residual:.3e})")
+    return w, V, eff_mass
 
+
+def normal_mode_map(H: QuadraticHamiltonian, block) -> StructureMap:
+    """Decouple the given modes: diagonalize their position and momentum blocks jointly.
+
+    The returned map acts as the identity outside the block; inside, the new
+    modes are those of normal_modes: unit mass and potential coefficients w
+    (squared frequencies), sorted ascending.
+    """
+    block = sorted(set(int(i) for i in block))
+    _, V, _ = normal_modes(H, block)
+    n = H.n_modes
+    idx = np.asarray(block)
     T = np.eye(n)
     T[np.ix_(idx, idx)] = np.linalg.inv(V)
     labels = [f"m{i}" for i in range(n)]

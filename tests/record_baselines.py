@@ -3,7 +3,9 @@
 Run once (python tests/record_baselines.py) and commit the outputs; the
 acceptance suite replays the same configurations and compares against these
 files.  The stored curves are first-run references, not external ground
-truth.
+truth, except the negativity columns of pod_baseline.csv: those are
+rewritten from a 50-digit computation by reference_pod_negativity.py, which
+must be run again after this script.
 """
 
 import os

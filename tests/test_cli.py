@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -250,3 +254,12 @@ def _write_config(tmp_path, text, name="config.txt"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    import qbm_structures
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qbm_structures.__file__)))
+    code = "import sys, qbm_structures.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -1,3 +1,6 @@
+import math
+import os
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -22,12 +25,22 @@ from qbm_structures.experiments import (
     gaussian_l1_distance,
     marginal_incompatibility,
     run_er_check,
+    run_marginal,
     run_exclusivity,
     run_oracle_compare,
     run_pod,
 )
 from qbm_structures.structure import collective_mode_map
-from helpers import exclusivity_scenario, oracle_scenario, pod_scenario, random_model
+from helpers import DATA_DIR, exclusivity_scenario, oracle_scenario, pod_scenario, random_model
+
+BASELINE_TOL = 1e-10
+
+
+def _baseline(name):
+    path = os.path.join(os.path.dirname(__file__), DATA_DIR, name)
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+    return header, np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
 
 
 def small_scenario(kappa=0.2, temperature=0.0, purified=False, n_times=6, t_max=4.0):
@@ -194,7 +207,7 @@ def test_exclusivity_requires_coherent_particle_and_purity():
 def test_branch_proxy_is_product_form():
     cfg = small_scenario(kappa=0.3, n_times=2, t_max=2.0)
     world = _prepare(cfg, None)
-    state = evolve(world.initial, world.flow(2.0))
+    state = evolve(world.initial, world.flow(world.mode_flow(2.0)))
     proxy = branch_proxy(world, state)
     assert log_negativity(proxy, [0]) == 0.0
     assert purity(reduce(proxy, [0])) == pytest.approx(1.0, abs=1e-10)
@@ -220,6 +233,20 @@ def test_l1_distance_closed_form_vs_quadrature():
             - scipy.stats.norm.pdf(grid, m2, np.sqrt(v2))
         )
         assert closed == pytest.approx(np.trapezoid(diff, grid), abs=1e-6)
+
+
+def test_run_marginal_matches_pointwise_reports():
+    cfg = small_scenario(kappa=0.3, temperature=1.0, purified=True, n_times=4)
+    rep = run_marginal(cfg)
+    for i, t in enumerate(cfg.times):
+        point = marginal_incompatibility(cfg, t)
+        assert (rep.mean_1[i], rep.var_1[i], rep.mean_sp[i], rep.var_sp[i], rep.l1_distance[i]) == (
+            point.mean_1,
+            point.var_1,
+            point.mean_sp,
+            point.var_sp,
+            point.l1_distance,
+        )
 
 
 def test_l1_distance_identical_is_zero():
@@ -253,7 +280,7 @@ def test_transformed_state_matches_transformed_operators():
     cfg = small_scenario(kappa=0.3, n_times=2, t_max=3.0)
     world = _prepare(cfg, None)
     comp = world.smap
-    state = evolve(world.initial, world.flow(3.0))
+    state = evolve(world.initial, world.flow(world.mode_flow(3.0)))
     alt = evolve(state, world.lift_total)
     n = world.n_total
     # <X_Sp>, var(X_Sp) via transformed state vs via the row of T acting on
@@ -264,17 +291,35 @@ def test_transformed_state_matches_transformed_operators():
     assert alt.cov[0, 0] == pytest.approx(row @ state.cov @ row, rel=1e-8)
 
 
-def test_threads_env_var_does_not_change_results(monkeypatch):
-    cfg = small_scenario(kappa=0.25, temperature=1.0, purified=True, n_times=6)
-    monkeypatch.setenv("QBM_STRUCTURES_THREADS", "1")
-    serial = run_pod(cfg)
-    monkeypatch.setenv("QBM_STRUCTURES_THREADS", "2")
-    threaded = run_pod(cfg)
-    assert np.array_equal(serial.purity_1, threaded.purity_1)
-    assert np.array_equal(serial.neg_spep, threaded.neg_spep)
-    monkeypatch.setenv("QBM_STRUCTURES_THREADS", "zero")
-    with pytest.raises(DomainError):
-        run_pod(cfg)
+# ---------------------------------------------------------------------------
+# recorded baselines
+
+
+def test_pod_replays_baseline():
+    header, base = _baseline("pod_baseline.csv")
+    assert header == ["t", "purity_1", "purity_Sp", "neg_12", "neg_SpEp"]
+    rep = run_pod(pod_scenario())
+    got = np.column_stack([rep.times, rep.purity_1, rep.purity_sp, rep.neg_12, rep.neg_spep])
+    assert got.shape == base.shape
+    assert np.max(np.abs(got - base)) <= BASELINE_TOL
+
+
+def test_exclusivity_replays_baseline():
+    header, base = _baseline("exclusivity_baseline.csv")
+    assert header == ["t", "neg_SpEp_branch", "excluding"]
+    rep = run_exclusivity(exclusivity_scenario())
+    got = np.column_stack([rep.times, rep.neg_spep, rep.excluding.astype(float)])
+    assert got.shape == base.shape
+    assert np.max(np.abs(got - base)) <= BASELINE_TOL
+
+
+def test_pod_baseline_satisfies_pure_state_identity():
+    # pure global state: purity of the single-mode reduction is 1 / (2 nu)
+    # and E_N = log2(2 nu + 2 sqrt(nu^2 - 1/4)), so purity = sech(E_N ln 2)
+    _, base = _baseline("pod_baseline.csv")
+    for purity_col, neg_col in ((1, 3), (2, 4)):
+        expected = np.array([1.0 / math.cosh(v * math.log(2.0)) for v in base[:, neg_col]])
+        assert np.max(np.abs(base[:, purity_col] - expected)) <= BASELINE_TOL
 
 
 # ---------------------------------------------------------------------------

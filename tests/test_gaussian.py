@@ -179,21 +179,6 @@ def test_propagator_harmonic_quarter_period():
     assert np.allclose(S, [[0.0, 1.0], [-1.0, 0.0]], atol=1e-12)
 
 
-def test_propagator_routes_agree():
-    rng = np.random.default_rng(8)
-    for _ in range(5):
-        params = random_model(rng, n_bath=3, potential="harmonic")
-        H = build_qbm_hamiltonian(params)
-        t = rng.uniform(0.1, 5.0)
-        assert np.max(np.abs(propagator(H, t, "pade") - propagator(H, t, "eig"))) < 1e-9
-
-
-def test_propagator_eig_rejects_defective_generator():
-    K = np.array([[0.0, 0.0], [0.0, 1.0]])  # free particle: nilpotent generator
-    with pytest.raises(ConditioningError):
-        propagator(QuadraticHamiltonian(1, K), 1.0, "eig")
-
-
 def test_propagator_group_property_and_symplecticity():
     rng = np.random.default_rng(9)
     params = random_model(rng, n_bath=4)
