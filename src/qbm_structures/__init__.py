@@ -6,7 +6,6 @@ from .fock_oracle import (
     FockSpace,
     FockState,
     build_fock_hamiltonian,
-    evolve_dense,
     gaussian_to_fock,
     log_negativity_density,
     purity_density,
@@ -26,7 +25,6 @@ from .gaussian import (
     is_pure,
     log_negativity,
     mean_energy,
-    overlap,
     product_state,
     propagator,
     purify,
@@ -42,7 +40,6 @@ from .model import (
     QuadraticHamiltonian,
     build_qbm_hamiltonian,
     discretize_bath,
-    read_qbm_parameters,
     symplectic_form,
 )
 from .structure import (
@@ -50,13 +47,9 @@ from .structure import (
     StructureMap,
     cm_relative_map,
     collective_mode_map,
-    compose,
     identity_map,
-    inverse,
     irreducibility_report,
-    load_structure_map,
     normal_mode_map,
-    save_structure_map,
     transform_hamiltonian,
 )
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import sys
 from dataclasses import dataclass, replace
 
@@ -75,9 +76,9 @@ class RunConfig:
     purified: bool = False
     t_max: float = 10.0
     n_points: int = 50
-    oracle_cutoff: int = 16
-    oracle_certify: bool = False
-    oracle_bump: int = 10
+    cutoff: int = 16
+    certify: bool = False
+    bump: int = 10
 
     def __post_init__(self) -> None:
         if self.kind not in SCENARIOS:
@@ -96,15 +97,15 @@ class RunConfig:
             raise DomainError("bath_omegas and bath_kappas must be given together")
 
 
-_FIELD_MAP = {
-    ("scenario", "kind"): "kind",
-    ("scenario", "output"): "output",
-    ("scenario", "seed"): "seed",
-    ("initial", "kind"): "initial_kind",
-    ("oracle", "cutoff"): "oracle_cutoff",
-    ("oracle", "certify"): "oracle_certify",
-    ("oracle", "bump"): "oracle_bump",
-}
+# every other key names its own RunConfig field
+_FIELD_MAP = {("initial", "kind"): "initial_kind"}
+
+
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
 
 
 def _coerce(kind: str, raw: str, where: str):
@@ -113,13 +114,13 @@ def _coerce(kind: str, raw: str, where: str):
         if kind == "int":
             return int(raw)
         if kind == "float":
-            return float(raw)
+            return _finite(raw)
         if kind == "bool":
             if raw.lower() in ("true", "false"):
                 return raw.lower() == "true"
             raise ValueError("expected true or false")
         if kind == "floats":
-            return tuple(float(v) for v in raw.replace(",", " ").split())
+            return tuple(_finite(v) for v in raw.replace(",", " ").split())
         return raw
     except ValueError as exc:
         raise DomainError(f"bad value for {where}: {raw!r} ({exc})") from exc
@@ -253,7 +254,7 @@ def run(cfg: RunConfig) -> int:
             )
             print(
                 f"er: witnessed at {int(rep.witnessed.sum())} of {rep.times.size} instants "
-                f"(product tol {rep.product_tol:g}, witness threshold {rep.witness_threshold:g})"
+                f"(product tol {ex.ER_PRODUCT_TOL:g}, witness threshold {ex.ER_WITNESS_THRESHOLD:g})"
             )
         elif cfg.kind == "exclusivity":
             rep = ex.run_exclusivity(scenario)
@@ -264,7 +265,7 @@ def run(cfg: RunConfig) -> int:
             )
             print(
                 f"exclusivity: flagged fraction {rep.flagged_fraction:.4f} "
-                f"over {rep.times.size} instants (threshold {rep.threshold:g})"
+                f"over {rep.times.size} instants (threshold {ex.EXCLUSIVITY_THRESHOLD:g})"
             )
         elif cfg.kind == "marginal":
             rep = ex.run_marginal(scenario)
@@ -275,9 +276,7 @@ def run(cfg: RunConfig) -> int:
             )
             print(f"marginal: L1 distance min {rep.l1_distance.min():.6g}, max {rep.l1_distance.max():.6g}")
         else:
-            rep = ex.run_oracle_compare(
-                scenario, cfg.oracle_cutoff, certify=cfg.oracle_certify, bump=cfg.oracle_bump
-            )
+            rep = ex.run_oracle_compare(scenario, cfg.cutoff, certify=cfg.certify, bump=cfg.bump)
             max_col = np.max(
                 np.column_stack([rep.delta_purity, rep.delta_mean, rep.delta_cov, rep.delta_decoherence]),
                 axis=1,

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 import scipy.special
 
 from . import fock_oracle as fo
@@ -103,8 +104,6 @@ class ERReport:
     neg_12: np.ndarray
     neg_spep: np.ndarray
     witnessed: np.ndarray
-    product_tol: float = ER_PRODUCT_TOL
-    witness_threshold: float = ER_WITNESS_THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -113,7 +112,6 @@ class ExclusivityReport:
     neg_spep: np.ndarray
     excluding: np.ndarray
     flagged_fraction: float
-    threshold: float = EXCLUSIVITY_THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -262,13 +260,6 @@ class _World:
         return self.config.bath_temperature == 0.0 or self.config.purified
 
 
-def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]))
-    out[: a.shape[0], : a.shape[1]] = a
-    out[a.shape[0] :, a.shape[1] :] = b
-    return out
-
-
 def _prepare(cfg: ScenarioConfig, smap: StructureMap | None) -> _World:
     params = cfg.model
     H = build_qbm_hamiltonian(params)
@@ -295,10 +286,10 @@ def _prepare(cfg: ScenarioConfig, smap: StructureMap | None) -> _World:
         params.m1,
         w_width,
         normal=QuadraticHamiltonian(n, np.diag(np.r_[sq_freqs, np.ones(n)])),
-        to_modes=_block_diag(MV.T, V.T),
-        from_modes=_block_diag(V, MV),
-        particle=_block_diag(V[:1], MV[:1]),
-        collective=_block_diag(smap.T[:1] @ V, smap.T_inv[:, :1].T @ MV),
+        to_modes=scipy.linalg.block_diag(MV.T, V.T),
+        from_modes=scipy.linalg.block_diag(V, MV),
+        particle=scipy.linalg.block_diag(V[:1], MV[:1]),
+        collective=scipy.linalg.block_diag(smap.T[:1] @ V, smap.T_inv[:, :1].T @ MV),
     )
 
 

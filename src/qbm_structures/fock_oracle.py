@@ -32,7 +32,6 @@ class FockSpace:
     cutoffs: tuple[int, ...]
     masses: tuple[float, ...]
     frequencies: tuple[float, ...]
-    cap: int = DEFAULT_DIM_CAP
 
     def __post_init__(self) -> None:
         cut = tuple(int(c) for c in self.cutoffs)
@@ -43,14 +42,14 @@ class FockSpace:
         if any(m <= 0 for m in self.masses) or any(w <= 0 for w in self.frequencies):
             raise DomainError("basis masses and frequencies must be positive")
         dim = int(np.prod(cut))
-        if dim > self.cap:
-            raise DomainError(f"Fock dimension {dim} exceeds the cap {self.cap}")
+        if dim > DEFAULT_DIM_CAP:
+            raise DomainError(f"Fock dimension {dim} exceeds the cap {DEFAULT_DIM_CAP}")
         object.__setattr__(self, "cutoffs", cut)
         object.__setattr__(self, "masses", tuple(float(m) for m in self.masses))
         object.__setattr__(self, "frequencies", tuple(float(w) for w in self.frequencies))
 
     @classmethod
-    def for_model(cls, params: ModelParams, cutoffs, cap: int = DEFAULT_DIM_CAP) -> "FockSpace":
+    def for_model(cls, params: ModelParams, cutoffs) -> "FockSpace":
         """Basis matched to the model: each mode uses its own mass and frequency.
 
         A free particle gets basis frequency 1.0 (any complete basis works;
@@ -61,7 +60,7 @@ class FockSpace:
         w1 = params.omega if params.potential == POTENTIAL_HARMONIC else 1.0
         masses = (params.m1,) + tuple(m for m, _, _ in params.bath)
         freqs = (w1,) + tuple(w for _, w, _ in params.bath)
-        return cls(tuple(cutoffs), masses, freqs, cap)
+        return cls(tuple(cutoffs), masses, freqs)
 
     @property
     def n_modes(self) -> int:
@@ -73,7 +72,7 @@ class FockSpace:
 
     def bumped(self, delta: int) -> "FockSpace":
         """Same basis with every per-mode cutoff increased by delta (cap still applies)."""
-        return FockSpace(tuple(c + delta for c in self.cutoffs), self.masses, self.frequencies, self.cap)
+        return FockSpace(tuple(c + delta for c in self.cutoffs), self.masses, self.frequencies)
 
     def subspace(self, modes) -> "FockSpace":
         modes = sorted(set(int(i) for i in modes))
@@ -81,7 +80,6 @@ class FockSpace:
             tuple(self.cutoffs[i] for i in modes),
             tuple(self.masses[i] for i in modes),
             tuple(self.frequencies[i] for i in modes),
-            self.cap,
         )
 
 
@@ -178,13 +176,6 @@ class DenseEvolver:
         if abs(norm - 1.0) > 1e-10:
             raise ConditioningError("unitary evolution failed to preserve the norm")
         return FockState(evolved / norm, psi.space)
-
-
-def evolve_dense(psi: FockState, H: np.ndarray, t: float) -> FockState:
-    """psi(t) = exp(-i H t) psi via full eigendecomposition."""
-    if H.shape != (psi.space.dim,) * 2:
-        raise DomainError("Hamiltonian dimension does not match the state")
-    return DenseEvolver(H).propagate(psi, t)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +374,7 @@ def gaussian_to_fock(state: GaussianState, space: FockSpace) -> FockState:
         ground = vecs[:, 0]
         pivot = np.argmax(np.abs(ground))
         ground = ground * np.exp(-1j * np.angle(ground[pivot]))
-        mini = FockSpace((big,), (m,), (w,), cap=max(space.cap, big))
+        mini = FockSpace((big,), (m,), (w,))
         shift = weyl_operator(mini, np.array([state.mean[i], state.mean[n + i]]))
         amp = shift @ ground
         deficit += float(np.sum(np.abs(amp[d:]) ** 2))

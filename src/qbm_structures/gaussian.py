@@ -113,20 +113,13 @@ def cat_state(weights, means, cov: np.ndarray) -> CatState:
     evolution preserves that norm identically (overlaps depend on the means
     and covariance only through symplectic invariants).
     """
-    weights = [complex(w) for w in weights]
-    means = [np.asarray(m, dtype=float) for m in means]
     if len(weights) != len(means):
         raise DomainError("one weight per branch mean required")
-    cov = np.asarray(cov, dtype=float)
-    total = 0.0j
-    for w_j, mu_j in zip(weights, means):
-        for w_k, mu_k in zip(weights, means):
-            total += np.conj(w_j) * w_k * _displaced_overlap(mu_j, mu_k, cov)
-    scale = 1.0 / np.sqrt(total.real)
-    cat = CatState(tuple((w * scale, m) for w, m in zip(weights, means)), cov)
-    if abs(cat.norm() - 1.0) > 1e-10:
+    cat = CatState(tuple(zip(weights, means)), cov)
+    norm = cat.norm()
+    if not 0.0 < norm < np.inf:
         raise DomainError("cat-state normalization failed (degenerate branch overlaps)")
-    return cat
+    return CatState(tuple((a / norm, mu) for a, mu in cat.branches), cat.cov)
 
 
 def _displaced_overlap(mu_a: np.ndarray, mu_b: np.ndarray, cov: np.ndarray) -> complex:
@@ -402,30 +395,6 @@ def log_negativity(state: GaussianState, party_a) -> float:
     terms = -np.log2(2 * nu)
     terms[terms < NEGATIVITY_FLOOR] = 0.0
     return float(np.sum(terms[terms > 0]))
-
-
-def overlap(a: GaussianState, b: GaussianState) -> complex:
-    """<a|b> for pure states.
-
-    Magnitude follows the closed form |<a|b>|^2 =
-    det(sigma_a + sigma_b)^{-1/2} exp(-delta^T (sigma_a+sigma_b)^{-1} delta / 2)
-    (vacuum = I/2 convention).  Phase convention: the Weyl displacement phase
-    (mean_a^T Omega mean_b) / 2, exact whenever the covariances coincide; the
-    residual squeezing phase is fixed to zero.
-    """
-    if a.n_modes != b.n_modes:
-        raise DomainError("states live on different mode counts")
-    if not (is_pure(a) and is_pure(b)):
-        raise DomainError("overlap is defined for pure states only")
-    total = a.cov + b.cov
-    delta = b.mean - a.mean
-    sign, logdet = np.linalg.slogdet(total)
-    if sign <= 0:
-        raise ConditioningError("covariance sum is numerically degenerate")
-    quad = delta @ np.linalg.solve(total, delta)
-    mag = np.exp(-0.25 * logdet - 0.25 * quad)
-    omega = symplectic_form(a.n_modes)
-    return complex(mag * np.exp(0.5j * (a.mean @ omega @ b.mean)))
 
 
 def decoherence_factor(cat: CatState, env) -> float:

@@ -13,6 +13,7 @@ Conventions (fixed once for the whole package):
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -29,11 +30,17 @@ GRID_LINEAR = "linear"
 GRID_LOG = "log"
 
 
+@functools.lru_cache
 def symplectic_form(n_modes: int) -> np.ndarray:
-    """Return the 2n x 2n symplectic form [[0, I], [-I, 0]] for the (x.., p..) ordering."""
+    """Return the 2n x 2n symplectic form [[0, I], [-I, 0]] for the (x.., p..) ordering.
+
+    One read-only array per size is built and shared by every caller.
+    """
     eye = np.eye(n_modes)
     zero = np.zeros((n_modes, n_modes))
-    return np.block([[zero, eye], [-eye, zero]])
+    omega = np.block([[zero, eye], [-eye, zero]])
+    omega.flags.writeable = False
+    return omega
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -188,47 +195,3 @@ def build_qbm_hamiltonian(params: ModelParams) -> QuadraticHamiltonian:
             stacklevel=2,
         )
     return H
-
-
-def read_qbm_parameters(H: QuadraticHamiltonian) -> ModelParams:
-    """Reconstruct ModelParams term-by-term from an untransformed model K.
-
-    Inverse of build_qbm_hamiltonian for couplings stored with non-negative
-    kappa_i; the overall sign is taken from the first nonzero coupling entry.
-    Raises DomainError when K carries terms outside the model family (momentum
-    cross-terms, bath-bath couplings).
-    """
-    n = H.n_modes
-    K = H.K
-    if np.any(H.cross_block != 0):
-        raise DomainError("K has position-momentum terms; not an untransformed model")
-    mom = H.momentum_block
-    if np.any(mom - np.diag(np.diag(mom)) != 0):
-        raise DomainError("momentum block has cross-terms; not an untransformed model")
-    if np.any(np.diag(mom) <= 0):
-        raise DomainError("momentum block must be positive on the diagonal")
-    pos = H.position_block
-    if np.any(pos[1:, 1:] - np.diag(np.diag(pos)[1:]) != 0):
-        raise DomainError("bath-bath position couplings present; not an untransformed model")
-    m1 = 1.0 / mom[0, 0]
-    couplings = pos[0, 1:].copy()
-    sign = +1
-    nonzero = np.nonzero(couplings)[0]
-    if nonzero.size and couplings[nonzero[0]] < 0:
-        sign = -1
-    bath = []
-    for i in range(1, n):
-        m = 1.0 / mom[i, i]
-        cw2 = pos[i, i]
-        if cw2 <= 0:
-            raise DomainError(f"bath mode {i} has non-positive potential coefficient")
-        bath.append((m, float(np.sqrt(cw2 / m)), sign * couplings[i - 1]))
-    if pos[0, 0] > 0:
-        return ModelParams(
-            m1=m1,
-            bath=tuple(bath),
-            potential=POTENTIAL_HARMONIC,
-            omega=float(np.sqrt(pos[0, 0] / m1)),
-            coupling_sign=sign,
-        )
-    return ModelParams(m1=m1, bath=tuple(bath), coupling_sign=sign)

@@ -28,27 +28,21 @@ DENSITY_TOL = 1e-12
 DECOUPLING_TOL = 1e-10
 NORMAL_MODE_TOL = 1e-10
 
-SERIAL_HEADER = "# qbm-structures structure-map v1"
-
 
 @dataclass(frozen=True)
 class StructureMap:
     """Invertible position map x' = T x with canonical momentum lift p' = T^{-T} p."""
 
     T: np.ndarray
-    labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
         T = np.array(np.asarray(self.T, dtype=float))
         if T.ndim != 2 or T.shape[0] != T.shape[1]:
             raise DomainError(f"T must be square, got shape {T.shape}")
-        if len(self.labels) != T.shape[0]:
-            raise DomainError("one label per new mode required")
         if abs(np.linalg.det(T)) <= INVERTIBILITY_TOL:
             raise DomainError("T is numerically singular")
         T.flags.writeable = False
         object.__setattr__(self, "T", T)
-        object.__setattr__(self, "labels", tuple(self.labels))
         Tinv = np.linalg.inv(T)
         Tinv.flags.writeable = False
         object.__setattr__(self, "_T_inv", Tinv)
@@ -76,18 +70,7 @@ class StructureMap:
 
 
 def identity_map(n_modes: int) -> StructureMap:
-    return StructureMap(np.eye(n_modes), tuple(f"m{i}" for i in range(n_modes)))
-
-
-def inverse(m: StructureMap) -> StructureMap:
-    return StructureMap(m.T_inv, tuple(f"inv_{lab}" for lab in m.labels))
-
-
-def compose(a: StructureMap, b: StructureMap) -> StructureMap:
-    """Map applying a first, then b: x'' = T_b T_a x."""
-    if a.n_modes != b.n_modes:
-        raise DomainError(f"mode count mismatch: {a.n_modes} vs {b.n_modes}")
-    return StructureMap(b.T @ a.T, b.labels)
+    return StructureMap(np.eye(n_modes))
 
 
 def cm_relative_map(masses) -> StructureMap:
@@ -109,8 +92,7 @@ def cm_relative_map(masses) -> StructureMap:
     for a in range(1, n):
         T[a, 0] = 1.0
         T[a, a] = -1.0
-    labels = ("cm",) + tuple(f"rel{a}" for a in range(1, n))
-    return StructureMap(T, labels)
+    return StructureMap(T)
 
 
 def transform_hamiltonian(H: QuadraticHamiltonian, m: StructureMap) -> QuadraticHamiltonian:
@@ -179,10 +161,7 @@ def normal_mode_map(H: QuadraticHamiltonian, block) -> StructureMap:
     idx = np.asarray(block)
     T = np.eye(n)
     T[np.ix_(idx, idx)] = np.linalg.inv(V)
-    labels = [f"m{i}" for i in range(n)]
-    for rank, i in enumerate(idx):
-        labels[i] = f"nm{rank + 1}"
-    return StructureMap(T, tuple(labels))
+    return StructureMap(T)
 
 
 def _tie_broken_order(w: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -203,13 +182,12 @@ def collective_mode_map(H: QuadraticHamiltonian, masses) -> StructureMap:
     """Full restructuring pipeline: center of mass, then normal modes of the relative block.
 
     The composite map sends an untransformed particle + bath model to one
-    collective mode ("cm") coupled bilinearly in position to mutually
-    decoupled oscillators ("nm1".."nmN"), mirroring the original form.
+    collective mode (mode 0) coupled bilinearly in position to mutually
+    decoupled oscillators (modes 1..N), mirroring the original form.
     """
     cm = cm_relative_map(masses)
     nm = normal_mode_map(transform_hamiltonian(H, cm), range(1, H.n_modes))
-    labels = ("cm",) + tuple(f"nm{a}" for a in range(1, H.n_modes))
-    return StructureMap(nm.T @ cm.T, labels)
+    return StructureMap(nm.T @ cm.T)
 
 
 @dataclass(frozen=True)
@@ -253,23 +231,3 @@ def _check_partition(split, n: int, name: str) -> None:
         seen.extend(int(i) for i in part)
     if sorted(seen) != list(range(n)):
         raise DomainError(f"{name} does not partition the {n} mode indices")
-
-
-def save_structure_map(m: StructureMap, path) -> None:
-    """Write T row-major in decimal with a labelled header (round-trip exact)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(SERIAL_HEADER + "\n")
-        fh.write("# labels: " + " ".join(m.labels) + "\n")
-        fh.write(f"# rows: {m.n_modes} cols: {m.n_modes}\n")
-        for row in m.T:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def load_structure_map(path) -> StructureMap:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != SERIAL_HEADER:
-        raise DomainError(f"not a structure-map file (missing header {SERIAL_HEADER!r})")
-    labels = tuple(lines[1].removeprefix("# labels: ").split())
-    rows = [[float(v) for v in line.split()] for line in lines[3:] if line.strip()]
-    return StructureMap(np.array(rows), labels)

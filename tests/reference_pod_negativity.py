@@ -24,7 +24,9 @@ convention the package applies.  Run from the repository root:
 
 It rewrites only the neg_12 and neg_SpEp fields of each row; the t and purity
 fields stay byte-identical, and the script prints how far the recorded
-purities lie from the reference ones.
+purities lie from the reference ones.  With --check it exits 1 when a
+recorded negativity lies more than NEG_TOL, or a recorded purity more than
+PURITY_TOL, from the reference.
 """
 
 import argparse
@@ -42,6 +44,8 @@ from qbm_structures.gaussian import NEGATIVITY_FLOOR  # noqa: E402
 PATH = os.path.join(os.path.dirname(__file__), "data", "pod_baseline.csv")
 DIGITS = 50
 GUARD_DIGITS = 20  # absorbs the growth of the unstable mode and the squarings of expm
+NEG_TOL = 1e-12
+PURITY_TOL = 1e-10
 
 
 def model_matrices(cfg):
@@ -127,10 +131,13 @@ def main():
 
     print(f"recorded purities vs reference: max |delta| {dev_purity:.3e}")
     print(f"recorded negativities vs reference: max |delta| {dev_neg:.3e}")
-    if not args.check:
-        with open(PATH, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(out) + "\n")
-        print(f"wrote {PATH}")
+    if args.check:
+        if dev_neg > NEG_TOL or dev_purity > PURITY_TOL:
+            sys.exit(f"{PATH}: deviation exceeds the tolerance (negativity {NEG_TOL:g}, purity {PURITY_TOL:g})")
+        return
+    with open(PATH, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(out) + "\n")
+    print(f"wrote {PATH}")
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -7,6 +8,8 @@ import pytest
 
 from qbm_structures import DomainError
 from qbm_structures.cli import (
+    _FIELD_MAP,
+    _SCHEMA,
     CSV_VERSION_HEADER,
     RunConfig,
     apply_overrides,
@@ -111,6 +114,34 @@ def test_bath_lists_must_come_together():
         parse_config("[scenario]\nkind = pod\n[model]\nbath_omegas = 0.8\n")
 
 
+def test_every_config_key_names_its_own_run_config_field():
+    names = [_FIELD_MAP.get((section, key), key) for section, keys in _SCHEMA.items() for key in keys]
+    assert len(names) == len(set(names))
+    assert set(names) == {f.name for f in dataclasses.fields(RunConfig)}
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        "initial.x=nan",
+        "initial.temperature=nan",
+        "model.perturb=nan",
+        "model.gamma=nan",
+        "model.m1=nan",
+        "model.omega=nan",
+        "model.cutoff_freq=inf",
+        "model.bath_omegas=0.8 -inf",
+        "times.t_max=nan",
+    ],
+)
+def test_cli_rejects_non_finite_numbers(tmp_path, capsys, override):
+    text = MINIMAL_POD + "[model]\npotential = harmonic\nomega = 1.0\nn_bath = 2\n[times]\nn_points = 3\n"
+    path = _write_config(tmp_path, text)
+    assert main([str(path), "--output", str(tmp_path / "x.csv"), "--set", override]) == 1
+    err = capsys.readouterr().err
+    assert override.split("=")[0] in err and "must be finite" in err
+
+
 def test_apply_overrides():
     cfg = parse_config(MINIMAL_POD)
     cfg = apply_overrides(cfg, ["model.gamma=0.5", "times.n_points=11"])
@@ -187,7 +218,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main([str(path2)]) == 1
 
 
-def test_cli_er_and_marginal_and_exclusivity(tmp_path):
+def test_cli_er_and_marginal_and_exclusivity(tmp_path, capsys):
     base = """
 [scenario]
 kind = {kind}
@@ -206,10 +237,10 @@ x = 1.0
 t_max = 2.0
 n_points = 4
 """
-    for kind, header in (
-        ("er", "t,neg_12,neg_SpEp,witnessed"),
-        ("exclusivity", "t,neg_SpEp_branch,excluding"),
-        ("marginal", "t,l1_distance,mean_1,var_1,mean_Sp,var_Sp"),
+    for kind, header, summary_end in (
+        ("er", "t,neg_12,neg_SpEp,witnessed", " of 4 instants (product tol 1e-08, witness threshold 0.001)"),
+        ("exclusivity", "t,neg_SpEp_branch,excluding", " over 4 instants (threshold 0.001)"),
+        ("marginal", "t,l1_distance,mean_1,var_1,mean_Sp,var_Sp", ""),
     ):
         path = _write_config(tmp_path, base.format(kind=kind), name=f"{kind}.txt")
         out = tmp_path / f"{kind}.csv"
@@ -217,6 +248,8 @@ n_points = 4
         lines = out.read_text().splitlines()
         assert lines[1] == header
         assert len(lines) == 2 + 4
+        summary = capsys.readouterr().out.strip()
+        assert summary.startswith(f"{kind}: ") and summary.endswith(summary_end)
 
 
 def test_cli_oracle_compare_small(tmp_path):

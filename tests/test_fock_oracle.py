@@ -15,7 +15,6 @@ from qbm_structures import (
     build_qbm_hamiltonian,
     coherent_state,
     evolve,
-    evolve_dense,
     gaussian_to_fock,
     log_negativity,
     log_negativity_density,
@@ -53,7 +52,6 @@ def dense_tms(r, d):
 def test_space_cap_enforced():
     with pytest.raises(DomainError):
         FockSpace((200, 200), (1.0, 1.0), (1.0, 1.0))
-    FockSpace((200, 200), (1.0, 1.0), (1.0, 1.0), cap=50_000)
 
 
 def test_single_oscillator_spectrum():
@@ -84,8 +82,9 @@ def test_evolve_dense_zero_time_and_eigenstate():
     space = FockSpace.for_model(params, 8)
     H = build_fock_hamiltonian(params, space)
     psi = basis_state(space, (2, 1))
-    assert np.allclose(evolve_dense(psi, H, 0.0).amplitudes, psi.amplitudes)
-    out = evolve_dense(psi, H, 1.3)
+    evolver = DenseEvolver(H)
+    assert np.allclose(evolver.propagate(psi, 0.0).amplitudes, psi.amplitudes)
+    out = evolver.propagate(psi, 1.3)
     assert np.abs(np.abs(out.amplitudes) - np.abs(psi.amplitudes)).max() < 1e-10
 
 

@@ -19,7 +19,6 @@ from qbm_structures import (
     is_pure,
     log_negativity,
     mean_energy,
-    overlap,
     product_state,
     propagator,
     purify,
@@ -253,7 +252,7 @@ def test_mean_energy_formula():
 
 
 # ---------------------------------------------------------------------------
-# entanglement and overlaps
+# entanglement
 
 
 def test_log_negativity_product_exactly_zero():
@@ -287,46 +286,6 @@ def test_log_negativity_invalid_partition():
         log_negativity(st, [0, 1])
 
 
-def test_overlap_self_is_one():
-    st = coherent_state(2, 1, 0.7, -0.3)
-    assert abs(overlap(st, st)) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_overlap_coherent_displacement():
-    a = coherent_state(1, 0, 0.0, 0.0)
-    b = coherent_state(1, 0, 2.0, 0.0)
-    assert abs(overlap(a, b)) == pytest.approx(np.exp(-1.0), rel=1e-12)
-
-
-def test_overlap_phase_matches_coherent_algebra():
-    xa, pa, xb, pb = 1.0, 0.7, -0.4, 0.3
-    a = coherent_state(1, 0, xa, pa)
-    b = coherent_state(1, 0, xb, pb)
-    alpha = (xa + 1j * pa) / np.sqrt(2)
-    beta = (xb + 1j * pb) / np.sqrt(2)
-    exact = np.exp(-abs(alpha - beta) ** 2 / 2) * np.exp(1j * np.imag(np.conj(alpha) * beta))
-    assert overlap(a, b) == pytest.approx(exact, rel=1e-12)
-
-
-def test_overlap_decays_monotonically():
-    a = coherent_state(1, 0, 0.0, 0.0)
-    vals = [abs(overlap(a, coherent_state(1, 0, dx, 0.0))) for dx in np.linspace(0, 4, 9)]
-    assert all(x > y for x, y in zip(vals, vals[1:]))
-
-
-def test_overlap_rejects_mixed_states():
-    with pytest.raises(DomainError):
-        overlap(thermal_state([(1.0, 1.0)], 1.0), coherent_state(1, 0, 0.0, 0.0))
-
-
-def test_overlap_squeezed_vs_fock_series():
-    # |<0|squeezed r>| = 1/sqrt(cosh r), an independent closed form
-    r = 0.6
-    sq = GaussianState(np.zeros(2), np.diag([np.exp(-2 * r) / 2, np.exp(2 * r) / 2]))
-    vac = coherent_state(1, 0, 0.0, 0.0)
-    assert abs(overlap(vac, sq)) == pytest.approx(1 / np.sqrt(np.cosh(r)), rel=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # cat states and decoherence
 
@@ -349,6 +308,13 @@ def test_cat_state_normalization():
     amp = abs(cat.branches[0][0])
     # overlap of the branches is positive, so amplitudes shrink below 1/sqrt(2)
     assert amp < 1 / np.sqrt(2)
+
+
+def test_cat_state_rejects_zero_norm():
+    # equal and opposite weights on one mean cancel: the cat has norm 0
+    mu = coherent_state(1, 0, 1.0, 0.0).mean
+    with pytest.raises(DomainError, match="degenerate"):
+        cat_state([1.0, -1.0], [mu, mu], 0.5 * np.eye(2))
 
 
 def test_cat_state_requires_two_branches():

@@ -10,13 +10,9 @@ from qbm_structures import (
     build_qbm_hamiltonian,
     cm_relative_map,
     collective_mode_map,
-    compose,
     identity_map,
-    inverse,
     irreducibility_report,
-    load_structure_map,
     normal_mode_map,
-    save_structure_map,
     symplectic_form,
     transform_hamiltonian,
 )
@@ -167,17 +163,6 @@ def test_full_pipeline_reproduces_original_sparsity():
         assert np.all(np.abs(pos[0, 1:]) > 1e-8)  # collective mode couples to every oscillator
 
 
-def test_compose_identity_and_inverse():
-    params = random_model(np.random.default_rng(7), n_bath=3)
-    H = build_qbm_hamiltonian(params)
-    comp = collective_mode_map(H, params.masses)
-    ident = identity_map(comp.n_modes)
-    assert np.allclose(compose(comp, ident).T, comp.T)
-    assert np.allclose(compose(ident, comp).T, comp.T)
-    roundtrip = compose(comp, inverse(comp))
-    assert np.max(np.abs(roundtrip.T - np.eye(comp.n_modes))) < 1e-10
-
-
 def test_compose_matches_stepwise_transformation():
     params = random_model(np.random.default_rng(8), n_bath=4, potential="harmonic")
     H = build_qbm_hamiltonian(params)
@@ -185,20 +170,15 @@ def test_compose_matches_stepwise_transformation():
     Hc = transform_hamiltonian(H, cm)
     nm = normal_mode_map(Hc, range(1, H.n_modes))
     stepwise = transform_hamiltonian(Hc, nm)
-    onestep = transform_hamiltonian(H, compose(cm, nm))
+    onestep = transform_hamiltonian(H, StructureMap(nm.T @ cm.T))
     assert np.allclose(stepwise.K, onestep.K, atol=1e-10)
-
-
-def test_compose_dimension_mismatch():
-    with pytest.raises(DomainError):
-        compose(identity_map(2), identity_map(3))
 
 
 def test_irreducibility_identity_and_swap_are_reducible():
     ident = identity_map(3)
     rep = irreducibility_report(ident, [[0], [1, 2]], [[0], [1, 2]])
     assert not rep.is_irreducible
-    swap = StructureMap(np.array([[0.0, 1.0], [1.0, 0.0]]), ("a", "b"))
+    swap = StructureMap(np.array([[0.0, 1.0], [1.0, 0.0]]))
     rep2 = irreducibility_report(swap, [[0], [1]], [[0], [1]])
     assert not rep2.is_irreducible
     assert np.all(rep2.row_density == 0.5)
@@ -227,22 +207,4 @@ def test_irreducibility_rejects_malformed_partition():
 
 def test_rejects_singular_map():
     with pytest.raises(DomainError):
-        StructureMap(np.array([[1.0, 1.0], [1.0, 1.0]]), ("a", "b"))
-
-
-def test_serialization_round_trip(tmp_path):
-    params = random_model(np.random.default_rng(10), n_bath=3)
-    H = build_qbm_hamiltonian(params)
-    comp = collective_mode_map(H, params.masses)
-    path = tmp_path / "map.txt"
-    save_structure_map(comp, path)
-    back = load_structure_map(path)
-    assert np.array_equal(back.T, comp.T)
-    assert back.labels == comp.labels
-
-
-def test_load_rejects_wrong_header(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("not a map\n1 0\n0 1\n")
-    with pytest.raises(DomainError):
-        load_structure_map(path)
+        StructureMap(np.array([[1.0, 1.0], [1.0, 1.0]]))
