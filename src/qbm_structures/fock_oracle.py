@@ -1,10 +1,11 @@
 """Brute-force number-basis validator for small instances.
 
-Everything here works on dense truncated-Fock-space matrices built from
-ladder operators, with evolution by full eigendecomposition, so results are
-independent of the covariance-matrix machinery they certify.  Intended for
-one to three modes at per-mode cutoffs of a few tens; the total dimension is
-capped to bound memory.
+Everything here works in a truncated number basis built from ladder
+operators, so results are independent of the covariance-matrix machinery
+they certify.  Operators are Kronecker products of single-mode factors, so
+the one O(dim^3) step is DenseEvolver's eigendecomposition.  Pure-state
+negativity comes from Schmidt coefficients; mode transforms act on the
+amplitudes by expm_multiply.  For one to three modes at cutoffs of a few tens.
 
 Each mode's basis is the eigenbasis of a reference oscillator with the
 mode's mass and a basis frequency; x and p matrices carry those widths.
@@ -119,39 +120,40 @@ def _b_matrix(d: int, m: float, w: float) -> np.ndarray:
     return np.sqrt(m * w / 2) * (a.T - a)
 
 
-def _embed(op: np.ndarray, space: FockSpace, mode: int) -> np.ndarray:
-    left = int(np.prod(space.cutoffs[:mode], initial=1))
-    right = int(np.prod(space.cutoffs[mode + 1 :], initial=1))
-    return np.kron(np.kron(np.eye(left), op), np.eye(right))
+def _kron(space: FockSpace, factors: dict[int, np.ndarray]) -> np.ndarray:
+    """Tensor product over the modes: factors[i] on mode i, identity elsewhere."""
+    out = np.ones((1, 1))
+    for i, d in enumerate(space.cutoffs):
+        out = np.kron(out, factors[i] if i in factors else np.eye(d))
+    return out
+
+
+def _mode_quadratures(space: FockSpace) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Single-mode x and p matrices at each mode's own cutoff (p complex)."""
+    modes = list(zip(space.cutoffs, space.masses, space.frequencies))
+    return [_x_matrix(*f) for f in modes], [1j * _b_matrix(*f) for f in modes]
 
 
 def quadrature_operators(space: FockSpace) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Dense x and p operators for every mode of the space (p complex)."""
-    xs, ps = [], []
-    for i in range(space.n_modes):
-        d, m, w = space.cutoffs[i], space.masses[i], space.frequencies[i]
-        xs.append(_embed(_x_matrix(d, m, w), space, i))
-        ps.append(1j * _embed(_b_matrix(d, m, w), space, i))
-    return xs, ps
+    xs, ps = _mode_quadratures(space)
+    n = space.n_modes
+    ops = [_kron(space, {k % n: op}) for k, op in enumerate(xs + ps)]
+    return ops[:n], ops[n:]
 
 
 def build_fock_hamiltonian(params: ModelParams, space: FockSpace) -> np.ndarray:
     """Dense real-symmetric Hamiltonian of the particle + bath model, term by term."""
     if space.n_modes != params.n_modes:
         raise DomainError("space mode count does not match the model")
-    masses = (params.m1,) + tuple(m for m, _, _ in params.bath)
+    stiffness = (params.m1 * params.omega**2 if params.potential == POTENTIAL_HARMONIC else 0.0,)
+    stiffness += tuple(m * w**2 for m, w, _ in params.bath)
+    xs, ps = _mode_quadratures(space)
     H = np.zeros((space.dim, space.dim))
-    x_ops = []
-    for i in range(space.n_modes):
-        d = space.cutoffs[i]
-        b = _b_matrix(d, space.masses[i], space.frequencies[i])
-        H += _embed(-(b @ b) / (2 * masses[i]), space, i)
-        x_ops.append(_embed(_x_matrix(d, space.masses[i], space.frequencies[i]), space, i))
-    if params.potential == POTENTIAL_HARMONIC:
-        H += 0.5 * params.m1 * params.omega**2 * (x_ops[0] @ x_ops[0])
-    for i, (m, w, kappa) in enumerate(params.bath, start=1):
-        H += 0.5 * m * w**2 * (x_ops[i] @ x_ops[i])
-        H += params.coupling_sign * kappa * (x_ops[0] @ x_ops[i])
+    for i, (x, p, m) in enumerate(zip(xs, ps, params.masses)):
+        H += _kron(space, {i: (p @ p).real / (2 * m) + 0.5 * stiffness[i] * (x @ x)})
+    for i, (_, _, kappa) in enumerate(params.bath, start=1):
+        H += params.coupling_sign * kappa * _kron(space, {0: xs[0], i: xs[i]})
     return (H + H.T) / 2
 
 
@@ -160,18 +162,21 @@ def build_fock_hamiltonian(params: ModelParams, space: FockSpace) -> np.ndarray:
 
 
 class DenseEvolver:
-    """Eigendecompose H once, then propagate any vector to any time."""
+    """Eigendecompose a real-symmetric H once, then propagate any vector to any time."""
 
     def __init__(self, H: np.ndarray):
         if H.shape[0] != H.shape[1]:
             raise DomainError("Hamiltonian must be square")
-        if np.max(np.abs(H - np.conj(H.T))) > 1e-12:
-            raise DomainError("Hamiltonian must be Hermitian to 1e-12")
+        if np.iscomplexobj(H) or np.max(np.abs(H - H.T)) > 1e-12:
+            raise DomainError("Hamiltonian must be real symmetric (Hermitian) to 1e-12")
         self.energies, self.vectors = np.linalg.eigh(H)
 
     def propagate(self, psi: FockState, t: float) -> FockState:
-        coeff = self.vectors.conj().T @ psi.amplitudes
-        evolved = self.vectors @ (np.exp(-1j * self.energies * t) * coeff)
+        def apply(V, v):  # real V on a complex v viewed as dim x 2 (re, im) columns
+            return (V @ v.view(float).reshape(-1, 2)).view(complex).ravel()
+
+        coeff = apply(self.vectors.T, psi.amplitudes)
+        evolved = apply(self.vectors, np.exp(-1j * self.energies * t) * coeff)
         norm = np.linalg.norm(evolved)
         if abs(norm - 1.0) > 1e-10:
             raise ConditioningError("unitary evolution failed to preserve the norm")
@@ -182,17 +187,20 @@ class DenseEvolver:
 # reductions and diagnostics
 
 
-def reduced_density(psi: FockState, keep) -> np.ndarray:
-    """Partial trace of |psi><psi| onto the kept modes (trace-1 Hermitian PSD)."""
+def _matricize(psi: FockState, keep) -> np.ndarray:
+    """Amplitudes as a (kept modes) x (other modes) matrix."""
     keep = sorted(set(int(i) for i in keep))
     n = psi.space.n_modes
     if not keep or keep[0] < 0 or keep[-1] >= n:
         raise DomainError(f"kept modes must be a nonempty subset of range({n})")
     drop = [i for i in range(n) if i not in keep]
-    tensor = psi.amplitudes.reshape(psi.space.cutoffs)
-    tensor = np.transpose(tensor, keep + drop)
-    dk = int(np.prod([psi.space.cutoffs[i] for i in keep]))
-    mat = tensor.reshape(dk, -1)
+    tensor = np.transpose(psi.amplitudes.reshape(psi.space.cutoffs), keep + drop)
+    return tensor.reshape(int(np.prod([psi.space.cutoffs[i] for i in keep])), -1)
+
+
+def reduced_density(psi: FockState, keep) -> np.ndarray:
+    """Partial trace of |psi><psi| onto the kept modes (trace-1 Hermitian PSD)."""
+    mat = _matricize(psi, keep)
     rho = mat @ mat.conj().T
     return (rho + rho.conj().T) / 2
 
@@ -201,19 +209,29 @@ def purity_density(rho: np.ndarray) -> float:
     return float(np.real(np.trace(rho @ rho)))
 
 
+def _check_party(party_a, k: int) -> list[int]:
+    party_a = sorted(set(int(i) for i in party_a))
+    if not party_a or party_a[0] < 0 or party_a[-1] >= k or len(party_a) == k:
+        raise DomainError("party_a must be a proper nonempty subset of the modes")
+    return party_a
+
+
 def log_negativity_density(rho: np.ndarray, party_a, dims) -> float:
     """log2 of the trace norm after partial transposition on party_a modes."""
     dims = tuple(int(d) for d in dims)
     k = len(dims)
-    party_a = sorted(set(int(i) for i in party_a))
-    if not party_a or party_a[0] < 0 or party_a[-1] >= k or len(party_a) == k:
-        raise DomainError("party_a must be a proper nonempty subset of the modes")
     tensor = rho.reshape(dims + dims)
-    for i in party_a:
+    for i in _check_party(party_a, k):
         tensor = np.swapaxes(tensor, i, k + i)
     d = int(np.prod(dims))
     pt = tensor.reshape(d, d)
     return float(np.log2(np.sum(np.abs(np.linalg.eigvalsh(pt)))))
+
+
+def pure_log_negativity(psi: FockState, party_a) -> float:
+    """Log-negativity of a pure state, 2 log2 of the sum of its Schmidt coefficients."""
+    mat = _matricize(psi, _check_party(party_a, psi.space.n_modes))
+    return float(2 * np.log2(np.sum(np.linalg.svd(mat, compute_uv=False))))
 
 
 def quadrature_moments(rho: np.ndarray, space: FockSpace) -> tuple[np.ndarray, np.ndarray]:
@@ -261,28 +279,30 @@ def quadratic_operator(space: FockSpace, K: np.ndarray) -> np.ndarray:
     n = space.n_modes
     if K.shape != (2 * n, 2 * n) or np.max(np.abs(K - K.T)) > 1e-10:
         raise DomainError("K must be a symmetric 2n x 2n matrix")
-    xs, ps = quadrature_operators(space)
-    ops = xs + ps
+    xs, ps = _mode_quadratures(space)
+    z = [((a, xs[a]), (n + a, ps[a])) for a in range(n)]  # (row of K, single-mode matrix)
     H = np.zeros((space.dim, space.dim), dtype=complex)
-    for i in range(2 * n):
-        for j in range(i, 2 * n):
-            if K[i, j] == 0.0:
-                continue
-            weight = 0.5 if i == j else 1.0
-            H += weight * K[i, j] * 0.5 * (ops[i] @ ops[j] + ops[j] @ ops[i])
-    return (H + H.conj().T) / 2
+    for a in range(n):
+        # (1/2) sum_ij K_ij z_i z_j is Weyl-ordered because K is symmetric
+        h = 0.5 * sum(K[i, j] * (u @ v) for i, u in z[a] for j, v in z[a])
+        H += _kron(space, {a: (h + h.conj().T) / 2})
+        for b in range(a + 1, n):  # different modes commute: sum_i z_i (x) sum_j K_ij z_j
+            for i, u in z[a]:
+                H += _kron(space, {a: u, b: sum(K[i, j] * v for j, v in z[b])})
+    return H  # a sum of Hermitian Kronecker products
 
 
-def mode_transform_unitary(space: FockSpace, S: np.ndarray) -> np.ndarray:
-    """Dense unitary U with U^dag z U = S z for a symplectic S.
+def mode_transform(psi: FockState, S: np.ndarray) -> FockState:
+    """The state U psi, where U^dag z U = S z for a symplectic S.
 
-    Splits S into its polar factors (positive-symplectic times
-    orthogonal-symplectic), takes the quadratic generator of each by a matrix
-    logarithm, and exponentiates.  After applying U, the original tensor
-    slots carry the transformed modes, so partial traces in the new
-    decomposition are plain partial traces of U psi.
+    Splits S into polar factors (positive- and orthogonal-symplectic), takes
+    each one's quadratic generator by a matrix logarithm and applies its
+    exponential to the amplitudes (expm_multiply).  The tensor slots of the
+    result carry the transformed modes, so its partial traces are plain ones.
     """
-    n = space.n_modes
+    import scipy.sparse.linalg  # loaded on first use, off the CLI's import path
+
+    n = psi.space.n_modes
     if S.shape != (2 * n, 2 * n):
         raise DomainError("symplectic dimension does not match the space")
     omega = symplectic_form(n)
@@ -307,13 +327,17 @@ def mode_transform_unitary(space: FockSpace, S: np.ndarray) -> np.ndarray:
     if np.max(np.abs(scipy.linalg.expm(log_orth) - orth)) > 1e-8:
         raise ConditioningError("failed to take the orthogonal factor's logarithm")
 
-    U = np.eye(space.dim, dtype=complex)
-    for gen in (log_pos, log_orth):
+    # U = exp(-i H_pos) exp(-i H_orth): the orthogonal factor acts first
+    amp = psi.amplitudes
+    for gen in (log_orth, log_pos):
         K = -omega @ gen
         K = (K + K.T) / 2
-        w, V = np.linalg.eigh(quadratic_operator(space, K))
-        U = U @ ((V * np.exp(-1j * w)) @ V.conj().T)
-    return U
+        H = scipy.sparse.csr_matrix(quadratic_operator(psi.space, K))
+        amp = scipy.sparse.linalg.expm_multiply(-1j * H, amp)
+    norm = np.linalg.norm(amp)
+    if abs(norm - 1.0) > 1e-10:
+        raise ConditioningError("mode transform failed to preserve the norm")
+    return FockState(amp / norm, psi.space)
 
 
 def weyl_operator(space: FockSpace, delta: np.ndarray) -> np.ndarray:
@@ -322,12 +346,10 @@ def weyl_operator(space: FockSpace, delta: np.ndarray) -> np.ndarray:
     n = space.n_modes
     if delta.shape != (2 * n,):
         raise DomainError("delta must have one (x, p) pair per mode")
-    gen = np.zeros((space.dim, space.dim), dtype=complex)
-    for i in range(n):
-        d, m, w = space.cutoffs[i], space.masses[i], space.frequencies[i]
-        gen += delta[i] * _embed(_b_matrix(d, m, w), space, i)
-        gen += 1j * delta[n + i] * _embed(_x_matrix(d, m, w), space, i)
-    return scipy.linalg.expm(gen)
+    xs, ps = _mode_quadratures(space)
+    # generators on different modes commute, so the exponential factors over modes
+    gens = [1j * (delta[n + i] * xs[i] - delta[i] * ps[i]) for i in range(n)]
+    return _kron(space, {i: scipy.linalg.expm(g) for i, g in enumerate(gens)})
 
 
 # ---------------------------------------------------------------------------

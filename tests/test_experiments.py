@@ -114,7 +114,6 @@ def test_pod_matches_fock_oracle_n2():
     H = build_qbm_hamiltonian(params)
     comp = collective_mode_map(H, params.masses)
     space = fo.FockSpace.for_model(params, (14, 12, 12))
-    U = fo.mode_transform_unitary(space, comp.lift)
     world = _prepare(cfg, None)
     psi0 = fo.gaussian_to_fock(world.initial, space)
     evolver = fo.DenseEvolver(fo.build_fock_hamiltonian(params, space))
@@ -124,23 +123,15 @@ def test_pod_matches_fock_oracle_n2():
         ft = evolver.propagate(psi0, t)
         rho1 = fo.reduced_density(ft, [0])
         assert fo.purity_density(rho1) == pytest.approx(rep.purity_1[i], abs=1e-6)
-        rho_full = np.outer(ft.amplitudes, ft.amplitudes.conj())
-        assert fo.log_negativity_density(rho_full, [0], space.cutoffs) == pytest.approx(
-            rep.neg_12[i], abs=1e-6
-        )
-        psi_alt = U @ ft.amplitudes
-        psi_alt = psi_alt / np.linalg.norm(psi_alt)
-        fa = fo.FockState(psi_alt, space)
+        assert fo.pure_log_negativity(ft, [0]) == pytest.approx(rep.neg_12[i], abs=1e-6)
+        fa = fo.mode_transform(ft, comp.lift)
         assert fo.purity_density(fo.reduced_density(fa, [0])) == pytest.approx(
             rep.purity_sp[i], abs=1e-6
         )
         # trace-norm negativity of a truncated state converges only like the
         # square root of the leaked probability, so its tolerance is coarser;
         # the densely measured covariance pins the same quantity at 1e-6
-        rho_alt = np.outer(psi_alt, psi_alt.conj())
-        assert fo.log_negativity_density(rho_alt, [0], space.cutoffs) == pytest.approx(
-            rep.neg_spep[i], abs=5e-4
-        )
+        assert fo.pure_log_negativity(fa, [0]) == pytest.approx(rep.neg_spep[i], abs=5e-4)
         mean_f, cov_f = fo.state_moments(ft)
         lift = comp.lift
         alt_state = GaussianState(lift @ mean_f, lift @ cov_f @ lift.T)

@@ -28,7 +28,14 @@ from qbm_structures import (
     thermal_state,
     weyl_operator,
 )
-from qbm_structures.fock_oracle import mode_means, mode_transform_unitary, state_moments
+import qbm_structures.fock_oracle as fo
+from qbm_structures.fock_oracle import (
+    mode_means,
+    mode_transform,
+    pure_log_negativity,
+    quadratic_operator,
+    state_moments,
+)
 from qbm_structures.structure import collective_mode_map
 
 
@@ -47,6 +54,109 @@ def dense_tms(r, d):
     psi[0] = 1.0
     psi = scipy.linalg.expm(r * (a1 @ a2 - a1.T @ a2.T)) @ psi
     return psi / np.linalg.norm(psi)
+
+
+def random_state(space, seed):
+    rng = np.random.default_rng(seed)
+    amp = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+    return FockState(amp / np.linalg.norm(amp), space)
+
+
+def embedded_quadratures(space):
+    """Full-space x and p, each single-mode matrix padded by identities."""
+    xs, ps = [], []
+    for i, (d, m, w) in enumerate(zip(space.cutoffs, space.masses, space.frequencies)):
+        left = np.eye(int(np.prod(space.cutoffs[:i], initial=1)))
+        right = np.eye(int(np.prod(space.cutoffs[i + 1 :], initial=1)))
+        a = np.diag(np.sqrt(np.arange(1, d)), 1)
+        xs.append(np.kron(np.kron(left, (a + a.T) / np.sqrt(2 * m * w)), right))
+        ps.append(1j * np.kron(np.kron(left, np.sqrt(m * w / 2) * (a.T - a)), right))
+    return xs, ps
+
+
+def embedded_hamiltonian(params, space):
+    """The model Hamiltonian from dense products of full-space operators."""
+    xs, ps = embedded_quadratures(space)
+    H = sum((p @ p).real / (2 * m) for p, m in zip(ps, params.masses))
+    if params.potential == "harmonic":
+        H = H + 0.5 * params.m1 * params.omega**2 * (xs[0] @ xs[0])
+    for i, (m, w, kappa) in enumerate(params.bath, start=1):
+        H = H + 0.5 * m * w**2 * (xs[i] @ xs[i]) + params.coupling_sign * kappa * (xs[0] @ xs[i])
+    return H
+
+
+def embedded_quadratic(space, K):
+    xs, ps = embedded_quadratures(space)
+    ops = xs + ps
+    H = np.zeros((space.dim, space.dim), dtype=complex)
+    for i in range(len(ops)):
+        for j in range(i, len(ops)):
+            weight = 0.5 if i == j else 1.0
+            H += weight * K[i, j] * 0.5 * (ops[i] @ ops[j] + ops[j] @ ops[i])
+    return (H + H.conj().T) / 2
+
+
+FACTOR_PARAMS = [
+    ModelParams(
+        m1=1.2,
+        bath=((0.8, 0.9, 0.3), (1.5, 1.4, -0.2)),
+        potential="harmonic",
+        omega=1.1,
+        coupling_sign=-1,
+    ),
+    ModelParams(m1=0.7, bath=((1.3, 0.6, 0.25), (0.9, 1.7, 0.4))),
+]
+FACTOR_CUTOFFS = (5, 3, 4)
+
+
+@pytest.mark.parametrize("params", FACTOR_PARAMS)
+def test_factored_hamiltonian_equals_embedded_products(params):
+    space = FockSpace.for_model(params, FACTOR_CUTOFFS)
+    ref = embedded_hamiltonian(params, space)
+    assert np.abs(build_fock_hamiltonian(params, space) - ref).max() < 1e-12
+
+
+def test_factored_quadratic_operator_equals_embedded_products():
+    space = FockSpace(FACTOR_CUTOFFS, (1.2, 0.8, 1.5), (1.1, 0.9, 1.4))
+    rng = np.random.default_rng(3)
+    K = rng.normal(size=(6, 6))
+    K = K + K.T
+    assert np.abs(quadratic_operator(space, K) - embedded_quadratic(space, K)).max() < 1e-12
+
+
+def test_factored_weyl_operator_equals_expm_of_summed_generator():
+    space = FockSpace(FACTOR_CUTOFFS, (1.2, 0.8, 1.5), (1.1, 0.9, 1.4))
+    delta = np.array([0.3, -0.2, 0.15, 0.4, 0.1, -0.35])
+    xs, ps = embedded_quadratures(space)
+    gen = sum(1j * (delta[3 + i] * xs[i] - delta[i] * ps[i]) for i in range(3))
+    assert np.abs(weyl_operator(space, delta) - scipy.linalg.expm(gen)).max() < 1e-12
+
+
+def test_swapped_factor_order_is_caught(monkeypatch):
+    # a Kronecker product taken over the modes in reverse order is a
+    # different operator at unequal cutoffs; the equivalence tests must see it
+    space = FockSpace.for_model(FACTOR_PARAMS[0], FACTOR_CUTOFFS)
+    ref = embedded_hamiltonian(FACTOR_PARAMS[0], space)
+    real_kron = fo._kron
+
+    def swapped(space, factors):
+        flipped = FockSpace(space.cutoffs[::-1], space.masses[::-1], space.frequencies[::-1])
+        n = space.n_modes
+        return real_kron(flipped, {n - 1 - i: f for i, f in factors.items()})
+
+    monkeypatch.setattr(fo, "_kron", swapped)
+    assert np.abs(build_fock_hamiltonian(FACTOR_PARAMS[0], space) - ref).max() > 1e-3
+
+
+def test_real_eigenvector_propagation_equals_complex_route():
+    params = FACTOR_PARAMS[0]
+    space = FockSpace.for_model(params, FACTOR_CUTOFFS)
+    evolver = DenseEvolver(build_fock_hamiltonian(params, space))
+    psi = random_state(space, 1)
+    V = evolver.vectors.astype(complex)
+    for t in (0.0, 0.7, 5.3):
+        expected = V @ (np.exp(-1j * evolver.energies * t) * (V.conj().T @ psi.amplitudes))
+        assert np.abs(evolver.propagate(psi, t).amplitudes - expected).max() < 1e-12
 
 
 def test_space_cap_enforced():
@@ -147,6 +257,18 @@ def test_log_negativity_density_matches_gaussian_tms():
     assert got == pytest.approx(2 * r / np.log(2), abs=1e-6)
 
 
+def test_pure_log_negativity_equals_density_route():
+    d = 18
+    tms = FockState(dense_tms(0.3, d), FockSpace((d, d), (1.0, 1.0), (1.0, 1.0)))
+    rnd = random_state(FockSpace((3, 4, 5), (1.0, 1.2, 0.8), (1.0, 0.9, 1.3)), 7)
+    for psi, party in ((tms, [0]), (tms, [1]), (rnd, [0]), (rnd, [1]), (rnd, [0, 2])):
+        rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
+        expected = log_negativity_density(rho, party, psi.space.cutoffs)
+        assert abs(pure_log_negativity(psi, party) - expected) <= 1e-12
+    with pytest.raises(DomainError):
+        pure_log_negativity(rnd, [0, 1, 2])
+
+
 def test_gaussian_to_fock_vacuum_and_coherent():
     space = FockSpace((25,), (1.0,), (1.0,))
     vac = gaussian_to_fock(coherent_state(1, 0, 0.0, 0.0), space)
@@ -216,8 +338,10 @@ def test_mode_transform_unitary_matches_gaussian_route():
     H = build_qbm_hamiltonian(params)
     comp = collective_mode_map(H, params.masses)
     space = FockSpace.for_model(params, (24, 22))
-    U = mode_transform_unitary(space, comp.lift)
-    assert np.abs(U.conj().T @ U - np.eye(space.dim)).max() < 1e-12
+    phi, chi = random_state(space, 2), random_state(space, 4)
+    phi_t, chi_t = mode_transform(phi, comp.lift), mode_transform(chi, comp.lift)
+    before = np.vdot(phi.amplitudes, chi.amplitudes)
+    assert abs(np.vdot(phi_t.amplitudes, chi_t.amplitudes) - before) < 1e-12
 
     g0 = product_state(
         coherent_state(1, 0, 1.0, 0.2, 1.2, 1.0), thermal_state([(0.9, 1.3)], 0.0)
@@ -228,18 +352,14 @@ def test_mode_transform_unitary_matches_gaussian_route():
     ft = evolver.propagate(f0, t)
     alt = evolve(evolve(g0, propagator(H, t)), comp.lift)
 
-    psi_alt = U @ ft.amplitudes
-    psi_alt = psi_alt / np.linalg.norm(psi_alt)
-    fa = FockState(psi_alt, space)
+    fa = mode_transform(ft, comp.lift)
     rho_sp = reduced_density(fa, [0])
     assert purity_density(rho_sp) == pytest.approx(purity(reduce(alt, [0])), abs=1e-8)
     mean_sp, cov_sp = quadrature_moments(rho_sp, space.subspace([0]))
     red = reduce(alt, [0])
     assert mean_sp == pytest.approx(red.mean, abs=1e-6)
     assert np.abs(cov_sp - red.cov).max() < 1e-6
-    rho_full = np.outer(psi_alt, psi_alt.conj())
-    got = log_negativity_density(rho_full, [0], space.cutoffs)
-    assert got == pytest.approx(log_negativity(alt, [0]), abs=1e-6)
+    assert pure_log_negativity(fa, [0]) == pytest.approx(log_negativity(alt, [0]), abs=1e-6)
 
 
 def test_fock_state_norm_validation():
@@ -251,3 +371,5 @@ def test_fock_state_norm_validation():
 def test_dense_evolver_rejects_non_hermitian():
     with pytest.raises(DomainError):
         DenseEvolver(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(DomainError):  # eigenvectors are kept real
+        DenseEvolver(np.array([[0.0, 1j], [-1j, 0.0]]))
