@@ -211,11 +211,14 @@ def _write_csv(path: str, columns: list[str], rows: np.ndarray) -> None:
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     if not np.all(np.isfinite(rows)):
         raise ConditioningError("refusing to write non-finite values to CSV")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_VERSION_HEADER + "\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(CSV_VERSION_HEADER + "\n")
+            fh.write(",".join(columns) + "\n")
+            for row in rows:
+                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    except OSError as exc:  # an output path that cannot be written is a bad setting
+        raise DomainError(f"cannot write output: {exc}") from exc
 
 
 def _fmt_time(value: float) -> str:

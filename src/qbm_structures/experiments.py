@@ -44,7 +44,6 @@ from .gaussian import (
     propagator,
     purify,
     purity,
-    reduce,
     thermal_state,
 )
 from .model import POTENTIAL_HARMONIC, ModelParams, QuadraticHamiltonian, build_qbm_hamiltonian
@@ -204,7 +203,6 @@ class _World:
     """
 
     config: ScenarioConfig
-    hamiltonian: QuadraticHamiltonian
     smap: StructureMap
     initial: GaussianState
     n_phys: int
@@ -278,7 +276,6 @@ def _prepare(cfg: ScenarioConfig, smap: StructureMap | None) -> _World:
     MV = M @ V
     return _World(
         cfg,
-        H,
         smap,
         initial,
         n,
@@ -488,81 +485,64 @@ def run_oracle_compare(
 ) -> OracleCompareReport:
     """Compare the covariance-route results against the dense number-basis route.
 
-    Valid for one or two bath modes with a zero-temperature bath.  Compares,
-    at every grid time: particle purity, particle reduced moments, and the
-    two-branch decoherence factor for branches displaced to +/- x0.  With
-    certify=True the dense route is repeated with every cutoff raised by
-    `bump` and the worst drift is reported (convergence certification).
+    Valid for one or two bath modes with a zero-temperature bath.  Each
+    route gives one row per grid time: particle purity, particle mean
+    (x, p) and 2 x 2 covariance, and the two-branch decoherence factor for
+    branches displaced to +/- x0.  The Gaussian particle moments come from
+    the mode-0 rows that pod and marginal use.  With certify=True the dense
+    route is repeated with every cutoff raised by `bump` (at least 1) and
+    the worst drift is reported (convergence certification).
     """
     params = cfg.model
     if len(params.bath) > 2:
         raise DomainError("oracle comparison is limited to at most two bath modes")
     if cfg.bath_temperature != 0.0 or cfg.purified:
         raise DomainError("oracle comparison runs with a zero-temperature, unpurified bath")
+    if certify and bump < 1:
+        raise DomainError(f"certification needs bump >= 1, got bump = {bump}")
     world = _prepare(cfg, None)
 
     mu_plus = world.initial.mean.copy()
     mu_minus = mu_plus.copy()
     mu_minus[0] = -mu_plus[0]
     cat0 = cat_state([1 / np.sqrt(2), 1 / np.sqrt(2)], [mu_plus, mu_minus], world.initial.cov)
-    env = list(range(1, world.n_total))
+    n = world.n_total
+    env = list(range(1, n))
+    mode0, env_idx = [0, n], env + [n + i for i in env]
 
-    def gaussian_rows():
+    def gaussian_table() -> np.ndarray:
         out = []
         for t in cfg.times:
-            S = world.flow(world.mode_flow(t))
-            state = evolve(world.initial, S)
-            red = reduce(state, [0])
-            out.append((purity(red), red.mean, red.cov, decoherence_factor(evolve(cat0, S), env)))
-        return out
+            D = world.mode_flow(t)
+            red = world.reduced(world.rows(D, world.particle))
+            r = decoherence_factor(evolve(cat0, world.flow(D)), env)
+            out.append([purity(red), *red.mean, *red.cov.ravel(), r])
+        return np.array(out)
 
-    def fock_rows(space: fo.FockSpace):
-        Hf = fo.build_fock_hamiltonian(params, space)
-        evolver = fo.DenseEvolver(Hf)
+    def fock_table(space: fo.FockSpace) -> np.ndarray:
+        evolver = fo.DenseEvolver(fo.build_fock_hamiltonian(params, space))
         psi_plus = fo.gaussian_to_fock(GaussianState(mu_plus, world.initial.cov), space)
         psi_minus = fo.gaussian_to_fock(GaussianState(mu_minus, world.initial.cov), space)
         env_space = space.subspace(env)
         out = []
         for t in cfg.times:
             bp = evolver.propagate(psi_plus, t)
-            bm = evolver.propagate(psi_minus, t)
-            rho1 = fo.reduced_density(bp, [0])
-            mean1, cov1 = fo.quadrature_moments(rho1, space.subspace([0]))
-            mp = fo.mode_means(bp)
-            mm = fo.mode_means(bm)
-            n = space.n_modes
-            idx = np.array(env + [n + i for i in env])
-            rho_env = fo.reduced_density(bp, env)
-            shift = fo.weyl_operator(env_space, (mm - mp)[idx])
-            r = abs(np.trace(rho_env @ shift))
-            out.append((fo.purity_density(rho1), mean1, cov1, r))
-        return out
+            mean, cov = fo.state_moments(bp)
+            shift = (fo.mode_means(evolver.propagate(psi_minus, t)) - mean)[env_idx]
+            r = abs(np.trace(fo.reduced_density(bp, env) @ fo.weyl_operator(env_space, shift)))
+            purity_0 = fo.purity_density(fo.reduced_density(bp, [0]))
+            out.append([purity_0, *mean[mode0], *cov[np.ix_(mode0, mode0)].ravel(), r])
+        return np.array(out)
 
     space = fo.FockSpace.for_model(params, cutoffs)
-    g_rows = gaussian_rows()
-    f_rows = fock_rows(space)
-    d_pur = np.array([abs(g[0] - f[0]) for g, f in zip(g_rows, f_rows)])
-    d_mean = np.array([np.max(np.abs(g[1] - f[1])) for g, f in zip(g_rows, f_rows)])
-    d_cov = np.array([np.max(np.abs(g[2] - f[2])) for g, f in zip(g_rows, f_rows)])
-    d_dec = np.array([abs(g[3] - f[3]) for g, f in zip(g_rows, f_rows)])
-
-    cert_delta = None
-    if certify:
-        f_big = fock_rows(space.bumped(bump))
-        cert_delta = 0.0
-        for small, big in zip(f_rows, f_big):
-            cert_delta = max(
-                cert_delta,
-                abs(small[0] - big[0]),
-                float(np.max(np.abs(small[1] - big[1]))),
-                float(np.max(np.abs(small[2] - big[2]))),
-                abs(small[3] - big[3]),
-            )
+    fock = fock_table(space)
+    delta = np.abs(gaussian_table() - fock)
+    drift = float(np.max(np.abs(fock - fock_table(space.bumped(bump))))) if certify else None
     return OracleCompareReport(
         times=cfg.times,
-        delta_purity=d_pur,
-        delta_mean=d_mean,
-        delta_cov=d_cov,
-        delta_decoherence=d_dec,
-        certification_delta=cert_delta,
+        delta_purity=delta[:, 0],
+        delta_mean=np.max(delta[:, 1:3], axis=1),
+        delta_cov=np.max(delta[:, 3:7], axis=1),
+        delta_decoherence=delta[:, 7],
+        certification_delta=drift,
     )

@@ -3,9 +3,12 @@
 Everything here works in a truncated number basis built from ladder
 operators, so results are independent of the covariance-matrix machinery
 they certify.  Operators are Kronecker products of single-mode factors, so
-the one O(dim^3) step is DenseEvolver's eigendecomposition.  Pure-state
-negativity comes from Schmidt coefficients; mode transforms act on the
-amplitudes by expm_multiply.  For one to three modes at cutoffs of a few tens.
+the one O(dim^3) step is DenseEvolver's eigendecomposition, and the
+Hamiltonian it diagonalises is the one dense full-space operator on the
+pure-state route: moments apply single-mode factors along tensor axes
+(_apply), pure-state negativity comes from Schmidt coefficients, and mode
+transforms apply sparse generators to the amplitudes by expm_multiply.
+For one to three modes at cutoffs of a few tens.
 
 Each mode's basis is the eigenbasis of a reference oscillator with the
 mode's mass and a basis frequency; x and p matrices carry those widths.
@@ -120,26 +123,26 @@ def _b_matrix(d: int, m: float, w: float) -> np.ndarray:
     return np.sqrt(m * w / 2) * (a.T - a)
 
 
-def _kron(space: FockSpace, factors: dict[int, np.ndarray]) -> np.ndarray:
+def _kron(space: FockSpace, factors: dict[int, np.ndarray], kron=np.kron):
     """Tensor product over the modes: factors[i] on mode i, identity elsewhere."""
     out = np.ones((1, 1))
     for i, d in enumerate(space.cutoffs):
-        out = np.kron(out, factors[i] if i in factors else np.eye(d))
+        out = kron(out, factors[i] if i in factors else np.eye(d))
     return out
+
+
+def _apply(space: FockSpace, amps: np.ndarray, factors: dict[int, np.ndarray]) -> np.ndarray:
+    """_kron(space, factors) @ amps, one tensordot per factor along its mode's axis, O(dim d)."""
+    tensor = amps.reshape(space.cutoffs)
+    for i, f in factors.items():
+        tensor = np.moveaxis(np.tensordot(f, tensor, axes=(1, i)), 0, i)
+    return tensor.reshape(-1)
 
 
 def _mode_quadratures(space: FockSpace) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Single-mode x and p matrices at each mode's own cutoff (p complex)."""
     modes = list(zip(space.cutoffs, space.masses, space.frequencies))
     return [_x_matrix(*f) for f in modes], [1j * _b_matrix(*f) for f in modes]
-
-
-def quadrature_operators(space: FockSpace) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Dense x and p operators for every mode of the space (p complex)."""
-    xs, ps = _mode_quadratures(space)
-    n = space.n_modes
-    ops = [_kron(space, {k % n: op}) for k, op in enumerate(xs + ps)]
-    return ops[:n], ops[n:]
 
 
 def build_fock_hamiltonian(params: ModelParams, space: FockSpace) -> np.ndarray:
@@ -235,9 +238,13 @@ def pure_log_negativity(psi: FockState, party_a) -> float:
 
 
 def quadrature_moments(rho: np.ndarray, space: FockSpace) -> tuple[np.ndarray, np.ndarray]:
-    """Mean vector and symmetrized covariance of (x.., p..) under a density matrix."""
-    xs, ps = quadrature_operators(space)
-    ops = xs + ps
+    """Mean vector and symmetrized covariance of (x.., p..) under a density matrix.
+
+    Builds each quadrature over the whole space, so it is meant for reduced
+    densities of one or a few modes.
+    """
+    xs, ps = _mode_quadratures(space)
+    ops = [_kron(space, {k % space.n_modes: op}) for k, op in enumerate(xs + ps)]
     n2 = len(ops)
     mean = np.array([np.real(np.trace(rho @ op)) for op in ops])
     cov = np.empty((n2, n2))
@@ -249,47 +256,42 @@ def quadrature_moments(rho: np.ndarray, space: FockSpace) -> tuple[np.ndarray, n
 
 
 def state_moments(psi: FockState) -> tuple[np.ndarray, np.ndarray]:
-    """Full mean and symmetrized covariance of a pure state, by matrix-vector products."""
-    xs, ps = quadrature_operators(psi.space)
-    ops = xs + ps
-    n2 = len(ops)
-    applied = [op @ psi.amplitudes for op in ops]
-    mean = np.array([np.real(np.vdot(psi.amplitudes, v)) for v in applied])
-    cov = np.empty((n2, n2))
-    for i in range(n2):
-        for j in range(i, n2):
-            sym = np.real(np.vdot(applied[i], applied[j]))
-            cov[i, j] = cov[j, i] = sym - mean[i] * mean[j]
-    return mean, cov
+    """Full mean and symmetrized covariance of (x.., p..) in a pure state.
+
+    Each quadrature is applied to the amplitudes as a single-mode factor
+    (_apply), so no full-space operator is formed.
+    """
+    xs, ps = _mode_quadratures(psi.space)
+    n = psi.space.n_modes
+    applied = np.array([_apply(psi.space, psi.amplitudes, {k % n: op}) for k, op in enumerate(xs + ps)])
+    mean = np.real(applied @ psi.amplitudes.conj())
+    gram = np.real(applied.conj() @ applied.T)  # Re <z_i psi|z_j psi> = <z_i z_j + z_j z_i> / 2
+    return mean, (gram + gram.T) / 2 - np.outer(mean, mean)
 
 
 def mode_means(psi: FockState) -> np.ndarray:
-    """Per-mode <x>, <p> via single-mode reductions (no full density matrix)."""
-    n = psi.space.n_modes
-    out = np.empty(2 * n)
-    for i in range(n):
-        rho = reduced_density(psi, [i])
-        mean, _ = quadrature_moments(rho, psi.space.subspace([i]))
-        out[i], out[n + i] = mean
-    return out
+    """Per-mode <x>.., <p>.. of a pure state (the mean of state_moments)."""
+    return state_moments(psi)[0]
 
 
-def quadratic_operator(space: FockSpace, K: np.ndarray) -> np.ndarray:
-    """Dense Weyl-ordered operator (1/2) sum K_ij sym(z_i z_j) for symmetric K."""
+def quadratic_operator(space: FockSpace, K: np.ndarray):
+    """Sparse (CSR) Weyl-ordered operator (1/2) sum K_ij sym(z_i z_j) for symmetric K."""
+    import scipy.sparse  # loaded on first use, off the CLI's import path
+
     n = space.n_modes
     if K.shape != (2 * n, 2 * n) or np.max(np.abs(K - K.T)) > 1e-10:
         raise DomainError("K must be a symmetric 2n x 2n matrix")
     xs, ps = _mode_quadratures(space)
     z = [((a, xs[a]), (n + a, ps[a])) for a in range(n)]  # (row of K, single-mode matrix)
-    H = np.zeros((space.dim, space.dim), dtype=complex)
+    H = scipy.sparse.csr_matrix((space.dim, space.dim), dtype=complex)
     for a in range(n):
         # (1/2) sum_ij K_ij z_i z_j is Weyl-ordered because K is symmetric
         h = 0.5 * sum(K[i, j] * (u @ v) for i, u in z[a] for j, v in z[a])
-        H += _kron(space, {a: (h + h.conj().T) / 2})
+        H += _kron(space, {a: (h + h.conj().T) / 2}, scipy.sparse.kron)
         for b in range(a + 1, n):  # different modes commute: sum_i z_i (x) sum_j K_ij z_j
             for i, u in z[a]:
-                H += _kron(space, {a: u, b: sum(K[i, j] * v for j, v in z[b])})
-    return H  # a sum of Hermitian Kronecker products
+                H += _kron(space, {a: u, b: sum(K[i, j] * v for j, v in z[b])}, scipy.sparse.kron)
+    return H.tocsr()  # a sum of Hermitian Kronecker products
 
 
 def mode_transform(psi: FockState, S: np.ndarray) -> FockState:
@@ -297,8 +299,9 @@ def mode_transform(psi: FockState, S: np.ndarray) -> FockState:
 
     Splits S into polar factors (positive- and orthogonal-symplectic), takes
     each one's quadratic generator by a matrix logarithm and applies its
-    exponential to the amplitudes (expm_multiply).  The tensor slots of the
-    result carry the transformed modes, so its partial traces are plain ones.
+    exponential to the amplitudes (expm_multiply on the sparse
+    quadratic_operator).  The tensor slots of the result carry the
+    transformed modes, so its partial traces are plain ones.
     """
     import scipy.sparse.linalg  # loaded on first use, off the CLI's import path
 
@@ -332,8 +335,7 @@ def mode_transform(psi: FockState, S: np.ndarray) -> FockState:
     for gen in (log_orth, log_pos):
         K = -omega @ gen
         K = (K + K.T) / 2
-        H = scipy.sparse.csr_matrix(quadratic_operator(psi.space, K))
-        amp = scipy.sparse.linalg.expm_multiply(-1j * H, amp)
+        amp = scipy.sparse.linalg.expm_multiply(-1j * quadratic_operator(psi.space, K), amp)
     norm = np.linalg.norm(amp)
     if abs(norm - 1.0) > 1e-10:
         raise ConditioningError("mode transform failed to preserve the norm")

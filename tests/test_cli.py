@@ -283,6 +283,58 @@ cutoff = 16
     assert np.max(rows[:, -1]) < 1e-6
 
 
+ORACLE_TINY = """
+[scenario]
+kind = oracle-compare
+
+[model]
+potential = harmonic
+omega = 1.0
+bath_omegas = 1.3
+bath_kappas = 0.2
+
+[initial]
+x = 0.5
+
+[times]
+t_max = 1.0
+n_points = 2
+
+[oracle]
+cutoff = 8
+"""
+
+
+@pytest.mark.parametrize("bump", [0, -3])
+def test_certification_needs_a_positive_bump(tmp_path, capsys, bump):
+    path = _write_config(tmp_path, ORACLE_TINY)
+    args = [str(path), "--output", str(tmp_path / "oc.csv"), "--set", "oracle.certify=true"]
+    assert main(args + ["--set", f"oracle.bump={bump}"]) == 1
+    assert "bump" in capsys.readouterr().err
+    assert not (tmp_path / "oc.csv").exists()
+
+
+def test_unwritable_output_exits_1(tmp_path, capsys):
+    path = _write_config(tmp_path, MINIMAL_POD)
+    out = tmp_path / "missing" / "dir" / "x.csv"
+    assert main([str(path), "--output", str(out), "--set", "times.n_points=3", "--set", "model.n_bath=2"]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot write output: ")
+
+
+def test_oracle_compare_run_leaves_scipy_sparse_unloaded(tmp_path):
+    import qbm_structures
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qbm_structures.__file__)))
+    path = _write_config(tmp_path, ORACLE_TINY)
+    code = (
+        "import sys, qbm_structures.cli as cli; "
+        f"status = cli.main([{str(path)!r}, '--output', {str(tmp_path / 'oc.csv')!r}]); "
+        "print(status, 'scipy.sparse' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "0 False"
+
+
 def _write_config(tmp_path, text, name="config.txt"):
     path = tmp_path / name
     path.write_text(text)

@@ -328,6 +328,29 @@ def test_oracle_compare_small_instance():
     assert rep.certification_delta is not None and rep.certification_delta < 1e-8
 
 
+@pytest.mark.parametrize("planted", ["delta_mean", "delta_cov"])
+def test_oracle_compare_charges_each_moment_to_its_delta(monkeypatch, planted):
+    # an error planted in one Fock moment of the particle shows in its own delta only
+    cfg = oracle_scenario(1)
+    cfg = ScenarioConfig(model=cfg.model, times=cfg.times[:3], x0=cfg.x0, p0=cfg.p0)
+    real_moments = fo.state_moments
+
+    def planted_moments(psi):
+        mean, cov = (a.copy() for a in real_moments(psi))
+        n = psi.space.n_modes
+        if planted == "delta_mean":
+            mean[n] += 1e-3  # <p_0>
+        else:
+            cov[n, n] += 1e-3  # var(p_0)
+        return mean, cov
+
+    monkeypatch.setattr(fo, "state_moments", planted_moments)
+    rep = run_oracle_compare(cfg, cutoffs=18)
+    for name in ("delta_purity", "delta_mean", "delta_cov", "delta_decoherence"):
+        expected = 1e-3 if name == planted else 0.0
+        assert np.abs(getattr(rep, name) - expected).max() < 1e-6, name
+
+
 def test_oracle_compare_rejects_large_or_warm_runs():
     params = ModelParams(m1=1.0, bath=((1.0, 1.0, 0.1),) * 3)
     cfg = ScenarioConfig(model=params, times=np.array([0.0, 1.0]), x0=1.0)

@@ -121,7 +121,21 @@ def test_factored_quadratic_operator_equals_embedded_products():
     rng = np.random.default_rng(3)
     K = rng.normal(size=(6, 6))
     K = K + K.T
-    assert np.abs(quadratic_operator(space, K) - embedded_quadratic(space, K)).max() < 1e-12
+    assert np.abs(quadratic_operator(space, K).toarray() - embedded_quadratic(space, K)).max() < 1e-12
+
+
+@pytest.mark.parametrize("modes", [(0,), (1,), (2,), (3,), (0, 3)])
+def test_apply_equals_kron_product(modes):
+    space = FockSpace((3, 4, 2, 5), (1.0, 1.2, 0.8, 1.1), (1.0, 0.9, 1.3, 0.7))
+    psi = random_state(space, 5)
+    rng = np.random.default_rng(6)
+    factors = {
+        i: rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        for i, d in enumerate(space.cutoffs)
+        if i in modes
+    }
+    expected = fo._kron(space, factors) @ psi.amplitudes
+    assert np.abs(fo._apply(space, psi.amplitudes, factors) - expected).max() < 1e-12
 
 
 def test_factored_weyl_operator_equals_expm_of_summed_generator():
@@ -323,14 +337,55 @@ def test_weyl_operator_displaces_moments():
     assert cov[0, 0] == pytest.approx(1 / (2 * 1.3 * 0.8), abs=1e-10)
 
 
+def squeezed_product():
+    """Four modes: coherent, displaced and rotated-squeezed, vacuum in a foreign basis, coherent."""
+    r, theta = 0.2, 0.4
+    rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    squeezed = GaussianState(np.array([-0.4, 0.3]), rot @ np.diag([np.exp(-2 * r), np.exp(2 * r)]) @ rot.T / 2)
+    g = product_state(
+        coherent_state(1, 0, 0.9, -0.3),
+        squeezed,
+        coherent_state(1, 0, 0.0, 0.0, width_mass=1.3, width_freq=0.8),
+        coherent_state(1, 0, 0.2, 0.1),
+    )
+    return g, FockSpace((18, 18, 2, 7), (1.0, 1.0, 1.3, 1.0), (1.0, 1.0, 0.8, 1.0))
+
+
 def test_moments_of_coherent_state():
-    space = FockSpace((22, 8), (1.0, 1.0), (1.0, 1.0))
-    g = product_state(coherent_state(1, 0, 1.1, -0.3), coherent_state(1, 0, 0.0, 0.0))
+    coherent = (
+        product_state(coherent_state(1, 0, 1.1, -0.3), coherent_state(1, 0, 0.0, 0.0)),
+        FockSpace((22, 8), (1.0, 1.0), (1.0, 1.0)),
+    )
+    for g, space in (coherent, squeezed_product()):
+        psi = gaussian_to_fock(g, space)
+        mean, cov = state_moments(psi)
+        assert mean == pytest.approx(g.mean, abs=1e-9)
+        assert np.abs(cov - g.cov).max() < 1e-9
+        assert mode_means(psi) == pytest.approx(g.mean, abs=1e-9)
+
+
+def test_pure_state_routes_form_no_dense_operator(monkeypatch):
+    g, space = squeezed_product()
     psi = gaussian_to_fock(g, space)
+    real_kron = fo._kron
+
+    def no_kron(*args, **kwargs):
+        raise AssertionError("a full-space operator was assembled")
+
+    monkeypatch.setattr(fo, "_kron", no_kron)
     mean, cov = state_moments(psi)
-    assert mean == pytest.approx(g.mean, abs=1e-9)
     assert np.abs(cov - g.cov).max() < 1e-9
-    assert mode_means(psi) == pytest.approx(g.mean, abs=1e-9)
+    assert np.array_equal(mode_means(psi), mean)
+
+    def sparse_only(space, factors, kron=np.kron):
+        if kron is np.kron:
+            raise AssertionError("a dense full-space operator was assembled")
+        return real_kron(space, factors, kron)
+
+    monkeypatch.setattr(fo, "_kron", sparse_only)
+    c, s = np.cos(0.3), np.sin(0.3)
+    splitter = np.kron(np.eye(2), [[c, s], [-s, c]])  # a beam splitter, orthogonal and symplectic
+    mode_transform(random_state(FockSpace((6, 6), (1.0, 1.0), (1.0, 1.0)), 3), splitter)
 
 
 def test_mode_transform_unitary_matches_gaussian_route():
