@@ -266,9 +266,10 @@ def run(cfg: RunConfig) -> int:
                 ["t", "neg_SpEp_branch", "excluding"],
                 np.column_stack([rep.times, rep.neg_spep, rep.excluding.astype(float)]),
             )
+            margin = np.min(np.abs(rep.neg_spep - ex.EXCLUSIVITY_THRESHOLD))
             print(
                 f"exclusivity: flagged fraction {rep.flagged_fraction:.4f} "
-                f"over {rep.times.size} instants (threshold {ex.EXCLUSIVITY_THRESHOLD:g})"
+                f"over {rep.times.size} instants (threshold {ex.EXCLUSIVITY_THRESHOLD:g}, min margin {margin:.3g})"
             )
         elif cfg.kind == "marginal":
             rep = ex.run_marginal(scenario)

@@ -11,11 +11,11 @@ environment side of every bipartition.
 The model is diagonalised once per run (structure.normal_modes); written in
 its normal modes it is decoupled, so gaussian.propagator moves every mode in
 closed form and no scenario exponentiates a generator.
-Diagnostics of mode 0 (purity, mean, variance, and the 1|rest
-log-negativity of a pure global state) use only the mode-0 rows of the flow
-and cost O(N^2) per time sample.  Two paths still form the full state at
-O(N^3) per sample: log-negativity of a mixed global state, and the branch
-proxy of run_exclusivity.
+A split enters only through its mode-0 rows (X = sum m_i x_i / M and
+P = sum p_i for the collective one): two maps that share them differ by
+I (+) D, local on the rest, which changes no mode-0 diagnostic.  So every
+diagnostic uses only mode-0 rows of the flow; only the cat state of
+run_oracle_compare (at most three modes) forms the dense flow.
 """
 
 from __future__ import annotations
@@ -35,19 +35,17 @@ from .gaussian import (
     GaussianState,
     cat_state,
     coherent_state,
-    condition_on_coherent,
     decoherence_factor,
     embed_symplectic,
     evolve,
-    log_negativity,
     product_state,
     propagator,
     purify,
     purity,
     thermal_state,
 )
-from .model import POTENTIAL_HARMONIC, ModelParams, QuadraticHamiltonian, build_qbm_hamiltonian
-from .structure import StructureMap, collective_mode_map, normal_modes
+from .model import POTENTIAL_HARMONIC, ModelParams, QuadraticHamiltonian, build_qbm_hamiltonian, symplectic_form
+from .structure import StructureMap, cm_relative_map, normal_modes
 
 ER_PRODUCT_TOL = 1e-8
 ER_WITNESS_THRESHOLD = 1e-3
@@ -167,57 +165,27 @@ def _check_conjugate(rows: np.ndarray) -> None:
         raise ConditioningError(f"mode-0 rows lost canonicity (g_x^T Omega g_p = {product!r})")
 
 
-def _pure_log_negativity(rows: np.ndarray) -> float:
-    """1|rest log-negativity of a pure global state sigma = G G^T / 2 from two rows of G.
-
-    rows are the mode-0 x and p rows g_x, g_p of the symplectic G.  With
-    z = (x part) + i (p part) of each row, |z1|^2 |z2|^2 - |z1^H z2|^2 =
-    det(2 sigma_1) - (g_x^T Omega g_p)^2 = 4 nu^2 - 1, where nu is the
-    symplectic eigenvalue of the mode-0 reduction.  Hence
-    E_N = log2(2 nu + 2 sqrt(nu^2 - 1/4)) = asinh(|z1| |z2_perp|) / ln 2,
-    with z2_perp the part of z2 orthogonal to z1 (Adesso & Illuminati,
-    J. Phys. A 40, 7821 (2007); Serafini, Quantum Continuous Variables
-    (2017)).  The projection carries no cancellation: product instants give
-    roundoff, floored to exactly 0 like log_negativity, where the nu form
-    leaves about 4e-8.
-    """
-    _check_conjugate(rows)
-    n = rows.shape[1] // 2
-    z1 = rows[0, :n] + 1j * rows[0, n:]
-    z2 = rows[1, :n] + 1j * rows[1, n:]
-    z2_perp = z2 - z1 * (np.vdot(z1, z2) / np.vdot(z1, z1).real)
-    neg = float(np.arcsinh(np.linalg.norm(z1) * np.linalg.norm(z2_perp)) / np.log(2.0))
-    return 0.0 if neg < NEGATIVITY_FLOOR else neg
-
-
 @dataclass(frozen=True)
 class _World:
-    """Everything a scenario needs: model, map, initial global state, and the model's normal modes.
+    """Everything a scenario needs: initial global state, the model's normal modes and two splits.
 
     With V^T M V = I from structure.normal_modes, x = V q and p = M V pi over
-    the physical modes, so the flow is S(t) = P^-1 D(t) P with P =
-    diag((M V)^T, V^T) and D(t) = propagator(normal, t), the closed-form
-    flow of the decoupled normal-mode Hamiltonian.  A split is given by the
-    2 x 2n normal-mode coefficients of its mode-0 position and momentum;
-    `rows` turns them into the mode-0 rows of S(t) (or lift S(t)) in O(N^2).
+    the physical modes, so S(t) = P^-1 D(t) P with P = diag((M V)^T, V^T) and
+    D(t) = propagator(normal, t).  A split is the 2 x 2n normal-mode
+    coefficients of its mode-0 x and p; `rows` turns them into the mode-0 rows
+    of its flow in O(N^2).  `width` is the particle packet's diag(1/2mw, mw/2).
     """
 
     config: ScenarioConfig
-    smap: StructureMap
     initial: GaussianState
     n_phys: int
     n_total: int
-    width_mass: float
-    width_freq: float
+    width: np.ndarray
     normal: QuadraticHamiltonian
     to_modes: np.ndarray
     from_modes: np.ndarray
     particle: np.ndarray
     collective: np.ndarray
-
-    @property
-    def lift_total(self) -> np.ndarray:
-        return embed_symplectic(self.smap.lift, self.n_total, range(self.n_phys))
 
     @cached_property
     def _phys(self) -> np.ndarray:
@@ -235,7 +203,7 @@ class _World:
         return propagator(self.normal, t)
 
     def flow(self, D: np.ndarray) -> np.ndarray:
-        """Dense S(t) on all modes (identity on ancillas); O(N^3), for callers that need the full state."""
+        """Dense S(t) on all modes (identity on ancillas); O(N^3), for the oracle's cat state."""
         return embed_symplectic(self.from_modes @ D @ self.to_modes, self.n_total, range(self.n_phys))
 
     def rows(self, D: np.ndarray, split: np.ndarray) -> np.ndarray:
@@ -251,8 +219,34 @@ class _World:
         return GaussianState(rows @ self.initial.mean[idx], rows @ cov @ rows.T)
 
     def pure_log_negativity(self, rows: np.ndarray) -> float:
-        """1|rest log-negativity from the split's rows; pure global states only."""
-        return _pure_log_negativity(rows @ self._factor)
+        """1|rest log-negativity from the split's rows; pure global states only.
+
+        With g = rows G, G = S(t) S0, and z = (x part) + i (p part) of each row
+        of g, |z1|^2 |z2|^2 - |z1^H z2|^2 = 4 nu^2 - 1 for the mode-0
+        symplectic eigenvalue nu, so E_N = log2(2 nu + 2 sqrt(nu^2 - 1/4)) =
+        asinh(|z1| |z2_perp|) / ln 2 (Adesso & Illuminati, J. Phys. A 40, 7821
+        (2007)).  The projection z2_perp does not cancel: product instants give
+        roundoff, floored to exactly 0 like log_negativity.
+        """
+        g = rows @ self._factor
+        _check_conjugate(g)
+        z1, z2 = g[:, : self.n_total] + 1j * g[:, self.n_total :]
+        z2_perp = z2 - z1 * (np.vdot(z1, z2) / np.vdot(z1, z1).real)
+        neg = float(np.arcsinh(np.linalg.norm(z1) * np.linalg.norm(z2_perp)) / np.log(2.0))
+        return 0.0 if neg < NEGATIVITY_FLOOR else neg
+
+    def mixed_log_negativity(self, rows: np.ndarray) -> float:
+        """1|rest log-negativity from the split's rows g_x, g_p; unpurified global states.
+
+        Transposing mode 0 turns Omega into Omega - 2 (e_x e_p^T - e_p e_x^T), so with
+        S^T Omega S = Omega the transposed spectrum is |eig((Omega + R) sigma0)|,
+        R = -2 (g_x g_p^T - g_p g_x^T); floored like gaussian.log_negativity.
+        """
+        g_x, g_p = rows
+        R = -2.0 * (np.outer(g_x, g_p) - np.outer(g_p, g_x))
+        spectrum = np.linalg.eigvals((symplectic_form(self.n_phys) + R) @ self.initial.cov)
+        terms = -np.log2(2 * np.sort(np.abs(spectrum))[::2])
+        return float(np.sum(terms[terms >= NEGATIVITY_FLOOR]))
 
     def pure_global(self) -> bool:
         return self.config.bath_temperature == 0.0 or self.config.purified
@@ -263,7 +257,7 @@ def _prepare(cfg: ScenarioConfig, smap: StructureMap | None) -> _World:
     H = build_qbm_hamiltonian(params)
     n = params.n_modes
     if smap is None:
-        smap = collective_mode_map(H, params.masses)
+        smap = cm_relative_map(params.masses)  # collective_mode_map's mode-0 rows
     if smap.n_modes != n:
         raise DomainError("structure map mode count does not match the model")
     w_width = params.omega if params.potential == POTENTIAL_HARMONIC else 1.0
@@ -276,12 +270,10 @@ def _prepare(cfg: ScenarioConfig, smap: StructureMap | None) -> _World:
     MV = M @ V
     return _World(
         cfg,
-        smap,
         initial,
         n,
         initial.n_modes,
-        params.m1,
-        w_width,
+        particle.cov,
         normal=QuadraticHamiltonian(n, np.diag(np.r_[sq_freqs, np.ones(n)])),
         to_modes=scipy.linalg.block_diag(MV.T, V.T),
         from_modes=scipy.linalg.block_diag(V, MV),
@@ -320,23 +312,18 @@ def _has_recurrence(values: np.ndarray, tol: float = 1e-6) -> bool:
 def run_pod(cfg: ScenarioConfig, smap: StructureMap | None = None) -> PODReport:
     """Purity and entanglement of both open systems along one global evolution.
 
-    Purities always come from the mode-0 rows; so do the log-negativities
-    of a pure global state.  A mixed global state takes the full
-    log_negativity route on the dense S(t).
+    Every column comes from the mode-0 rows of each split, at O(N^2) per
+    sample; a mixed global state adds one eigvals per split.
     """
     world = _prepare(cfg, smap)
-    pure = world.pure_global()
-    lift = world.lift_total
+    negativity = world.pure_log_negativity if world.pure_global() else world.mixed_log_negativity
 
     def sample(t: float):
         D = world.mode_flow(t)
         rows_1 = world.rows(D, world.particle)
         rows_sp = world.rows(D, world.collective)
         purities = purity(world.reduced(rows_1)), purity(world.reduced(rows_sp))
-        if pure:
-            return purities + (world.pure_log_negativity(rows_1), world.pure_log_negativity(rows_sp))
-        state = evolve(world.initial, world.flow(D))
-        return purities + (log_negativity(state, [0]), log_negativity(evolve(state, lift), [0]))
+        return purities + (negativity(rows_1), negativity(rows_sp))
 
     rows = np.array([sample(t) for t in cfg.times])
     p1, psp, n12, nsp = rows.T
@@ -373,37 +360,47 @@ def run_er_check(cfg: ScenarioConfig, smap: StructureMap | None = None) -> ERRep
     return ERReport(times=cfg.times, neg_12=n12, neg_spep=nsp, witnessed=witnessed)
 
 
-def branch_proxy(world: _World, state: GaussianState) -> GaussianState:
-    """Product-form snapshot of the evolved state in the original coordinates.
-
-    The particle factor is the coherent state at the particle's current mean;
-    the environment factor is the pure state obtained by conditioning the
-    rest of the global state on that coherent projection.
-    """
-    n = state.n_modes
-    x1, p1 = state.mean[0], state.mean[n]
-    particle = coherent_state(1, 0, x1, p1, world.width_mass, world.width_freq)
-    posterior = condition_on_coherent(state, 0, world.width_mass, world.width_freq)
-    return product_state(particle, posterior)
-
-
 def run_exclusivity(cfg: ScenarioConfig, smap: StructureMap | None = None) -> ExclusivityReport:
     """Entanglement of the instantaneous product-form branch under the alternate split.
 
-    At each grid time the evolved global state is collapsed to its
-    particle (x) environment product form (see branch_proxy); the report
-    carries the alternate-split negativity of that branch and the fraction of
-    instants where it exceeds 1e-3, i.e. where the branch of one
-    decomposition is inconsistent with a product branch of the other.
+    At each grid time the evolved global state sigma = G G^T / 2, G = S(t) S0,
+    is collapsed to its particle (x) environment product form: the coherent
+    state W = world.width at the particle's mean, times the rest conditioned
+    on that coherent projection.  The report carries the alternate-split
+    negativity of that branch and the fraction of instants where it exceeds
+    1e-3, i.e. where the branch of one decomposition is inconsistent with a
+    product branch of the other.
+
+    The branch is pure, so E_N = asinh(sqrt(4 det red - 1)) / ln 2 from its
+    mode-0 block red in the alternate split.  With r_A the particle columns
+    of the split's rows, r_B the rest, g_a = G_A and g_b = r_B G,
+    red = r_A W r_A^T + g_b g_b^T / 2 - c (g_a g_a^T / 2 + W)^-1 c^T,
+    c = g_b g_a^T / 2.  Its last two terms are h h^T / 2, h = [g_b, 0]
+    projected off the rows of [g_a, sqrt(2 W)]; the orthonormal projection
+    does not cancel as g_a grows (an unstable particle).  O(N^2) per sample.
     """
     world = _prepare(cfg, smap)
     if not world.pure_global():
         raise DomainError("branch analysis needs a pure global state; purify the bath")
-    lift = world.lift_total
+    n, W = world.n_phys, world.width
+    r_a = world.rows(np.eye(2 * n), world.collective)[:, [0, n]]
+    base = r_a @ W @ r_a.T
 
     def sample(t: float) -> float:
-        state = evolve(world.initial, world.flow(world.mode_flow(t)))
-        return log_negativity(evolve(branch_proxy(world, state), lift), [0])
+        D = world.mode_flow(t)
+        rows_1 = world.rows(D, world.particle)
+        g_b = (world.rows(D, world.collective) - r_a @ rows_1) @ world._factor
+        basis = np.linalg.qr(np.hstack([rows_1 @ world._factor, np.sqrt(2 * W)]).T)[0]
+        h = np.hstack([g_b, np.zeros((2, 2))])
+        h -= (h @ basis) @ basis.T
+        red = base + 0.5 * h @ h.T
+        y2 = 4.0 * (red[0, 0] * red[1, 1] - red[0, 1] * red[1, 0]) - 1.0
+        # red sums h.size/2-term products of size up to `size`: y2 within that roundoff is 0
+        size = np.max(np.abs(base) + 0.5 * np.abs(g_b) @ np.abs(g_b).T)
+        bound = 4 * h.size * np.finfo(float).eps * size * np.max(np.abs(red))
+        if y2 < -bound:
+            raise ConditioningError(f"branch block violates the uncertainty relation (4 det - 1 = {y2!r})")
+        return 0.0 if y2 <= bound else float(np.arcsinh(np.sqrt(y2)) / np.log(2.0))
 
     neg = np.array([sample(t) for t in cfg.times])
     excluding = neg > EXCLUSIVITY_THRESHOLD

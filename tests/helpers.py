@@ -1,9 +1,22 @@
-"""Shared scenario builders for tests, acceptance runs and baseline recording."""
+"""Shared scenario builders for tests, acceptance runs and baseline recording,
+and the dense full-state routes the rows-only scenarios are checked against."""
 
 import numpy as np
 
-from qbm_structures import BathSpec, ModelParams, discretize_bath
-from qbm_structures.experiments import ScenarioConfig
+from qbm_structures import (
+    BathSpec,
+    ModelParams,
+    build_qbm_hamiltonian,
+    coherent_state,
+    condition_on_coherent,
+    discretize_bath,
+    embed_symplectic,
+    evolve,
+    log_negativity,
+    product_state,
+)
+from qbm_structures.experiments import ScenarioConfig, _prepare
+from qbm_structures.structure import collective_mode_map
 
 POD_SEED = 42
 DATA_DIR = "data"
@@ -73,3 +86,45 @@ def oracle_scenario(n_bath):
         x0=1.0,
         p0=0.0,
     )
+
+
+# ---------------------------------------------------------------------------
+# dense references
+
+
+def default_split(params):
+    """The collective split as a full structure map: centre of mass, then normal modes of the rest."""
+    return collective_mode_map(build_qbm_hamiltonian(params), params.masses)
+
+
+def lift_total(world, smap):
+    """The split's canonical lift on every mode of the world's global state (identity on ancillas)."""
+    return embed_symplectic(smap.lift, world.n_total, range(world.n_phys))
+
+
+def evolved_state(world, t):
+    """The dense global state at time t."""
+    return evolve(world.initial, world.flow(world.mode_flow(t)))
+
+
+def branch_proxy(state, width):
+    """Product-form snapshot of the evolved state in the original coordinates.
+
+    The particle factor is the coherent state of covariance `width` at the
+    particle's current mean; the environment factor is the pure state
+    obtained by conditioning the rest of the global state on that coherent
+    projection.
+    """
+    n = state.n_modes
+    mw = 0.5 / width[0, 0]
+    particle = coherent_state(1, 0, state.mean[0], state.mean[n], 1.0, mw)
+    posterior = condition_on_coherent(state, 0, 1.0, mw)
+    return product_state(particle, posterior)
+
+
+def dense_exclusivity(cfg):
+    """run_exclusivity's negativities from full states: evolve, branch_proxy, lift, log_negativity."""
+    world = _prepare(cfg, None)
+    lift = lift_total(world, default_split(cfg.model))
+    proxies = [branch_proxy(evolved_state(world, t), world.width) for t in cfg.times]
+    return np.array([log_negativity(evolve(proxy, lift), [0]) for proxy in proxies])

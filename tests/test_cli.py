@@ -239,7 +239,7 @@ n_points = 4
 """
     for kind, header, summary_end in (
         ("er", "t,neg_12,neg_SpEp,witnessed", " of 4 instants (product tol 1e-08, witness threshold 0.001)"),
-        ("exclusivity", "t,neg_SpEp_branch,excluding", " over 4 instants (threshold 0.001)"),
+        ("exclusivity", "t,neg_SpEp_branch,excluding", " over 4 instants (threshold 0.001, min margin 0.168)"),
         ("marginal", "t,l1_distance,mean_1,var_1,mean_Sp,var_Sp", ""),
     ):
         path = _write_config(tmp_path, base.format(kind=kind), name=f"{kind}.txt")
@@ -250,6 +250,17 @@ n_points = 4
         assert len(lines) == 2 + 4
         summary = capsys.readouterr().out.strip()
         assert summary.startswith(f"{kind}: ") and summary.endswith(summary_end)
+
+
+def test_cli_exclusivity_runs_on_the_default_model(tmp_path, capsys):
+    # the default model is a free particle whose unstable mode once broke the dense branch route
+    path = _write_config(tmp_path, "[scenario]\nkind = exclusivity\n")
+    out = tmp_path / "ex.csv"
+    assert main([str(path), "--output", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[1] == "t,neg_SpEp_branch,excluding"
+    assert len(lines) == 2 + 50
+    assert capsys.readouterr().out.startswith("exclusivity: flagged fraction 1.0000 over 50 instants")
 
 
 def test_cli_oracle_compare_small(tmp_path):

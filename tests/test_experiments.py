@@ -1,6 +1,7 @@
 import math
 import os
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.integrate
@@ -8,8 +9,10 @@ import scipy.stats
 
 import qbm_structures.fock_oracle as fo
 from qbm_structures import (
+    BathSpec,
     DomainError,
     ModelParams,
+    discretize_bath,
     build_qbm_hamiltonian,
     evolve,
     identity_map,
@@ -21,7 +24,6 @@ from qbm_structures import (
 from qbm_structures.experiments import (
     ScenarioConfig,
     _prepare,
-    branch_proxy,
     gaussian_l1_distance,
     marginal_incompatibility,
     run_er_check,
@@ -31,7 +33,18 @@ from qbm_structures.experiments import (
     run_pod,
 )
 from qbm_structures.structure import collective_mode_map
-from helpers import DATA_DIR, exclusivity_scenario, oracle_scenario, pod_scenario, random_model
+from helpers import (
+    DATA_DIR,
+    branch_proxy,
+    default_split,
+    evolved_state,
+    exclusivity_scenario,
+    lift_total,
+    oracle_scenario,
+    pod_scenario,
+    random_model,
+)
+from reference_pod_negativity import model_matrices
 
 BASELINE_TOL = 1e-10
 
@@ -198,8 +211,8 @@ def test_exclusivity_requires_coherent_particle_and_purity():
 def test_branch_proxy_is_product_form():
     cfg = small_scenario(kappa=0.3, n_times=2, t_max=2.0)
     world = _prepare(cfg, None)
-    state = evolve(world.initial, world.flow(world.mode_flow(2.0)))
-    proxy = branch_proxy(world, state)
+    state = evolved_state(world, 2.0)
+    proxy = branch_proxy(state, world.width)
     assert log_negativity(proxy, [0]) == 0.0
     assert purity(reduce(proxy, [0])) == pytest.approx(1.0, abs=1e-10)
     assert proxy.mean[0] == pytest.approx(state.mean[0])
@@ -270,9 +283,9 @@ def test_marginal_translation_covariance():
 def test_transformed_state_matches_transformed_operators():
     cfg = small_scenario(kappa=0.3, n_times=2, t_max=3.0)
     world = _prepare(cfg, None)
-    comp = world.smap
-    state = evolve(world.initial, world.flow(world.mode_flow(3.0)))
-    alt = evolve(state, world.lift_total)
+    comp = default_split(cfg.model)
+    state = evolved_state(world, 3.0)
+    alt = evolve(state, lift_total(world, comp))
     n = world.n_total
     # <X_Sp>, var(X_Sp) via transformed state vs via the row of T acting on
     # the original moments (Heisenberg route)
@@ -311,6 +324,79 @@ def test_pod_baseline_satisfies_pure_state_identity():
     for purity_col, neg_col in ((1, 3), (2, 4)):
         expected = np.array([1.0 / math.cosh(v * math.log(2.0)) for v in base[:, neg_col]])
         assert np.max(np.abs(base[:, purity_col] - expected)) <= BASELINE_TOL
+
+
+# ---------------------------------------------------------------------------
+# 50-digit references on an unstable free particle
+
+
+def _free_particle(temperature):
+    params = ModelParams(m1=1.0, bath=discretize_bath(BathSpec(n_modes=3, gamma=0.2, cutoff=5.0)))
+    return ScenarioConfig(model=params, times=np.array([0.0, 5.0, 10.0]), x0=2.0, bath_temperature=temperature)
+
+
+def _mp_block(matrix, rows, cols):
+    return mp.matrix([[matrix[i, j] for j in cols] for i in rows])
+
+
+def _mp_reference(cfg):
+    """Per time: neg_12 and neg_SpEp of the global state, and the branch negativity (pure states).
+
+    Independent of the package's numerics: mpmath's expm of Omega K, the
+    dense state S sigma0 S^T, partial transposition by a momentum flip, the
+    full centre-of-mass lift, and conditioning on the coherent projection
+    of the particle by a Schur complement.
+    """
+    generator, sigma0 = model_matrices(cfg)
+    n = cfg.model.n_modes
+    masses = [mp.mpf(m) for m in cfg.model.masses]
+    T = mp.zeros(n, n)
+    for j in range(n):
+        T[0, j] = masses[j] / mp.fsum(masses)
+    for a in range(1, n):
+        T[a, 0], T[a, a] = 1, -1
+    lift = mp.diag([1] * (2 * n))
+    lift[:n, :n], lift[n:, n:] = T, (T**-1).T
+    omega = mp.zeros(2 * n, 2 * n)
+    for i in range(n):
+        omega[i, n + i], omega[n + i, i] = 1, -1
+    flip = mp.diag([1] * n + [-1] + [1] * (n - 1))
+
+    def negativity(sigma):
+        nus = sorted(abs(e) for e in mp.eig(omega * flip * sigma * flip, left=False, right=False))[::2]
+        return mp.fsum(-mp.log(2 * nu, 2) for nu in nus if nu < mp.mpf(1) / 2)
+
+    width = mp.diag([1 / (2 * masses[0]), masses[0] / 2])  # free particle: unit width frequency
+    a, b = [0, n], [i for i in range(2 * n) if i not in (0, n)]
+    out = []
+    for t in cfg.times:
+        S = mp.expm(generator * mp.mpf(t))
+        sigma = S * mp.diag(sigma0) * S.T
+        branch = mp.zeros(2 * n, 2 * n)
+        branch[0, 0], branch[n, n] = width[0, 0], width[1, 1]
+        sab = _mp_block(sigma, b, a)
+        cond = _mp_block(sigma, b, b) - sab * (_mp_block(sigma, a, a) + width) ** -1 * sab.T
+        for i, bi in enumerate(b):
+            for j, bj in enumerate(b):
+                branch[bi, bj] = cond[i, j]
+        out.append([negativity(sigma), negativity(lift * sigma * lift.T), negativity(lift * branch * lift.T)])
+    return np.array(out, dtype=float)
+
+
+def test_mixed_pod_matches_50_digit_reference():
+    cfg = _free_particle(0.5)
+    with mp.workdps(50):
+        ref = _mp_reference(cfg)
+    rep = run_pod(cfg)
+    assert np.max(np.abs(rep.neg_12 - ref[:, 0])) < 1e-6
+    assert np.max(np.abs(rep.neg_spep - ref[:, 1])) < 1e-6
+
+
+def test_exclusivity_matches_50_digit_reference():
+    cfg = _free_particle(0.0)
+    with mp.workdps(50):
+        ref = _mp_reference(cfg)
+    assert np.max(np.abs(run_exclusivity(cfg).neg_spep - ref[:, 2])) < 1e-6
 
 
 # ---------------------------------------------------------------------------

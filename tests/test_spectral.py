@@ -23,8 +23,16 @@ from qbm_structures import (
     reduce,
     symplectic_form,
 )
-from qbm_structures.experiments import ScenarioConfig, _check_conjugate, _prepare, run_er_check, run_pod
-from helpers import random_model
+from qbm_structures.experiments import (
+    ScenarioConfig,
+    _check_conjugate,
+    _prepare,
+    run_er_check,
+    run_exclusivity,
+    run_marginal,
+    run_pod,
+)
+from helpers import default_split, dense_exclusivity, evolved_state, lift_total, random_model
 
 FAMILIES = ("decoupled", "harmonic", "unstable")
 SETTINGS = settings(max_examples=25, deadline=None)
@@ -43,14 +51,14 @@ def models(draw, families=FAMILIES):
     return random_model(rng, n_bath)
 
 
-def _world(params, temperature=0.0, t_max=6.0):
+def _world(params, temperature=0.0, t_max=6.0, purified=True):
     cfg = ScenarioConfig(
         model=params,
         times=np.linspace(0.0, t_max, 5),
         x0=1.0,
         p0=-0.4,
         bath_temperature=temperature,
-        purified=temperature > 0,
+        purified=purified and temperature > 0,
     )
     return cfg, _prepare(cfg, None)
 
@@ -100,9 +108,10 @@ def test_normal_mode_flow_is_symplectic_group(params, t1, t2):
 def test_rows_only_diagnostics_equal_full_route(params, temperature):
     cfg, world = _world(params, temperature)
     rep = run_pod(cfg)
+    lift = lift_total(world, default_split(params))
     for i, t in enumerate(cfg.times):
-        state = evolve(world.initial, world.flow(world.mode_flow(t)))
-        alt = evolve(state, world.lift_total)
+        state = evolved_state(world, t)
+        alt = evolve(state, lift)
         assert rep.purity_1[i] == pytest.approx(purity(reduce(state, [0])), abs=1e-10)
         assert rep.purity_sp[i] == pytest.approx(purity(reduce(alt, [0])), abs=1e-10)
         assert rep.neg_12[i] == pytest.approx(log_negativity(state, [0]), abs=1e-9)
@@ -115,17 +124,64 @@ def test_decoupled_models_have_exactly_zero_negativity(params, temperature):
     cfg, _ = _world(params, temperature)
     assert np.all(run_pod(cfg).neg_12 == 0.0)
     assert np.all(run_er_check(cfg).neg_12 == 0.0)
+    if temperature > 0:
+        mixed, _ = _world(params, temperature, purified=False)
+        assert np.all(run_pod(mixed).neg_12 == 0.0)
 
 
-def test_mixed_global_state_takes_full_negativity_route():
+def _dense_negativities(cfg, world):
+    """neg_12 and neg_SpEp of every sample from full states and the full collective lift."""
+    lift = lift_total(world, default_split(cfg.model))
+    states = [evolved_state(world, t) for t in cfg.times]
+    return np.array([[log_negativity(s, [0]), log_negativity(evolve(s, lift), [0])] for s in states]).T
+
+
+@SETTINGS
+@given(models(families=("decoupled", "harmonic")), st.sampled_from([0.0, 1.5]))
+def test_rows_exclusivity_equals_dense_branch_proxy(params, temperature):
+    cfg, _ = _world(params, temperature)
+    assert np.max(np.abs(run_exclusivity(cfg).neg_spep - dense_exclusivity(cfg))) <= 1e-10
+
+
+@SETTINGS
+@given(models(families=("decoupled", "harmonic")), st.floats(0.3, 2.0))
+def test_mixed_rows_negativity_equals_full_route(params, temperature):
+    cfg, world = _world(params, temperature, purified=False)
+    rep = run_pod(cfg)
+    n12, nsp = _dense_negativities(cfg, world)
+    assert np.max(np.abs(rep.neg_12 - n12)) <= 1e-10
+    assert np.max(np.abs(rep.neg_spep - nsp)) <= 1e-10
+
+
+def test_mixed_global_state_negativity_matches_full_route():
     params = random_model(np.random.default_rng(3), 2, potential="harmonic", kappa_range=(0.1, 0.3))
     cfg = ScenarioConfig(model=params, times=np.linspace(0.0, 4.0, 4), x0=1.0, bath_temperature=1.5)
     world = _prepare(cfg, None)
     rep = run_pod(cfg)
+    n12, nsp = _dense_negativities(cfg, world)
+    assert np.max(np.abs(rep.neg_12 - n12)) <= 1e-10
+    assert np.max(np.abs(rep.neg_spep - nsp)) <= 1e-10
+    assert n12.max() > 0.05  # the particle split is entangled at t = 4/3
     for i, t in enumerate(cfg.times):
-        state = evolve(world.initial, world.flow(world.mode_flow(t)))
-        assert rep.neg_12[i] == log_negativity(state, [0])
-        assert rep.purity_1[i] == pytest.approx(purity(reduce(state, [0])), abs=1e-12)
+        assert rep.purity_1[i] == pytest.approx(purity(reduce(evolved_state(world, t), [0])), abs=1e-12)
+
+
+@SETTINGS
+@given(models(), st.sampled_from([(0.0, True), (1.5, True), (1.5, False)]))
+def test_default_split_equals_full_collective_map(params, bath):
+    temperature, purified = bath
+    cfg, _ = _world(params, temperature, purified=purified)
+    smap = default_split(params)
+    runs = [
+        (run_pod, ("purity_1", "purity_sp", "neg_12", "neg_spep")),
+        (run_marginal, ("mean_sp", "var_sp", "l1_distance")),
+    ]
+    if temperature == 0.0 or purified:
+        runs += [(run_er_check, ("neg_12", "neg_spep")), (run_exclusivity, ("neg_spep",))]
+    for run, fields in runs:
+        default, full = run(cfg), run(cfg, smap)
+        for name in fields:
+            assert np.max(np.abs(getattr(default, name) - getattr(full, name))) <= 1e-12, (run.__name__, name)
 
 
 def test_rows_that_lose_canonicity_raise():
