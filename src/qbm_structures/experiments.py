@@ -20,12 +20,11 @@ run_oracle_compare (at most three modes) forms the dense flow.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
-import scipy.special
 
 from . import fock_oracle as fo
 from .errors import ConditioningError, DomainError
@@ -275,11 +274,19 @@ def _prepare(cfg: ScenarioConfig, smap: StructureMap | None) -> _World:
         initial.n_modes,
         particle.cov,
         normal=QuadraticHamiltonian(n, np.diag(np.r_[sq_freqs, np.ones(n)])),
-        to_modes=scipy.linalg.block_diag(MV.T, V.T),
-        from_modes=scipy.linalg.block_diag(V, MV),
-        particle=scipy.linalg.block_diag(V[:1], MV[:1]),
-        collective=scipy.linalg.block_diag(smap.T[:1] @ V, smap.T_inv[:, :1].T @ MV),
+        to_modes=_block_diag(MV.T, V.T),
+        from_modes=_block_diag(V, MV),
+        particle=_block_diag(V[:1], MV[:1]),
+        collective=_block_diag(smap.T[:1] @ V, smap.T_inv[:, :1].T @ MV),
     )
+
+
+def _block_diag(x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """[[x, 0], [0, p]]: a map acting on positions through x and on momenta through p."""
+    out = np.zeros((x.shape[0] + p.shape[0], x.shape[1] + p.shape[1]))
+    out[: x.shape[0], : x.shape[1]] = x
+    out[x.shape[0] :, x.shape[1] :] = p
+    return out
 
 
 def _first_crossing(times: np.ndarray, values: np.ndarray, threshold: float) -> float:
@@ -463,11 +470,14 @@ def gaussian_l1_distance(mean_a: float, var_a: float, mean_b: float, var_b: floa
         else:
             sq = np.sqrt(disc)
             roots = sorted([(-b - sq) / (2 * a), (-b + sq) / (2 * a)])
-    roots = np.asarray(roots)
-    cdf_a = scipy.special.ndtr((roots - mean_a) / np.sqrt(var_a))
-    cdf_b = scipy.special.ndtr((roots - mean_b) / np.sqrt(var_b))
-    gaps = np.concatenate([[0.0], cdf_a - cdf_b, [0.0]])
+    sd_a, sd_b = np.sqrt(var_a), np.sqrt(var_b)
+    gaps = [0.0] + [_normal_cdf((r - mean_a) / sd_a) - _normal_cdf((r - mean_b) / sd_b) for r in roots] + [0.0]
     return float(np.sum(np.abs(np.diff(gaps))))
+
+
+def _normal_cdf(z: float) -> float:
+    """Standard normal CDF; erfc keeps full relative precision far out in the lower tail."""
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConditioningError, DomainError
 from .gaussian import GaussianState, is_pure
@@ -303,7 +302,8 @@ def mode_transform(psi: FockState, S: np.ndarray) -> FockState:
     quadratic_operator).  The tensor slots of the result carry the
     transformed modes, so its partial traces are plain ones.
     """
-    import scipy.sparse.linalg  # loaded on first use, off the CLI's import path
+    import scipy.linalg  # loaded on first use, off the CLI's import path
+    import scipy.sparse.linalg
 
     n = psi.space.n_modes
     if S.shape != (2 * n, 2 * n):
@@ -349,9 +349,13 @@ def weyl_operator(space: FockSpace, delta: np.ndarray) -> np.ndarray:
     if delta.shape != (2 * n,):
         raise DomainError("delta must have one (x, p) pair per mode")
     xs, ps = _mode_quadratures(space)
-    # generators on different modes commute, so the exponential factors over modes
-    gens = [1j * (delta[n + i] * xs[i] - delta[i] * ps[i]) for i in range(n)]
-    return _kron(space, {i: scipy.linalg.expm(g) for i, g in enumerate(gens)})
+    # generators on different modes commute, so the exponential factors over modes;
+    # each one is exp(i h) for the Hermitian h = dp x - dx p, taken through eigh
+    factors = {}
+    for i in range(n):
+        w, U = np.linalg.eigh(delta[n + i] * xs[i] - delta[i] * ps[i])
+        factors[i] = (U * np.exp(1j * w)) @ U.conj().T
+    return _kron(space, factors)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConditioningError, DomainError
 from .model import QuadraticHamiltonian, symplectic_form
@@ -229,6 +228,8 @@ def _purity_from_cov(cov: np.ndarray) -> float:
 
 def williamson(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Decompose cov = S diag(nu.., nu..) S^T with S symplectic, nu ascending."""
+    import scipy.linalg  # loaded on first use: no scenario purifies a correlated state
+
     n = cov.shape[0] // 2
     perm = np.empty(2 * n, dtype=int)
     perm[0::2] = np.arange(n)
@@ -271,24 +272,38 @@ def williamson(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def purify(state: GaussianState) -> GaussianState:
     """Extend to a pure state on doubled modes whose first-half reduction is the input.
 
-    Each normal mode of the covariance is paired with one ancilla mode in a
-    two-mode squeezed state whose squeezing reproduces the mode's symplectic
-    eigenvalue; pure modes get unsqueezed vacuum ancillas.
+    Ancilla n + k is paired with mode k in a two-mode squeezed state whose
+    squeezing s = sqrt(nu^2 - 1/4) reproduces the mode's symplectic
+    eigenvalue nu (cosh 2r = 2 nu).  A diagonal covariance (thermal, coherent
+    and vacuum states) is purified in closed form: with nu = sqrt(a b) for
+    the mode's variances a = sigma_xx and b = sigma_pp, the pair's x/x block
+    is [[a, s sqrt(a / nu)], [s sqrt(a / nu), nu]] and its p/p block
+    [[b, -s sqrt(b / nu)], [-s sqrt(b / nu), nu]].  Any other covariance is
+    first brought to Williamson normal form, and mode k is then its k-th
+    normal mode.  Modes with nu < 1/2 + 1e-12 get unsqueezed vacuum ancillas.
     """
-    n = state.n_modes
-    S_w, nus = williamson(state.cov)
+    n, N = state.n_modes, 2 * state.n_modes
+    d = np.diagonal(state.cov)
+    diagonal = np.count_nonzero(state.cov) == np.count_nonzero(d)
+    if diagonal:
+        a, b = d[:n], d[n:]
+        nus = np.sqrt(a * b)
+    else:
+        S_w, nus = williamson(state.cov)
+        a = b = nus
     s = np.where(nus < 0.5 + 1e-12, 0.0, np.sqrt(np.maximum(nus**2 - 0.25, 0.0)))
     nus = np.where(s == 0.0, 0.5, nus)
-    N = 2 * n
-    big = np.diag(np.concatenate([nus, nus, nus, nus]))
-    for k in range(n):
-        big[k, n + k] = big[n + k, k] = s[k]
-        big[N + k, N + n + k] = big[N + n + k, N + k] = -s[k]
-    S_full = embed_symplectic(S_w, N, range(n))
+    cov = np.diag(np.concatenate([a, nus, b, nus]))
+    i = np.arange(n)
+    cov[i, n + i] = cov[n + i, i] = s * np.sqrt(a / nus)
+    cov[N + i, N + n + i] = cov[N + n + i, N + i] = -s * np.sqrt(b / nus)
+    if not diagonal:
+        S_full = embed_symplectic(S_w, N, range(n))
+        cov = S_full @ cov @ S_full.T
     mean = np.zeros(2 * N)
     mean[:n] = state.mean[:n]
     mean[N : N + n] = state.mean[n:]
-    return GaussianState(mean, S_full @ big @ S_full.T)
+    return GaussianState(mean, cov)
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +324,8 @@ def propagator(H: QuadraticHamiltonian, t: float) -> np.ndarray:
     K, n = H.K, H.n_modes
     d = np.diagonal(K)
     if np.count_nonzero(K) != np.count_nonzero(d):
+        import scipy.linalg  # loaded on first use: every scenario flows a decoupled K
+
         return scipy.linalg.expm(symplectic_form(n) @ K * t)
     a, b = d[:n], d[n:]
     ab = a * b

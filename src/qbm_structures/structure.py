@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConditioningError, DomainError
 from .model import QuadraticHamiltonian, symplectic_form
@@ -129,12 +128,16 @@ def normal_modes(H: QuadraticHamiltonian, block) -> tuple[np.ndarray, np.ndarray
     A = H.momentum_block[np.ix_(idx, idx)]
     B = H.position_block[np.ix_(idx, idx)]
     try:
-        eff_mass = np.linalg.inv(scipy.linalg.cholesky(A))
-        eff_mass = eff_mass @ eff_mass.T
+        L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError as exc:
         raise DomainError("kinetic sub-matrix of the block is not positive definite") from exc
+    L_inv = np.linalg.inv(L)
+    eff_mass = L_inv.T @ L_inv
 
-    w, V = scipy.linalg.eigh(B, eff_mass)
+    # with the momentum form A = L L^T = M^-1 and v = L u, B v = w M v becomes (L^T B L) u = w u
+    C = L.T @ B @ L
+    w, U = np.linalg.eigh((C + C.T) / 2)
+    V = L @ U
     for k in range(V.shape[1]):
         col = V[:, k]
         nz = np.nonzero(np.abs(col) > 1e-12)[0]

@@ -1,10 +1,13 @@
 """Shared scenario builders for tests, acceptance runs and baseline recording,
 and the dense full-state routes the rows-only scenarios are checked against."""
 
+from unittest import mock
+
 import numpy as np
 
 from qbm_structures import (
     BathSpec,
+    GaussianState,
     ModelParams,
     build_qbm_hamiltonian,
     coherent_state,
@@ -14,7 +17,9 @@ from qbm_structures import (
     evolve,
     log_negativity,
     product_state,
+    williamson,
 )
+from qbm_structures import experiments
 from qbm_structures.experiments import ScenarioConfig, _prepare
 from qbm_structures.structure import collective_mode_map
 
@@ -128,3 +133,30 @@ def dense_exclusivity(cfg):
     lift = lift_total(world, default_split(cfg.model))
     proxies = [branch_proxy(evolved_state(world, t), world.width) for t in cfg.times]
     return np.array([log_negativity(evolve(proxy, lift), [0]) for proxy in proxies])
+
+
+def williamson_purify(state):
+    """Purification through the Williamson normal form for any covariance.
+
+    The k-th normal mode (nu ascending) is paired with ancilla k in a two-mode
+    squeezed state, and the result is conjugated by the Williamson symplectic.
+    """
+    n, N = state.n_modes, 2 * state.n_modes
+    S_w, nus = williamson(state.cov)
+    s = np.where(nus < 0.5 + 1e-12, 0.0, np.sqrt(np.maximum(nus**2 - 0.25, 0.0)))
+    nus = np.where(s == 0.0, 0.5, nus)
+    big = np.diag(np.concatenate([nus, nus, nus, nus]))
+    for k in range(n):
+        big[k, n + k] = big[n + k, k] = s[k]
+        big[N + k, N + n + k] = big[N + n + k, N + k] = -s[k]
+    S_full = embed_symplectic(S_w, N, range(n))
+    mean = np.zeros(2 * N)
+    mean[:n] = state.mean[:n]
+    mean[N : N + n] = state.mean[n:]
+    return GaussianState(mean, S_full @ big @ S_full.T)
+
+
+def with_williamson_purification(run, cfg):
+    """run(cfg) with the bath purified by williamson_purify instead of purify."""
+    with mock.patch.object(experiments, "purify", williamson_purify):
+        return run(cfg)

@@ -332,18 +332,33 @@ def test_unwritable_output_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: cannot write output: ")
 
 
-def test_oracle_compare_run_leaves_scipy_sparse_unloaded(tmp_path):
+LOADED_SCIPY = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+
+SCIPY_FREE_RUNS = {
+    "pod-purified": (FULL_POD, []),
+    "pod-mixed": (FULL_POD, ["initial.purified=false"]),
+    "er": (FULL_POD, ["scenario.kind=er"]),
+    "exclusivity": (FULL_POD, ["scenario.kind=exclusivity"]),
+    "marginal": (FULL_POD, ["scenario.kind=marginal"]),
+    "oracle-compare": (ORACLE_TINY, []),
+}
+
+
+def _package_env():
     import qbm_structures
 
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qbm_structures.__file__)))
-    path = _write_config(tmp_path, ORACLE_TINY)
-    code = (
-        "import sys, qbm_structures.cli as cli; "
-        f"status = cli.main([{str(path)!r}, '--output', {str(tmp_path / 'oc.csv')!r}]); "
-        "print(status, 'scipy.sparse' in sys.modules)"
-    )
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip().splitlines()[-1] == "0 False"
+    return dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qbm_structures.__file__)))
+
+
+@pytest.mark.parametrize("case", list(SCIPY_FREE_RUNS))
+def test_cli_run_leaves_scipy_unloaded(tmp_path, case):
+    text, overrides = SCIPY_FREE_RUNS[case]
+    argv = [str(_write_config(tmp_path, text)), "--output", str(tmp_path / "out.csv"), "--set", "times.n_points=3"]
+    for item in overrides:
+        argv += ["--set", item]
+    code = f"import sys, qbm_structures.cli as cli; status = cli.main({argv!r}); print(status, {LOADED_SCIPY})"
+    out = subprocess.run([sys.executable, "-c", code], env=_package_env(), capture_output=True, text=True, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "0 []"
 
 
 def _write_config(tmp_path, text, name="config.txt"):
@@ -352,11 +367,9 @@ def _write_config(tmp_path, text, name="config.txt"):
     return path
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    import qbm_structures
-
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qbm_structures.__file__)))
-    # scipy.sparse loads only when the Fock oracle's mode transform first runs
-    code = "import sys, qbm_structures.cli; print([m in sys.modules for m in ('scipy.stats', 'scipy.sparse')])"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[False, False]"
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy loads only on routes no scenario takes: williamson on a correlated
+    # state, propagator's Pade fallback and the Fock oracle's mode transform
+    code = f"import sys, qbm_structures.cli; print({LOADED_SCIPY})"
+    out = subprocess.run([sys.executable, "-c", code], env=_package_env(), capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -225,9 +225,11 @@ def test_branch_proxy_is_product_form():
 def test_l1_distance_closed_form_vs_quadrature():
     # dense trapezoid handles the |f - g| kinks better than adaptive quadrature
     rng = np.random.default_rng(21)
-    for _ in range(12):
-        m1, m2 = rng.uniform(-2, 2, size=2)
-        v1, v2 = rng.uniform(0.05, 3.0, size=2)
+    pairs = [(*rng.uniform(-2, 2, size=2), *rng.uniform(0.05, 3.0, size=2)) for _ in range(12)]
+    # far apart: the densities cross 8.9 sigma above the first mean and below the second,
+    # out in tails where 1 - (upper tail) would cancel and the CDF must come from erfc
+    pairs.append((-4.5, 5.0, 0.27, 0.3))
+    for m1, m2, v1, v2 in pairs:
         closed = gaussian_l1_distance(m1, v1, m2, v2)
         lo = min(m1, m2) - 12 * max(np.sqrt(v1), np.sqrt(v2))
         hi = max(m1, m2) + 12 * max(np.sqrt(v1), np.sqrt(v2))

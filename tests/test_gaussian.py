@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbm_structures import (
     CatState,
@@ -145,6 +147,27 @@ def test_purify_reduces_back():
     assert np.max(np.abs(red.cov - state.cov)) < 1e-10
     assert np.max(np.abs(red.mean - state.mean)) < 1e-12
     assert purity(pure) == pytest.approx(1.0, abs=1e-8)
+
+
+@st.composite
+def diagonal_states(draw):
+    """A coherent particle packet times a thermal bath (the vacuum at T = 0)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_bath = draw(st.integers(1, 6))
+    temperature = draw(st.sampled_from([0.0, 0.3, 2.0, 20.0]))
+    particle = coherent_state(1, 0, *rng.uniform(-3.0, 3.0, 2), *rng.uniform(0.3, 3.0, 2))
+    return product_state(particle, thermal_state(rng.uniform(0.3, 3.0, (n_bath, 2)), temperature))
+
+
+@settings(max_examples=40, deadline=None)
+@given(diagonal_states())
+def test_purify_diagonal_input_in_closed_form(state):
+    n = state.n_modes
+    pure = purify(state)
+    assert np.max(np.abs(symplectic_eigenvalues(pure.cov) - 0.5)) <= 1e-10
+    red = reduce(pure, range(n))
+    assert np.max(np.abs(red.cov - state.cov)) <= 1e-12
+    assert np.max(np.abs(red.mean - state.mean)) <= 1e-12
 
 
 def test_purify_thermal():

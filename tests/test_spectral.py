@@ -16,12 +16,14 @@ from qbm_structures import (
     ConditioningError,
     QuadraticHamiltonian,
     build_qbm_hamiltonian,
+    cm_relative_map,
     evolve,
     log_negativity,
     propagator,
     purity,
     reduce,
     symplectic_form,
+    transform_hamiltonian,
 )
 from qbm_structures.experiments import (
     ScenarioConfig,
@@ -32,7 +34,15 @@ from qbm_structures.experiments import (
     run_marginal,
     run_pod,
 )
-from helpers import default_split, dense_exclusivity, evolved_state, lift_total, random_model
+from qbm_structures.structure import normal_modes
+from helpers import (
+    default_split,
+    dense_exclusivity,
+    evolved_state,
+    lift_total,
+    random_model,
+    with_williamson_purification,
+)
 
 FAMILIES = ("decoupled", "harmonic", "unstable")
 SETTINGS = settings(max_examples=25, deadline=None)
@@ -67,6 +77,21 @@ def _physical_block(world, S):
     n, N = world.n_phys, world.n_total
     idx = np.r_[0:n, N : N + n]
     return S[np.ix_(idx, idx)]
+
+
+@SETTINGS
+@given(models(), st.booleans())
+def test_normal_modes_solve_the_generalized_eigenproblem(params, relative):
+    H = build_qbm_hamiltonian(params)
+    if relative:  # centre of mass + relative coordinates: a non-diagonal momentum block
+        H = transform_hamiltonian(H, cm_relative_map(params.masses))
+    n = H.n_modes
+    w, V, M = normal_modes(H, range(n))
+    B = H.position_block
+    reference = scipy.linalg.eigh(B, np.linalg.inv(H.momentum_block), eigvals_only=True)
+    assert np.max(np.abs(w - reference)) <= 1e-12 * max(1.0, np.max(np.abs(reference)))
+    assert np.max(np.abs(B @ V - M @ V * w)) <= 1e-10 * max(1.0, np.max(np.abs(B)))
+    assert np.max(np.abs(V.T @ M @ V - np.eye(n))) <= 1e-10
 
 
 @SETTINGS
@@ -182,6 +207,22 @@ def test_default_split_equals_full_collective_map(params, bath):
         default, full = run(cfg), run(cfg, smap)
         for name in fields:
             assert np.max(np.abs(getattr(default, name) - getattr(full, name))) <= 1e-12, (run.__name__, name)
+
+
+@SETTINGS
+@given(models(), st.floats(0.3, 3.0))
+def test_closed_form_purification_equals_williamson_route(params, temperature):
+    cfg, _ = _world(params, temperature)
+    runs = [
+        (run_pod, ("purity_1", "purity_sp", "neg_12", "neg_spep")),
+        (run_exclusivity, ("neg_spep",)),
+        (run_marginal, ("mean_1", "var_1", "mean_sp", "var_sp", "l1_distance")),
+    ]
+    for run, fields in runs:
+        closed, reference = run(cfg), with_williamson_purification(run, cfg)
+        for name in fields:
+            gap = np.max(np.abs(getattr(closed, name) - getattr(reference, name)))
+            assert gap <= 1e-10, (run.__name__, name, gap)
 
 
 def test_rows_that_lose_canonicity_raise():

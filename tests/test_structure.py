@@ -139,8 +139,8 @@ def test_normal_modes_reject_modes_that_miss_mass_orthonormality(monkeypatch):
     H = build_qbm_hamiltonian(random_model(np.random.default_rng(5), n_bath=3, potential="harmonic"))
     w, V, M = structure.normal_modes(H, range(4))
     assert np.max(np.abs(V.T @ M @ V - np.eye(4))) < structure.NORMAL_MODE_TOL
-    eigh = structure.scipy.linalg.eigh
-    monkeypatch.setattr(structure.scipy.linalg, "eigh", lambda a, b: (eigh(a, b)[0], eigh(a, b)[1] * (1 + 1e-6)))
+    eigh = structure.np.linalg.eigh
+    monkeypatch.setattr(structure.np.linalg, "eigh", lambda a: (eigh(a)[0], eigh(a)[1] * (1 + 1e-6)))
     with pytest.raises(ConditioningError):
         structure.normal_modes(H, range(4))
 
