@@ -91,8 +91,9 @@ class RunConfig:
             raise DomainError("t_max must be positive")
         if self.n_points < 2:
             raise DomainError("n_points must be at least 2")
-        if self.perturb < 0:
-            raise DomainError("perturb must be >= 0")
+        if not 0 <= self.perturb < 1:
+            # the jitter scales masses and frequencies by 1 +- perturb, which must stay positive
+            raise DomainError(f"perturb must be in [0, 1), got {self.perturb}")
         if (self.bath_omegas is None) != (self.bath_kappas is None):
             raise DomainError("bath_omegas and bath_kappas must be given together")
 

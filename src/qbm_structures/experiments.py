@@ -37,6 +37,7 @@ from .gaussian import (
     decoherence_factor,
     embed_symplectic,
     evolve,
+    group_blocks,
     product_state,
     propagator,
     purify,
@@ -192,10 +193,21 @@ class _World:
         return np.r_[0:n, N : N + n]
 
     @cached_property
+    def _phys_cov(self) -> np.ndarray:
+        return self.initial.cov[np.ix_(self._phys, self._phys)]
+
+    @cached_property
     def _factor(self) -> np.ndarray:
-        """Physical rows of S0 = sqrt(2 sigma0), symplectic when the global state is pure."""
-        lam, U = np.linalg.eigh(2 * self.initial.cov)
-        return ((U * np.sqrt(lam)) @ U.T)[self._phys]
+        """Physical rows of S0 = sqrt(2 sigma0), symplectic when the global state is pure.
+
+        sigma0 is a direct sum over its mode groups, and so is its PSD square
+        root: one batched eigh per group size.
+        """
+        root = np.zeros_like(self.initial.cov)
+        for idx, blocks in group_blocks(self.initial.cov):
+            lam, U = np.linalg.eigh(2 * blocks)
+            root[idx[:, :, None], idx[:, None, :]] = (U * np.sqrt(lam)[:, None, :]) @ U.transpose(0, 2, 1)
+        return root[self._phys]
 
     def mode_flow(self, t: float) -> np.ndarray:
         """D(t): the flow in normal-mode coordinates, closed form per mode."""
@@ -213,9 +225,7 @@ class _World:
 
     def reduced(self, rows: np.ndarray) -> GaussianState:
         """Mode-0 state of the split whose rows are given."""
-        idx = self._phys
-        cov = self.initial.cov[np.ix_(idx, idx)]
-        return GaussianState(rows @ self.initial.mean[idx], rows @ cov @ rows.T)
+        return GaussianState(rows @ self.initial.mean[self._phys], rows @ self._phys_cov @ rows.T)
 
     def pure_log_negativity(self, rows: np.ndarray) -> float:
         """1|rest log-negativity from the split's rows; pure global states only.

@@ -26,6 +26,52 @@ DET_FLOOR = 1e-300
 NEGATIVITY_FLOOR = 1e-10
 
 
+def mode_groups(cov: np.ndarray) -> list[np.ndarray]:
+    """The groups of modes that a symmetric cov couples, each ascending, ordered by first mode.
+
+    Modes i and j are linked when any of their x/p covariance entries is
+    nonzero; a group is a connected component of that graph.  Each round of
+    label propagation gives every mode the least label among its neighbours
+    and then jumps each label to that mode's label, so a chain of L modes
+    settles in O(log L) rounds of O(N^2).  A dense state is one group at once.
+    """
+    n = cov.shape[0] // 2
+    nonzero = cov != 0
+    nonzero = nonzero[:n] | nonzero[n:]
+    coupled = nonzero[:, :n] | nonzero[:, n:]
+    if coupled.all():
+        return [np.arange(n)]
+    np.fill_diagonal(coupled, True)
+    labels = np.arange(n)
+    while True:
+        new = np.where(coupled, labels, n).min(axis=1)
+        new = new[new]
+        if np.array_equal(new, labels):
+            break
+        labels = new
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+
+
+def group_blocks(cov: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (x.., p..) covariance block of every mode group, stacked per group size.
+
+    Returns (idx, blocks) pairs, one per size k: idx is (g, 2k), the indices
+    of the g groups of k modes, and blocks[j] = cov[idx[j]][:, idx[j]].
+    Permuted by the groups, cov is the direct sum of these blocks.
+    """
+    n = cov.shape[0] // 2
+    by_size: dict[int, list[np.ndarray]] = {}
+    for group in mode_groups(cov):
+        by_size.setdefault(group.size, []).append(group)
+    out = []
+    for k in sorted(by_size):
+        modes = np.array(by_size[k])
+        idx = np.hstack([modes, modes + n])
+        out.append((idx, cov[idx[:, :, None], idx[:, None, :]]))
+    return out
+
+
 @dataclass(frozen=True)
 class GaussianState:
     """First and second moments of a Gaussian state over (x.., p..) coordinates."""
@@ -40,17 +86,22 @@ class GaussianState:
             raise DomainError(f"mean must have even length, got shape {mean.shape}")
         if cov.shape != (mean.size, mean.size):
             raise DomainError(f"cov shape {cov.shape} does not match mean length {mean.size}")
-        sym_scale = max(1.0, float(np.max(np.abs(cov))))
+        peak = float(np.max(np.abs(cov)))  # nan or inf when any entry is
+        if not (np.isfinite(peak) and np.all(np.isfinite(mean))):
+            raise DomainError("mean and covariance must be finite")
+        sym_scale = max(1.0, peak)
         if np.max(np.abs(cov - cov.T)) > UNCERTAINTY_TOL * sym_scale:
             raise DomainError("covariance is not symmetric")
         cov = (cov + cov.T) / 2
-        n = mean.size // 2
-        herm = cov + 0.5j * symplectic_form(n)
         # tolerance scales with the covariance norm so that unstable (unconfined)
         # evolutions remain representable in double precision
         scale = max(1.0, float(np.max(np.abs(cov))))
-        if np.linalg.eigvalsh(herm).min() < -UNCERTAINTY_TOL * scale:
-            raise DomainError("covariance violates the uncertainty relation")
+        # cov + i Omega / 2 is block diagonal over the coupled mode groups, so its
+        # spectrum is the union of the groups' spectra
+        for idx, blocks in group_blocks(cov):
+            herm = blocks + 0.5j * symplectic_form(idx.shape[1] // 2)
+            if np.linalg.eigvalsh(herm).min() < -UNCERTAINTY_TOL * scale:
+                raise DomainError("covariance violates the uncertainty relation")
         mean.flags.writeable = False
         cov.flags.writeable = False
         object.__setattr__(self, "mean", mean)

@@ -17,6 +17,7 @@ from qbm_structures import (
     evolve,
     log_negativity,
     product_state,
+    symplectic_form,
     williamson,
 )
 from qbm_structures import experiments
@@ -133,6 +134,17 @@ def dense_exclusivity(cfg):
     lift = lift_total(world, default_split(cfg.model))
     proxies = [branch_proxy(evolved_state(world, t), world.width) for t in cfg.times]
     return np.array([log_negativity(evolve(proxy, lift), [0]) for proxy in proxies])
+
+
+def dense_uncertainty_min(cov):
+    """Least eigenvalue of cov + i Omega / 2 from one dense eigvalsh over every mode."""
+    return float(np.linalg.eigvalsh(cov + 0.5j * symplectic_form(cov.shape[0] // 2)).min())
+
+
+def dense_factor(world):
+    """Physical rows of the PSD square root of 2 sigma0, from one dense eigh."""
+    lam, U = np.linalg.eigh(2 * world.initial.cov)
+    return ((U * np.sqrt(lam)) @ U.T)[world._phys]
 
 
 def williamson_purify(state):

@@ -13,6 +13,7 @@ def test_tier1_workflow_runs_the_roadmap_command():
     triggers = workflow.get("on", workflow.get(True))  # YAML 1.1 reads a bare `on` key as True
     assert set(triggers) == {"push", "pull_request"}
     (job,) = workflow["jobs"].values()
+    assert 0 < job["timeout-minutes"] <= 30
     python = [s["with"]["python-version"] for s in job["steps"] if "setup-python" in s.get("uses", "")]
     assert python == ["3.11"]
     commands = [s["run"] for s in job["steps"] if "run" in s]

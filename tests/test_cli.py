@@ -152,6 +152,13 @@ def test_apply_overrides():
         apply_overrides(cfg, ["not-a-pair"])
 
 
+@pytest.mark.parametrize("perturb", ["1.0", "1.5", "-0.1"])
+def test_perturb_outside_unit_interval_rejected(tmp_path, capsys, perturb):
+    path = _write_config(tmp_path, MINIMAL_POD)
+    assert main([str(path), "--output", str(tmp_path / "x.csv"), "--set", f"model.perturb={perturb}"]) == 1
+    assert "perturb must be in [0, 1)" in capsys.readouterr().err
+
+
 def test_seed_changes_perturbed_model():
     cfg = parse_config(FULL_POD)
     a = build_scenario(cfg)

@@ -14,12 +14,16 @@ from qbm_structures import (
     ModelParams,
     discretize_bath,
     build_qbm_hamiltonian,
+    coherent_state,
     evolve,
     identity_map,
     log_negativity,
+    product_state,
     propagator,
+    purify,
     purity,
     reduce,
+    thermal_state,
 )
 from qbm_structures.experiments import (
     ScenarioConfig,
@@ -37,6 +41,7 @@ from helpers import (
     DATA_DIR,
     branch_proxy,
     default_split,
+    dense_factor,
     evolved_state,
     exclusivity_scenario,
     lift_total,
@@ -447,3 +452,50 @@ def test_oracle_compare_rejects_large_or_warm_runs():
     warm = small_scenario(temperature=1.0, n_times=2)
     with pytest.raises(DomainError):
         run_oracle_compare(warm)
+
+
+# ---------------------------------------------------------------------------
+# initial state and S0 per coupled mode group
+
+
+def wide_scenario(temperature=2.0, purified=True, n_bath=128):
+    """A harmonic particle with an Ohmic bath of n_bath modes (the marginal-wide model)."""
+    params = ModelParams(
+        m1=1.0,
+        bath=discretize_bath(BathSpec(n_modes=n_bath, gamma=0.2, cutoff=5.0)),
+        potential="harmonic",
+        omega=1.0,
+    )
+    return ScenarioConfig(
+        model=params,
+        times=np.linspace(0.0, 10.0, 2),
+        x0=2.0,
+        bath_temperature=temperature,
+        purified=purified,
+    )
+
+
+@pytest.mark.parametrize("temperature, purified", [(2.0, True), (2.0, False), (0.0, False)])
+def test_factor_equals_dense_psd_square_root(temperature, purified):
+    world = _prepare(wide_scenario(temperature, purified), None)
+    assert np.max(np.abs(world._factor - dense_factor(world))) <= 1e-12
+
+
+def test_wide_initial_state_takes_no_eigensolve_above_4x4(monkeypatch):
+    cfg = wide_scenario()
+    world = _prepare(cfg, None)
+    sizes = []
+    for name in ("eigvalsh", "eigh"):
+        real = getattr(np.linalg, name)
+
+        def spy(a, *args, _real=real, **kwargs):
+            sizes.append(np.shape(a)[-1])
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    particle = coherent_state(1, 0, cfg.x0, cfg.p0, cfg.model.m1, cfg.model.omega)
+    bath = purify(thermal_state([(m, w) for m, w, _ in cfg.model.bath], cfg.bath_temperature))
+    initial = product_state(particle, bath)
+    world._factor
+    assert np.array_equal(initial.cov, world.initial.cov) and initial.n_modes == 257
+    assert sizes and max(sizes) <= 4

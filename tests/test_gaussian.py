@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qbm_structures import (
@@ -31,8 +31,8 @@ from qbm_structures import (
     thermal_state,
     williamson,
 )
-from qbm_structures.gaussian import _purity_from_cov
-from helpers import random_model
+from qbm_structures.gaussian import UNCERTAINTY_TOL, _purity_from_cov, mode_groups
+from helpers import dense_uncertainty_min, random_model
 
 
 def tms_covariance(r):
@@ -104,6 +104,20 @@ def test_thermal_state_rejects_negative_temperature():
 def test_uncertainty_violation_rejected():
     with pytest.raises(DomainError):
         GaussianState(np.zeros(2), 0.1 * np.eye(2))
+
+
+@pytest.mark.parametrize(
+    "mean, cov",
+    [
+        (np.zeros(2), np.full((2, 2), np.nan)),
+        (np.zeros(2), np.diag([np.inf, 0.5])),
+        (np.array([np.nan, 0.0]), 0.5 * np.eye(2)),
+        (np.array([0.0, -np.inf]), 0.5 * np.eye(2)),
+    ],
+)
+def test_non_finite_moments_rejected(mean, cov):
+    with pytest.raises(DomainError, match="finite"):
+        GaussianState(mean, cov)
 
 
 # ---------------------------------------------------------------------------
@@ -407,3 +421,102 @@ def test_symplectic_eigenvalues_thermal():
     nus = symplectic_eigenvalues(st.cov)
     expected = np.sort([1 / (2 * np.tanh(0.5)), 1 / (2 * np.tanh(1.0))])
     assert nus == pytest.approx(expected, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# validation per coupled mode group
+
+
+def direct_sum(blocks, perm):
+    """Direct sum of (x.., p..) covariance blocks, modes then relabelled: block mode j -> perm[j]."""
+    n = sum(b.shape[0] // 2 for b in blocks)
+    out = np.zeros((2 * n, 2 * n))
+    at = 0
+    for b in blocks:
+        k = b.shape[0] // 2
+        modes = perm[at : at + k]
+        idx = np.r_[modes, n + modes]
+        out[np.ix_(idx, idx)] = b
+        at += k
+    return out
+
+
+@st.composite
+def grouped_states(draw, allow_invalid=False):
+    """Random symplectic x diag(nu) blocks of 1-3 modes in a random mode order.
+
+    Valid blocks have every nu >= 1/2; with allow_invalid, a block may get one
+    nu below 1/2, which breaks the uncertainty relation.  Returns the
+    covariance and the expected groups.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    blocks = []
+    for k in sizes:
+        nus = rng.uniform(0.5, 3.0, size=k)
+        nus[rng.random(k) < 0.3] = 0.5
+        if allow_invalid and draw(st.booleans()):
+            nus[0] = rng.uniform(0.05, 0.45)
+        S = random_symplectic(k, rng, t=rng.uniform(0.1, 0.8))
+        cov = S @ np.diag(np.concatenate([nus, nus])) @ S.T
+        blocks.append((cov + cov.T) / 2)
+    perm = rng.permutation(sum(sizes))
+    edges = np.cumsum(sizes)[:-1]
+    groups = sorted((np.sort(g) for g in np.split(perm, edges)), key=lambda g: g[0])
+    return direct_sum(blocks, perm), groups
+
+
+@settings(max_examples=80, deadline=None)
+@given(grouped_states(allow_invalid=True))
+def test_grouped_check_matches_dense_eigvalsh(case):
+    cov, groups = case
+    assert [g.tolist() for g in mode_groups(cov)] == [g.tolist() for g in groups]
+    scale = max(1.0, float(np.max(np.abs(cov))))
+    margin = dense_uncertainty_min(cov) + UNCERTAINTY_TOL * scale
+    assume(abs(margin) > 1e-12 * scale)
+    try:
+        GaussianState(np.zeros(cov.shape[0]), cov)
+        accepted = True
+    except DomainError:
+        accepted = False
+    assert accepted == (margin > 0)
+
+
+def test_mode_groups_match_connected_components():
+    from scipy.sparse.csgraph import connected_components
+
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 7, 40):
+        for density in (0.0, 0.02, 0.1, 0.5):
+            edges = np.triu(rng.random((n, n)) < density, 1)
+            cov = np.eye(2 * n)
+            cov[:n, n:] = edges  # links through x/p cross entries alone must count too
+            cov = cov + cov.T
+            _, labels = connected_components(edges | edges.T, directed=False)
+            expected = sorted(sorted(np.flatnonzero(labels == c).tolist()) for c in set(labels))
+            assert [g.tolist() for g in mode_groups(cov)] == expected
+
+
+def test_mode_groups_chain_and_dense():
+    n = 64
+    chain = np.eye(2 * n)
+    i = np.arange(n - 1)
+    chain[i, i + 1] = chain[i + 1, i] = 0.1
+    perm = np.random.default_rng(3).permutation(n)
+    idx = np.r_[perm, n + perm]
+    assert [g.tolist() for g in mode_groups(chain[np.ix_(idx, idx)])] == [list(range(n))]
+    assert [g.tolist() for g in mode_groups(np.ones((2 * n, 2 * n)))] == [list(range(n))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(grouped_states(), st.integers(0, 2**32 - 1))
+def test_random_states_have_unit_bounded_purity_and_nonnegative_negativity(case, seed):
+    cov, _ = case
+    rng = np.random.default_rng(seed)
+    n = cov.shape[0] // 2
+    state = GaussianState(rng.standard_normal(2 * n), cov)
+    p = purity(state)
+    assert 0.0 < p <= 1.0 + 1e-9
+    if n > 1:
+        party = rng.choice(n, size=rng.integers(1, n), replace=False)
+        assert log_negativity(state, party) >= 0.0
