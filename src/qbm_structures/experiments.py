@@ -27,22 +27,18 @@ from functools import cached_property
 import numpy as np
 
 from . import fock_oracle as fo
-from .errors import ConditioningError, DomainError
+from .errors import ConditioningError, DomainError, _require_finite
 from .gaussian import (
     NEGATIVITY_FLOOR,
     UNCERTAINTY_TOL,
     GaussianState,
+    _ancilla_nus,
+    _thermal_widths,
     cat_state,
-    coherent_state,
     decoherence_factor,
-    embed_symplectic,
     evolve,
-    group_blocks,
-    product_state,
     propagator,
-    purify,
     purity,
-    thermal_state,
 )
 from .model import POTENTIAL_HARMONIC, ModelParams, QuadraticHamiltonian, build_qbm_hamiltonian, symplectic_form
 from .structure import StructureMap, cm_relative_map, normal_modes
@@ -68,6 +64,7 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         times = np.array(np.asarray(self.times, dtype=float))
+        _require_finite(times=times, x0=self.x0, p0=self.p0, bath_temperature=self.bath_temperature)
         if times.ndim != 1 or times.size < 1:
             raise DomainError("times must be a nonempty 1-D grid")
         if times[0] != 0.0:
@@ -161,61 +158,44 @@ def _check_conjugate(rows: np.ndarray) -> None:
     n = rows.shape[1] // 2
     product = rows[0, :n] @ rows[1, n:] - rows[0, n:] @ rows[1, :n]
     scale = max(1.0, float(np.linalg.norm(rows[0]) * np.linalg.norm(rows[1])))
-    if abs(product - 1.0) > UNCERTAINTY_TOL * scale:
+    if not abs(product - 1.0) <= UNCERTAINTY_TOL * scale:  # NaN rows fail too
         raise ConditioningError(f"mode-0 rows lost canonicity (g_x^T Omega g_p = {product!r})")
 
 
 @dataclass(frozen=True)
 class _World:
-    """Everything a scenario needs: initial global state, the model's normal modes and two splits.
+    """Everything a scenario needs: the initial state per mode, the model's normal modes and two splits.
 
-    With V^T M V = I from structure.normal_modes, x = V q and p = M V pi over
-    the physical modes, so S(t) = P^-1 D(t) P with P = diag((M V)^T, V^T) and
-    D(t) = propagator(normal, t).  A split is the 2 x 2n normal-mode
-    coefficients of its mode-0 x and p; `rows` turns them into the mode-0 rows
-    of its flow in O(N^2).  `width` is the particle packet's diag(1/2mw, mw/2).
+    The initial state is a product over the physical modes, of mean `mean`
+    and covariance diag(`var`): the particle's packet (`width`), then thermal
+    bath modes.  With V^T M V = I from structure.normal_modes, x = V q and
+    p = M V pi over the physical modes, so S(t) = P^-1 D(t) P with
+    P = diag((M V)^T, V^T) and D(t) = propagator(normal, t).  A split is the
+    2 x 2n normal-mode coefficients of its mode-0 x and p; `rows` turns them
+    into the mode-0 rows of its flow in O(N^2).
     """
 
     config: ScenarioConfig
-    initial: GaussianState
     n_phys: int
-    n_total: int
-    width: np.ndarray
+    mean: np.ndarray
+    var: np.ndarray
     normal: QuadraticHamiltonian
     to_modes: np.ndarray
     from_modes: np.ndarray
     particle: np.ndarray
     collective: np.ndarray
 
-    @cached_property
-    def _phys(self) -> np.ndarray:
-        n, N = self.n_phys, self.n_total
-        return np.r_[0:n, N : N + n]
-
-    @cached_property
-    def _phys_cov(self) -> np.ndarray:
-        return self.initial.cov[np.ix_(self._phys, self._phys)]
-
-    @cached_property
-    def _factor(self) -> np.ndarray:
-        """Physical rows of S0 = sqrt(2 sigma0), symplectic when the global state is pure.
-
-        sigma0 is a direct sum over its mode groups, and so is its PSD square
-        root: one batched eigh per group size.
-        """
-        root = np.zeros_like(self.initial.cov)
-        for idx, blocks in group_blocks(self.initial.cov):
-            lam, U = np.linalg.eigh(2 * blocks)
-            root[idx[:, :, None], idx[:, None, :]] = (U * np.sqrt(lam)[:, None, :]) @ U.transpose(0, 2, 1)
-        return root[self._phys]
+    @property
+    def width(self) -> np.ndarray:
+        return np.diag(self.var[[0, self.n_phys]])
 
     def mode_flow(self, t: float) -> np.ndarray:
         """D(t): the flow in normal-mode coordinates, closed form per mode."""
         return propagator(self.normal, t)
 
     def flow(self, D: np.ndarray) -> np.ndarray:
-        """Dense S(t) on all modes (identity on ancillas); O(N^3), for the oracle's cat state."""
-        return embed_symplectic(self.from_modes @ D @ self.to_modes, self.n_total, range(self.n_phys))
+        """Dense S(t) on the physical modes; O(N^3), for the oracle's cat state."""
+        return self.from_modes @ D @ self.to_modes
 
     def rows(self, D: np.ndarray, split: np.ndarray) -> np.ndarray:
         """Mode-0 x and p rows of the split's flow over the physical (x.., p..) coordinates."""
@@ -223,23 +203,42 @@ class _World:
         _check_conjugate(rows)
         return rows
 
+    @cached_property
+    def _squeeze(self) -> np.ndarray:
+        """lift's factors per mode: [[cosh r, sinh r] sqrt(a / nu), [cosh r, -sinh r] sqrt(b / nu)]."""
+        a, b = self.var.reshape(2, -1)
+        nu = _ancilla_nus(np.sqrt(a * b))
+        cosh, sinh = np.sqrt(nu + 0.5), np.sqrt(nu - 0.5)
+        return np.array([[cosh, sinh], [cosh, -sinh]]) * np.sqrt(np.array([a, b]) / nu)[:, None]
+
+    def lift(self, rows: np.ndarray) -> np.ndarray:
+        """rows @ S0 over (x.., x_anc.., p.., p_anc..): S0 purifies sigma0 = S0 S0^T / 2, mode by mode.
+
+        With nu = sqrt(a b) for the variances a, b of mode k, cosh r =
+        sqrt(nu + 1/2) and sinh r = sqrt(nu - 1/2), x_k = sqrt(a / nu)
+        (cosh r x0_k + sinh r x0_anc) and p_k = sqrt(b / nu) (cosh r p0_k -
+        sinh r p0_anc) over vacuum coordinates z0; nu < 1/2 + 1e-12 takes an
+        unsqueezed ancilla, as in gaussian.purify.  O(N) per row.
+        """
+        return (rows.reshape(-1, 2, 1, self.n_phys) * self._squeeze).reshape(len(rows), -1)
+
     def reduced(self, rows: np.ndarray) -> GaussianState:
         """Mode-0 state of the split whose rows are given."""
-        return GaussianState(rows @ self.initial.mean[self._phys], rows @ self._phys_cov @ rows.T)
+        return GaussianState(rows @ self.mean, (rows * self.var) @ rows.T)
 
     def pure_log_negativity(self, rows: np.ndarray) -> float:
         """1|rest log-negativity from the split's rows; pure global states only.
 
-        With g = rows G, G = S(t) S0, and z = (x part) + i (p part) of each row
-        of g, |z1|^2 |z2|^2 - |z1^H z2|^2 = 4 nu^2 - 1 for the mode-0
+        With g = lift(rows), rows of G = S(t) S0, and z = (x part) + i (p part)
+        of each row of g, |z1|^2 |z2|^2 - |z1^H z2|^2 = 4 nu^2 - 1 for the mode-0
         symplectic eigenvalue nu, so E_N = log2(2 nu + 2 sqrt(nu^2 - 1/4)) =
         asinh(|z1| |z2_perp|) / ln 2 (Adesso & Illuminati, J. Phys. A 40, 7821
         (2007)).  The projection z2_perp does not cancel: product instants give
         roundoff, floored to exactly 0 like log_negativity.
         """
-        g = rows @ self._factor
+        g = self.lift(rows)
         _check_conjugate(g)
-        z1, z2 = g[:, : self.n_total] + 1j * g[:, self.n_total :]
+        z1, z2 = g[:, : 2 * self.n_phys] + 1j * g[:, 2 * self.n_phys :]
         z2_perp = z2 - z1 * (np.vdot(z1, z2) / np.vdot(z1, z1).real)
         neg = float(np.arcsinh(np.linalg.norm(z1) * np.linalg.norm(z2_perp)) / np.log(2.0))
         return 0.0 if neg < NEGATIVITY_FLOOR else neg
@@ -253,7 +252,7 @@ class _World:
         """
         g_x, g_p = rows
         R = -2.0 * (np.outer(g_x, g_p) - np.outer(g_p, g_x))
-        spectrum = np.linalg.eigvals((symplectic_form(self.n_phys) + R) @ self.initial.cov)
+        spectrum = np.linalg.eigvals((symplectic_form(self.n_phys) + R) * self.var)
         terms = -np.log2(2 * np.sort(np.abs(spectrum))[::2])
         return float(np.sum(terms[terms >= NEGATIVITY_FLOOR]))
 
@@ -269,20 +268,16 @@ def _prepare(cfg: ScenarioConfig, smap: StructureMap | None) -> _World:
         smap = cm_relative_map(params.masses)  # collective_mode_map's mode-0 rows
     if smap.n_modes != n:
         raise DomainError("structure map mode count does not match the model")
-    w_width = params.omega if params.potential == POTENTIAL_HARMONIC else 1.0
-    particle = coherent_state(1, 0, cfg.x0, cfg.p0, params.m1, w_width)
-    bath = thermal_state([(m, w) for m, w, _ in params.bath], cfg.bath_temperature)
-    if cfg.purified:
-        bath = purify(bath)
-    initial = product_state(particle, bath)
+    mw = params.m1 * (params.omega if params.potential == POTENTIAL_HARMONIC else 1.0)
+    bath_m, bath_w, _ = np.array(params.bath).T
+    var_x, var_p = _thermal_widths(bath_m, bath_w, cfg.bath_temperature)
     sq_freqs, V, M = normal_modes(H, range(n))
     MV = M @ V
     return _World(
         cfg,
-        initial,
         n,
-        initial.n_modes,
-        particle.cov,
+        np.r_[cfg.x0, np.zeros(n - 1), cfg.p0, np.zeros(n - 1)],
+        np.r_[0.5 / mw, var_x, 0.5 * mw, var_p],
         normal=QuadraticHamiltonian(n, np.diag(np.r_[sq_freqs, np.ones(n)])),
         to_modes=_block_diag(MV.T, V.T),
         from_modes=_block_diag(V, MV),
@@ -406,8 +401,8 @@ def run_exclusivity(cfg: ScenarioConfig, smap: StructureMap | None = None) -> Ex
     def sample(t: float) -> float:
         D = world.mode_flow(t)
         rows_1 = world.rows(D, world.particle)
-        g_b = (world.rows(D, world.collective) - r_a @ rows_1) @ world._factor
-        basis = np.linalg.qr(np.hstack([rows_1 @ world._factor, np.sqrt(2 * W)]).T)[0]
+        g_b = world.lift(world.rows(D, world.collective) - r_a @ rows_1)
+        basis = np.linalg.qr(np.hstack([world.lift(rows_1), np.sqrt(2 * W)]).T)[0]
         h = np.hstack([g_b, np.zeros((2, 2))])
         h -= (h @ basis) @ basis.T
         red = base + 0.5 * h @ h.T
@@ -519,11 +514,12 @@ def run_oracle_compare(
         raise DomainError(f"certification needs bump >= 1, got bump = {bump}")
     world = _prepare(cfg, None)
 
-    mu_plus = world.initial.mean.copy()
+    cov0 = np.diag(world.var)
+    mu_plus = world.mean
     mu_minus = mu_plus.copy()
     mu_minus[0] = -mu_plus[0]
-    cat0 = cat_state([1 / np.sqrt(2), 1 / np.sqrt(2)], [mu_plus, mu_minus], world.initial.cov)
-    n = world.n_total
+    cat0 = cat_state([1 / np.sqrt(2), 1 / np.sqrt(2)], [mu_plus, mu_minus], cov0)
+    n = world.n_phys
     env = list(range(1, n))
     mode0, env_idx = [0, n], env + [n + i for i in env]
 
@@ -538,8 +534,8 @@ def run_oracle_compare(
 
     def fock_table(space: fo.FockSpace) -> np.ndarray:
         evolver = fo.DenseEvolver(fo.build_fock_hamiltonian(params, space))
-        psi_plus = fo.gaussian_to_fock(GaussianState(mu_plus, world.initial.cov), space)
-        psi_minus = fo.gaussian_to_fock(GaussianState(mu_minus, world.initial.cov), space)
+        psi_plus = fo.gaussian_to_fock(GaussianState(mu_plus, cov0), space)
+        psi_minus = fo.gaussian_to_fock(GaussianState(mu_minus, cov0), space)
         env_space = space.subspace(env)
         out = []
         for t in cfg.times:

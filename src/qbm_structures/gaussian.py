@@ -17,59 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditioningError, DomainError
+from .errors import ConditioningError, DomainError, _require_finite
 from .model import QuadraticHamiltonian, symplectic_form
 
 UNCERTAINTY_TOL = 1e-10
 PURITY_TOL = 1e-8
 DET_FLOOR = 1e-300
 NEGATIVITY_FLOOR = 1e-10
-
-
-def mode_groups(cov: np.ndarray) -> list[np.ndarray]:
-    """The groups of modes that a symmetric cov couples, each ascending, ordered by first mode.
-
-    Modes i and j are linked when any of their x/p covariance entries is
-    nonzero; a group is a connected component of that graph.  Each round of
-    label propagation gives every mode the least label among its neighbours
-    and then jumps each label to that mode's label, so a chain of L modes
-    settles in O(log L) rounds of O(N^2).  A dense state is one group at once.
-    """
-    n = cov.shape[0] // 2
-    nonzero = cov != 0
-    nonzero = nonzero[:n] | nonzero[n:]
-    coupled = nonzero[:, :n] | nonzero[:, n:]
-    if coupled.all():
-        return [np.arange(n)]
-    np.fill_diagonal(coupled, True)
-    labels = np.arange(n)
-    while True:
-        new = np.where(coupled, labels, n).min(axis=1)
-        new = new[new]
-        if np.array_equal(new, labels):
-            break
-        labels = new
-    order = np.argsort(labels, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
-
-
-def group_blocks(cov: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The (x.., p..) covariance block of every mode group, stacked per group size.
-
-    Returns (idx, blocks) pairs, one per size k: idx is (g, 2k), the indices
-    of the g groups of k modes, and blocks[j] = cov[idx[j]][:, idx[j]].
-    Permuted by the groups, cov is the direct sum of these blocks.
-    """
-    n = cov.shape[0] // 2
-    by_size: dict[int, list[np.ndarray]] = {}
-    for group in mode_groups(cov):
-        by_size.setdefault(group.size, []).append(group)
-    out = []
-    for k in sorted(by_size):
-        modes = np.array(by_size[k])
-        idx = np.hstack([modes, modes + n])
-        out.append((idx, cov[idx[:, :, None], idx[:, None, :]]))
-    return out
 
 
 @dataclass(frozen=True)
@@ -86,22 +40,16 @@ class GaussianState:
             raise DomainError(f"mean must have even length, got shape {mean.shape}")
         if cov.shape != (mean.size, mean.size):
             raise DomainError(f"cov shape {cov.shape} does not match mean length {mean.size}")
-        peak = float(np.max(np.abs(cov)))  # nan or inf when any entry is
-        if not (np.isfinite(peak) and np.all(np.isfinite(mean))):
-            raise DomainError("mean and covariance must be finite")
-        sym_scale = max(1.0, peak)
+        _require_finite(mean=mean, cov=cov)
+        sym_scale = max(1.0, float(np.max(np.abs(cov))))
         if np.max(np.abs(cov - cov.T)) > UNCERTAINTY_TOL * sym_scale:
             raise DomainError("covariance is not symmetric")
         cov = (cov + cov.T) / 2
         # tolerance scales with the covariance norm so that unstable (unconfined)
         # evolutions remain representable in double precision
         scale = max(1.0, float(np.max(np.abs(cov))))
-        # cov + i Omega / 2 is block diagonal over the coupled mode groups, so its
-        # spectrum is the union of the groups' spectra
-        for idx, blocks in group_blocks(cov):
-            herm = blocks + 0.5j * symplectic_form(idx.shape[1] // 2)
-            if np.linalg.eigvalsh(herm).min() < -UNCERTAINTY_TOL * scale:
-                raise DomainError("covariance violates the uncertainty relation")
+        if np.linalg.eigvalsh(cov + 0.5j * symplectic_form(mean.size // 2)).min() < -UNCERTAINTY_TOL * scale:
+            raise DomainError("covariance violates the uncertainty relation")
         mean.flags.writeable = False
         cov.flags.writeable = False
         object.__setattr__(self, "mean", mean)
@@ -219,15 +167,21 @@ def thermal_state(modes, temperature: float) -> GaussianState:
     """
     if temperature < 0:
         raise DomainError(f"temperature must be >= 0, got {temperature}")
-    diag = []
-    for m, w in modes:
-        if m <= 0 or w <= 0:
-            raise DomainError("mode masses and frequencies must be positive")
-        coth = 1.0 if temperature == 0 else 1.0 / np.tanh(w / (2 * temperature))
-        diag.append((coth / (2 * m * w), m * w * coth / 2))
-    n = len(diag)
-    full = np.array([d[0] for d in diag] + [d[1] for d in diag])
-    return GaussianState(np.zeros(2 * n), np.diag(full))
+    m, w = np.array(list(modes), dtype=float).T
+    if np.any(m <= 0) or np.any(w <= 0):
+        raise DomainError("mode masses and frequencies must be positive")
+    return GaussianState(np.zeros(2 * m.size), np.diag(np.concatenate(_thermal_widths(m, w, temperature))))
+
+
+def _thermal_widths(m: np.ndarray, w: np.ndarray, temperature: float) -> tuple[np.ndarray, np.ndarray]:
+    """sigma_xx and sigma_pp of thermal modes of masses m and frequencies w: coth(w / 2T) times 1/2mw and mw/2."""
+    coth = 1.0 if temperature == 0 else 1.0 / np.tanh(w / (2 * temperature))
+    return coth / (2 * m * w), m * w * coth / 2
+
+
+def _ancilla_nus(nus: np.ndarray) -> np.ndarray:
+    """Symplectic eigenvalues as purify pairs them: below 1/2 + 1e-12 a mode gets an unsqueezed vacuum ancilla."""
+    return np.where(nus < 0.5 + 1e-12, 0.5, nus)
 
 
 def product_state(*states: GaussianState) -> GaussianState:
@@ -342,8 +296,8 @@ def purify(state: GaussianState) -> GaussianState:
     else:
         S_w, nus = williamson(state.cov)
         a = b = nus
-    s = np.where(nus < 0.5 + 1e-12, 0.0, np.sqrt(np.maximum(nus**2 - 0.25, 0.0)))
-    nus = np.where(s == 0.0, 0.5, nus)
+    nus = _ancilla_nus(nus)
+    s = np.sqrt(nus**2 - 0.25)
     cov = np.diag(np.concatenate([a, nus, b, nus]))
     i = np.arange(n)
     cov[i, n + i] = cov[n + i, i] = s * np.sqrt(a / nus)

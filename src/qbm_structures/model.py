@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _require_finite
 
 SYMMETRY_TOL = 1e-12
 
@@ -64,6 +64,7 @@ class ModelParams:
     coupling_sign: int = +1
 
     def __post_init__(self) -> None:
+        _require_finite(m1=self.m1, omega=self.omega, bath=self.bath)
         if self.m1 <= 0:
             raise DomainError(f"m1 must be positive, got {self.m1}")
         if len(self.bath) < 1:
@@ -100,6 +101,7 @@ class QuadraticHamiltonian:
 
     def __post_init__(self) -> None:
         K = np.asarray(self.K, dtype=float)
+        _require_finite(K=K)
         if K.shape != (2 * self.n_modes, 2 * self.n_modes):
             raise DomainError(f"K has shape {K.shape}, expected {(2 * self.n_modes,) * 2}")
         if np.max(np.abs(K - K.T)) > SYMMETRY_TOL:
@@ -135,6 +137,7 @@ class BathSpec:
     def __post_init__(self) -> None:
         if self.n_modes < 1:
             raise DomainError(f"n_modes must be >= 1, got {self.n_modes}")
+        _require_finite(gamma=self.gamma, cutoff=self.cutoff)
         if self.gamma < 0:
             raise DomainError(f"gamma must be >= 0, got {self.gamma}")
         if self.cutoff <= 0:

@@ -18,13 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditioningError, DomainError
-from .model import QuadraticHamiltonian, symplectic_form
+from .errors import ConditioningError, DomainError, _require_finite
+from .model import QuadraticHamiltonian
 
-INVERTIBILITY_TOL = 1e-12
 CANONICITY_TOL = 1e-10
 DENSITY_TOL = 1e-12
-DECOUPLING_TOL = 1e-10
 NORMAL_MODE_TOL = 1e-10
 
 
@@ -38,17 +36,18 @@ class StructureMap:
         T = np.array(np.asarray(self.T, dtype=float))
         if T.ndim != 2 or T.shape[0] != T.shape[1]:
             raise DomainError(f"T must be square, got shape {T.shape}")
-        if abs(np.linalg.det(T)) <= INVERTIBILITY_TOL:
-            raise DomainError("T is numerically singular")
+        _require_finite(T=T)
+        try:
+            T_inv = np.linalg.inv(T)
+        except np.linalg.LinAlgError as exc:
+            raise DomainError("T is singular") from exc
+        # lift Omega lift^T - Omega holds exactly the entries of +/-(T T^-1 - I)
+        if not np.max(np.abs(T @ T_inv - np.eye(T.shape[0]))) <= CANONICITY_TOL:
+            raise DomainError("canonical lift fails symplectic-form preservation (T T^-1 misses I)")
         T.flags.writeable = False
+        T_inv.flags.writeable = False
         object.__setattr__(self, "T", T)
-        Tinv = np.linalg.inv(T)
-        Tinv.flags.writeable = False
-        object.__setattr__(self, "_T_inv", Tinv)
-        lift = self.lift
-        omega = symplectic_form(self.n_modes)
-        if np.max(np.abs(lift @ omega @ lift.T - omega)) > CANONICITY_TOL:
-            raise DomainError("canonical lift fails symplectic-form preservation")
+        object.__setattr__(self, "_T_inv", T_inv)
 
     @property
     def n_modes(self) -> int:

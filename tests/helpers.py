@@ -1,8 +1,6 @@
 """Shared scenario builders for tests, acceptance runs and baseline recording,
 and the dense full-state routes the rows-only scenarios are checked against."""
 
-from unittest import mock
-
 import numpy as np
 
 from qbm_structures import (
@@ -17,10 +15,11 @@ from qbm_structures import (
     evolve,
     log_negativity,
     product_state,
+    purify,
     symplectic_form,
+    thermal_state,
     williamson,
 )
-from qbm_structures import experiments
 from qbm_structures.experiments import ScenarioConfig, _prepare
 from qbm_structures.structure import collective_mode_map
 
@@ -103,14 +102,30 @@ def default_split(params):
     return collective_mode_map(build_qbm_hamiltonian(params), params.masses)
 
 
-def lift_total(world, smap):
-    """The split's canonical lift on every mode of the world's global state (identity on ancillas)."""
-    return embed_symplectic(smap.lift, world.n_total, range(world.n_phys))
+def dense_initial(cfg, purify=purify):
+    """The global initial state as one dense GaussianState.
+
+    A coherent particle times the thermal bath, whose modes `purify` pairs
+    with ancillas when the bath is purified.
+    """
+    params = cfg.model
+    w_width = params.omega if params.potential == "harmonic" else 1.0
+    particle = coherent_state(1, 0, cfg.x0, cfg.p0, params.m1, w_width)
+    bath = thermal_state([(m, w) for m, w, _ in params.bath], cfg.bath_temperature)
+    if cfg.purified:
+        bath = purify(bath)
+    return product_state(particle, bath)
 
 
-def evolved_state(world, t):
+def lift_total(state, smap):
+    """The split's canonical lift on every mode of a global state (identity on ancillas)."""
+    return embed_symplectic(smap.lift, state.n_modes, range(smap.n_modes))
+
+
+def evolved_state(world, t, purify=purify):
     """The dense global state at time t."""
-    return evolve(world.initial, world.flow(world.mode_flow(t)))
+    initial = dense_initial(world.config, purify)
+    return evolve(initial, embed_symplectic(world.flow(world.mode_flow(t)), initial.n_modes, range(world.n_phys)))
 
 
 def branch_proxy(state, width):
@@ -128,12 +143,12 @@ def branch_proxy(state, width):
     return product_state(particle, posterior)
 
 
-def dense_exclusivity(cfg):
+def dense_exclusivity(cfg, purify=purify):
     """run_exclusivity's negativities from full states: evolve, branch_proxy, lift, log_negativity."""
     world = _prepare(cfg, None)
-    lift = lift_total(world, default_split(cfg.model))
-    proxies = [branch_proxy(evolved_state(world, t), world.width) for t in cfg.times]
-    return np.array([log_negativity(evolve(proxy, lift), [0]) for proxy in proxies])
+    states = [evolved_state(world, t, purify) for t in cfg.times]
+    lift = lift_total(states[0], default_split(cfg.model))
+    return np.array([log_negativity(evolve(branch_proxy(s, world.width), lift), [0]) for s in states])
 
 
 def dense_uncertainty_min(cov):
@@ -141,10 +156,12 @@ def dense_uncertainty_min(cov):
     return float(np.linalg.eigvalsh(cov + 0.5j * symplectic_form(cov.shape[0] // 2)).min())
 
 
-def dense_factor(world):
+def dense_factor(cfg):
     """Physical rows of the PSD square root of 2 sigma0, from one dense eigh."""
-    lam, U = np.linalg.eigh(2 * world.initial.cov)
-    return ((U * np.sqrt(lam)) @ U.T)[world._phys]
+    initial = dense_initial(cfg)
+    lam, U = np.linalg.eigh(2 * initial.cov)
+    n, N = cfg.model.n_modes, initial.n_modes
+    return ((U * np.sqrt(lam)) @ U.T)[np.r_[0:n, N : N + n]]
 
 
 def williamson_purify(state):
@@ -166,9 +183,3 @@ def williamson_purify(state):
     mean[:n] = state.mean[:n]
     mean[N : N + n] = state.mean[n:]
     return GaussianState(mean, S_full @ big @ S_full.T)
-
-
-def with_williamson_purification(run, cfg):
-    """run(cfg) with the bath purified by williamson_purify instead of purify."""
-    with mock.patch.object(experiments, "purify", williamson_purify):
-        return run(cfg)

@@ -380,3 +380,15 @@ def test_cli_import_leaves_scipy_unloaded():
     code = f"import sys, qbm_structures.cli; print({LOADED_SCIPY})"
     out = subprocess.run([sys.executable, "-c", code], env=_package_env(), capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("kind", ["marginal", "er", "exclusivity"])
+def test_overflowed_flow_exits_2(tmp_path, kind):
+    # the default free particle is unstable: by t = 1000 its mode-0 rows
+    # overflow and their canonicity product is NaN.  A separate process keeps
+    # the overflow warnings on their way to stderr rather than raising them.
+    path = _write_config(tmp_path, f"[scenario]\nkind = {kind}\n[times]\nt_max = 1000\n")
+    argv = [sys.executable, "-m", "qbm_structures.cli", str(path), "--output", str(tmp_path / "out.csv")]
+    out = subprocess.run(argv, env=_package_env(), capture_output=True, text=True)
+    assert out.returncode == 2
+    assert "lost canonicity" in out.stderr

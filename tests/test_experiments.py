@@ -11,19 +11,17 @@ import qbm_structures.fock_oracle as fo
 from qbm_structures import (
     BathSpec,
     DomainError,
+    GaussianState,
     ModelParams,
     discretize_bath,
     build_qbm_hamiltonian,
-    coherent_state,
     evolve,
     identity_map,
     log_negativity,
-    product_state,
     propagator,
-    purify,
     purity,
     reduce,
-    thermal_state,
+    symplectic_form,
 )
 from qbm_structures.experiments import (
     ScenarioConfig,
@@ -42,6 +40,7 @@ from helpers import (
     branch_proxy,
     default_split,
     dense_factor,
+    dense_initial,
     evolved_state,
     exclusivity_scenario,
     lift_total,
@@ -132,10 +131,8 @@ def test_pod_matches_fock_oracle_n2():
     H = build_qbm_hamiltonian(params)
     comp = collective_mode_map(H, params.masses)
     space = fo.FockSpace.for_model(params, (14, 12, 12))
-    world = _prepare(cfg, None)
-    psi0 = fo.gaussian_to_fock(world.initial, space)
+    psi0 = fo.gaussian_to_fock(dense_initial(cfg), space)
     evolver = fo.DenseEvolver(fo.build_fock_hamiltonian(params, space))
-    from qbm_structures import GaussianState
 
     for i, t in enumerate(times):
         ft = evolver.propagate(psi0, t)
@@ -292,8 +289,8 @@ def test_transformed_state_matches_transformed_operators():
     world = _prepare(cfg, None)
     comp = default_split(cfg.model)
     state = evolved_state(world, 3.0)
-    alt = evolve(state, lift_total(world, comp))
-    n = world.n_total
+    alt = evolve(state, lift_total(state, comp))
+    n = state.n_modes
     # <X_Sp>, var(X_Sp) via transformed state vs via the row of T acting on
     # the original moments (Heisenberg route)
     row = np.zeros(2 * n)
@@ -455,7 +452,7 @@ def test_oracle_compare_rejects_large_or_warm_runs():
 
 
 # ---------------------------------------------------------------------------
-# initial state and S0 per coupled mode group
+# initial state per mode
 
 
 def wide_scenario(temperature=2.0, purified=True, n_bath=128):
@@ -476,26 +473,33 @@ def wide_scenario(temperature=2.0, purified=True, n_bath=128):
 
 
 @pytest.mark.parametrize("temperature, purified", [(2.0, True), (2.0, False), (0.0, False)])
-def test_factor_equals_dense_psd_square_root(temperature, purified):
-    world = _prepare(wide_scenario(temperature, purified), None)
-    assert np.max(np.abs(world._factor - dense_factor(world))) <= 1e-12
-
-
-def test_wide_initial_state_takes_no_eigensolve_above_4x4(monkeypatch):
-    cfg = wide_scenario()
+def test_lift_is_a_symplectic_factor_of_the_initial_state(temperature, purified):
+    cfg = wide_scenario(temperature, purified)
     world = _prepare(cfg, None)
+    n = world.n_phys
+    initial = dense_initial(cfg)
+    idx = np.r_[0:n, initial.n_modes : initial.n_modes + n]
+    assert np.array_equal(world.mean, initial.mean[idx])
+    assert np.array_equal(np.diag(world.var), initial.cov[np.ix_(idx, idx)])
+    G = world.lift(np.eye(2 * n))
+    scale = max(1.0, np.max(np.abs(G)) ** 2)
+    F = dense_factor(cfg)
+    assert np.max(np.abs(G @ G.T - 2 * np.diag(world.var))) <= 1e-12 * scale
+    assert np.max(np.abs(G @ G.T - F @ F.T)) <= 1e-12 * scale
+    omega = symplectic_form(G.shape[1] // 2)
+    assert np.max(np.abs(G @ omega @ G.T - symplectic_form(n))) <= 1e-12 * scale
+
+
+def test_wide_runs_build_only_single_mode_states(monkeypatch):
+    cfg = wide_scenario()
     sizes = []
-    for name in ("eigvalsh", "eigh"):
-        real = getattr(np.linalg, name)
+    real = GaussianState.__post_init__
 
-        def spy(a, *args, _real=real, **kwargs):
-            sizes.append(np.shape(a)[-1])
-            return _real(a, *args, **kwargs)
+    def spy(self):
+        real(self)
+        sizes.append(self.n_modes)
 
-        monkeypatch.setattr(np.linalg, name, spy)
-    particle = coherent_state(1, 0, cfg.x0, cfg.p0, cfg.model.m1, cfg.model.omega)
-    bath = purify(thermal_state([(m, w) for m, w, _ in cfg.model.bath], cfg.bath_temperature))
-    initial = product_state(particle, bath)
-    world._factor
-    assert np.array_equal(initial.cov, world.initial.cov) and initial.n_modes == 257
-    assert sizes and max(sizes) <= 4
+    monkeypatch.setattr(GaussianState, "__post_init__", spy)
+    for run in (run_pod, run_er_check, run_exclusivity, run_marginal):
+        run(cfg)
+    assert sizes and set(sizes) == {1}

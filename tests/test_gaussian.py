@@ -31,7 +31,7 @@ from qbm_structures import (
     thermal_state,
     williamson,
 )
-from qbm_structures.gaussian import UNCERTAINTY_TOL, _purity_from_cov, mode_groups
+from qbm_structures.gaussian import UNCERTAINTY_TOL, _purity_from_cov
 from helpers import dense_uncertainty_min, random_model
 
 
@@ -424,7 +424,7 @@ def test_symplectic_eigenvalues_thermal():
 
 
 # ---------------------------------------------------------------------------
-# validation per coupled mode group
+# validation of states built from uncoupled mode groups
 
 
 def direct_sum(blocks, perm):
@@ -447,7 +447,7 @@ def grouped_states(draw, allow_invalid=False):
 
     Valid blocks have every nu >= 1/2; with allow_invalid, a block may get one
     nu below 1/2, which breaks the uncertainty relation.  Returns the
-    covariance and the expected groups.
+    covariance.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
@@ -460,17 +460,12 @@ def grouped_states(draw, allow_invalid=False):
         S = random_symplectic(k, rng, t=rng.uniform(0.1, 0.8))
         cov = S @ np.diag(np.concatenate([nus, nus])) @ S.T
         blocks.append((cov + cov.T) / 2)
-    perm = rng.permutation(sum(sizes))
-    edges = np.cumsum(sizes)[:-1]
-    groups = sorted((np.sort(g) for g in np.split(perm, edges)), key=lambda g: g[0])
-    return direct_sum(blocks, perm), groups
+    return direct_sum(blocks, rng.permutation(sum(sizes)))
 
 
 @settings(max_examples=80, deadline=None)
 @given(grouped_states(allow_invalid=True))
-def test_grouped_check_matches_dense_eigvalsh(case):
-    cov, groups = case
-    assert [g.tolist() for g in mode_groups(cov)] == [g.tolist() for g in groups]
+def test_grouped_check_matches_dense_eigvalsh(cov):
     scale = max(1.0, float(np.max(np.abs(cov))))
     margin = dense_uncertainty_min(cov) + UNCERTAINTY_TOL * scale
     assume(abs(margin) > 1e-12 * scale)
@@ -482,36 +477,9 @@ def test_grouped_check_matches_dense_eigvalsh(case):
     assert accepted == (margin > 0)
 
 
-def test_mode_groups_match_connected_components():
-    from scipy.sparse.csgraph import connected_components
-
-    rng = np.random.default_rng(11)
-    for n in (1, 2, 7, 40):
-        for density in (0.0, 0.02, 0.1, 0.5):
-            edges = np.triu(rng.random((n, n)) < density, 1)
-            cov = np.eye(2 * n)
-            cov[:n, n:] = edges  # links through x/p cross entries alone must count too
-            cov = cov + cov.T
-            _, labels = connected_components(edges | edges.T, directed=False)
-            expected = sorted(sorted(np.flatnonzero(labels == c).tolist()) for c in set(labels))
-            assert [g.tolist() for g in mode_groups(cov)] == expected
-
-
-def test_mode_groups_chain_and_dense():
-    n = 64
-    chain = np.eye(2 * n)
-    i = np.arange(n - 1)
-    chain[i, i + 1] = chain[i + 1, i] = 0.1
-    perm = np.random.default_rng(3).permutation(n)
-    idx = np.r_[perm, n + perm]
-    assert [g.tolist() for g in mode_groups(chain[np.ix_(idx, idx)])] == [list(range(n))]
-    assert [g.tolist() for g in mode_groups(np.ones((2 * n, 2 * n)))] == [list(range(n))]
-
-
 @settings(max_examples=60, deadline=None)
 @given(grouped_states(), st.integers(0, 2**32 - 1))
-def test_random_states_have_unit_bounded_purity_and_nonnegative_negativity(case, seed):
-    cov, _ = case
+def test_random_states_have_unit_bounded_purity_and_nonnegative_negativity(cov, seed):
     rng = np.random.default_rng(seed)
     n = cov.shape[0] // 2
     state = GaussianState(rng.standard_normal(2 * n), cov)

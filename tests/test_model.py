@@ -16,6 +16,7 @@ from qbm_structures import (
     symplectic_form,
     thermal_state,
 )
+from qbm_structures.experiments import ScenarioConfig
 from helpers import random_model
 
 
@@ -76,6 +77,41 @@ def test_rejects_bad_parameters():
         ModelParams(m1=1.0, bath=((1.0, 1.0, 0.0),), potential="harmonic")
     with pytest.raises(DomainError):
         ModelParams(m1=1.0, bath=((1.0, 1.0, 0.0),), coupling_sign=2)
+
+
+NAN, INF = float("nan"), float("inf")
+BATH = ((1.0, 1.0, 0.1),)
+
+
+def _scenario(times=(0.0, 1.0), **kwargs):
+    return ScenarioConfig(ModelParams(m1=1.0, bath=BATH), times=np.array(times), **kwargs)
+
+
+NON_FINITE_CASES = {
+    "m1=nan": ("m1", lambda: ModelParams(m1=NAN, bath=BATH)),
+    "m1=inf": ("m1", lambda: ModelParams(m1=INF, bath=BATH)),
+    "omega=nan": ("omega", lambda: ModelParams(m1=1.0, bath=BATH, potential="harmonic", omega=NAN)),
+    "omega=inf": ("omega", lambda: ModelParams(m1=1.0, bath=BATH, potential="harmonic", omega=INF)),
+    "bath mass=nan": ("bath", lambda: ModelParams(m1=1.0, bath=((NAN, 1.0, 0.1),))),
+    "bath frequency=inf": ("bath", lambda: ModelParams(m1=1.0, bath=((1.0, INF, 0.1),))),
+    "bath coupling=nan": ("bath", lambda: ModelParams(m1=1.0, bath=((1.0, 1.0, 0.1), (1.0, 2.0, NAN)))),
+    "gamma=nan": ("gamma", lambda: BathSpec(n_modes=2, gamma=NAN, cutoff=1.0)),
+    "cutoff=inf": ("cutoff", lambda: BathSpec(n_modes=2, gamma=0.1, cutoff=INF)),
+    "times with nan": ("times", lambda: _scenario(times=(0.0, NAN))),
+    "times ending at inf": ("times", lambda: _scenario(times=(0.0, 1.0, INF))),
+    "x0=nan": ("x0", lambda: _scenario(x0=NAN)),
+    "p0=-inf": ("p0", lambda: _scenario(p0=-INF)),
+    "bath_temperature=nan": ("bath_temperature", lambda: _scenario(bath_temperature=NAN)),
+    "bath_temperature=inf": ("bath_temperature", lambda: _scenario(bath_temperature=INF)),
+    "K with nan": ("K", lambda: QuadraticHamiltonian(1, np.array([[1.0, NAN], [NAN, 1.0]]))),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_FINITE_CASES))
+def test_non_finite_entries_are_rejected_by_name(case):
+    field, build = NON_FINITE_CASES[case]
+    with pytest.raises(DomainError, match=f"^{field} must be finite"):
+        build()
 
 
 def test_asymmetric_matrix_rejected():

@@ -18,6 +18,7 @@ from qbm_structures import (
     build_qbm_hamiltonian,
     cm_relative_map,
     evolve,
+    identity_map,
     log_negativity,
     propagator,
     purity,
@@ -29,6 +30,7 @@ from qbm_structures.experiments import (
     ScenarioConfig,
     _check_conjugate,
     _prepare,
+    gaussian_l1_distance,
     run_er_check,
     run_exclusivity,
     run_marginal,
@@ -41,7 +43,7 @@ from helpers import (
     evolved_state,
     lift_total,
     random_model,
-    with_williamson_purification,
+    williamson_purify,
 )
 
 FAMILIES = ("decoupled", "harmonic", "unstable")
@@ -73,12 +75,6 @@ def _world(params, temperature=0.0, t_max=6.0, purified=True):
     return cfg, _prepare(cfg, None)
 
 
-def _physical_block(world, S):
-    n, N = world.n_phys, world.n_total
-    idx = np.r_[0:n, N : N + n]
-    return S[np.ix_(idx, idx)]
-
-
 @SETTINGS
 @given(models(), st.booleans())
 def test_normal_modes_solve_the_generalized_eigenproblem(params, relative):
@@ -98,7 +94,7 @@ def test_normal_modes_solve_the_generalized_eigenproblem(params, relative):
 @given(models(), st.floats(0.0, 8.0))
 def test_normal_mode_flow_equals_pade_propagator(params, t):
     _, world = _world(params)
-    spectral = _physical_block(world, world.flow(world.mode_flow(t)))
+    spectral = world.flow(world.mode_flow(t))
     H = build_qbm_hamiltonian(params)
     pade = scipy.linalg.expm(symplectic_form(H.n_modes) @ H.K * t)
     assert np.linalg.norm(spectral - pade) <= 1e-10 * max(1.0, np.linalg.norm(pade))
@@ -123,7 +119,7 @@ def test_normal_mode_flow_is_symplectic_group(params, t1, t2):
     S1, S2, S12 = (world.flow(world.mode_flow(t)) for t in (t1, t2, t1 + t2))
     scale = max(1.0, np.linalg.norm(S12))
     assert np.linalg.norm(S2 @ S1 - S12) <= 1e-10 * scale**2
-    omega = symplectic_form(world.n_total)
+    omega = symplectic_form(world.n_phys)
     for S in (S1, S2, S12):
         assert np.max(np.abs(S @ omega @ S.T - omega)) <= 1e-10 * max(1.0, np.max(np.abs(S))) ** 2
 
@@ -133,10 +129,10 @@ def test_normal_mode_flow_is_symplectic_group(params, t1, t2):
 def test_rows_only_diagnostics_equal_full_route(params, temperature):
     cfg, world = _world(params, temperature)
     rep = run_pod(cfg)
-    lift = lift_total(world, default_split(params))
+    smap = default_split(params)
     for i, t in enumerate(cfg.times):
         state = evolved_state(world, t)
-        alt = evolve(state, lift)
+        alt = evolve(state, lift_total(state, smap))
         assert rep.purity_1[i] == pytest.approx(purity(reduce(state, [0])), abs=1e-10)
         assert rep.purity_sp[i] == pytest.approx(purity(reduce(alt, [0])), abs=1e-10)
         assert rep.neg_12[i] == pytest.approx(log_negativity(state, [0]), abs=1e-9)
@@ -156,8 +152,8 @@ def test_decoupled_models_have_exactly_zero_negativity(params, temperature):
 
 def _dense_negativities(cfg, world):
     """neg_12 and neg_SpEp of every sample from full states and the full collective lift."""
-    lift = lift_total(world, default_split(cfg.model))
     states = [evolved_state(world, t) for t in cfg.times]
+    lift = lift_total(states[0], default_split(cfg.model))
     return np.array([[log_negativity(s, [0]), log_negativity(evolve(s, lift), [0])] for s in states]).T
 
 
@@ -210,19 +206,46 @@ def test_default_split_equals_full_collective_map(params, bath):
 
 
 @SETTINGS
+@given(models(), st.sampled_from([(0.0, False), (1.5, True), (1.5, False)]))
+def test_identity_map_makes_both_splits_agree(params, bath):
+    temperature, purified = bath
+    cfg, _ = _world(params, temperature, purified=purified)
+    smap = identity_map(params.n_modes)
+    pod = run_pod(cfg, smap)
+    assert np.array_equal(pod.purity_1, pod.purity_sp)
+    assert np.array_equal(pod.neg_12, pod.neg_spep)
+    assert np.all(run_marginal(cfg, smap).l1_distance == 0.0)
+    if temperature == 0.0 or purified:
+        assert not run_er_check(cfg, smap).witnessed.any()
+        assert np.all(run_exclusivity(cfg, smap).neg_spep == 0.0)
+
+
+@SETTINGS
 @given(models(), st.floats(0.3, 3.0))
 def test_closed_form_purification_equals_williamson_route(params, temperature):
-    cfg, _ = _world(params, temperature)
+    cfg, world = _world(params, temperature)
+    smap = default_split(params)
+    states = [evolved_state(world, t, williamson_purify) for t in cfg.times]
+    alts = [evolve(s, lift_total(s, smap)) for s in states]
+    moments = np.array([[s.mean[0], s.cov[0, 0], a.mean[0], a.cov[0, 0]] for s, a in zip(states, alts)])
+    dense = {
+        "purity_1": [purity(reduce(s, [0])) for s in states],
+        "purity_sp": [purity(reduce(a, [0])) for a in alts],
+        "neg_12": [log_negativity(s, [0]) for s in states],
+        "neg_spep": [log_negativity(a, [0]) for a in alts],
+        **dict(zip(("mean_1", "var_1", "mean_sp", "var_sp"), moments.T)),
+        "l1_distance": [gaussian_l1_distance(*m) for m in moments],
+    }
     runs = [
-        (run_pod, ("purity_1", "purity_sp", "neg_12", "neg_spep")),
-        (run_exclusivity, ("neg_spep",)),
-        (run_marginal, ("mean_1", "var_1", "mean_sp", "var_sp", "l1_distance")),
+        (run_pod(cfg), ("purity_1", "purity_sp", "neg_12", "neg_spep")),
+        (run_marginal(cfg), ("mean_1", "var_1", "mean_sp", "var_sp", "l1_distance")),
     ]
-    for run, fields in runs:
-        closed, reference = run(cfg), with_williamson_purification(run, cfg)
+    for report, fields in runs:
         for name in fields:
-            gap = np.max(np.abs(getattr(closed, name) - getattr(reference, name)))
-            assert gap <= 1e-10, (run.__name__, name, gap)
+            gap = np.max(np.abs(getattr(report, name) - np.asarray(dense[name])))
+            assert gap <= 1e-10, (name, gap)
+    gap = np.max(np.abs(run_exclusivity(cfg).neg_spep - dense_exclusivity(cfg, williamson_purify)))
+    assert gap <= 1e-10, ("branch neg_spep", gap)
 
 
 def test_rows_that_lose_canonicity_raise():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qbm_structures.structure as structure
 from qbm_structures import (
@@ -208,3 +210,37 @@ def test_irreducibility_rejects_malformed_partition():
 def test_rejects_singular_map():
     with pytest.raises(DomainError):
         StructureMap(np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+
+def test_well_conditioned_small_map_is_accepted():
+    # det = 1e-13, yet T T^-1 = I to roundoff
+    m = StructureMap(0.1 * np.eye(13))
+    assert symplectic_defect(m) < CANONICITY_TOL
+
+
+@pytest.mark.parametrize("T", [[[np.nan, 0.0], [0.0, 1.0]], [[np.inf, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 1.0]]])
+def test_rejects_non_finite_or_singular_map(T):
+    with pytest.raises(DomainError):
+        StructureMap(np.array(T))
+
+
+def test_rejects_an_inaccurate_inverse(monkeypatch):
+    inv = np.linalg.inv
+    monkeypatch.setattr(structure.np.linalg, "inv", lambda a: inv(a) * (1 + 1e-8))
+    with pytest.raises(DomainError, match="canonical lift"):
+        StructureMap(np.array([[2.0, 1.0], [0.5, 3.0]]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.floats(-12.0, 2.0))
+def test_every_accepted_map_has_a_symplectic_lift(seed, n, log_cond):
+    # random T with singular values spread over 10^log_cond .. 1: some are rejected
+    rng = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    T = (U * np.logspace(0.0, log_cond, n)) @ V.T * rng.uniform(0.1, 10.0)
+    try:
+        m = StructureMap(T)
+    except DomainError:
+        return
+    assert symplectic_defect(m) <= 1e-10
