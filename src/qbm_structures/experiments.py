@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -294,6 +294,18 @@ def _block_diag(x: np.ndarray, p: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sampled(times: np.ndarray, sample) -> np.ndarray:
+    """sample(t) at every grid time, stacked; an overflow or NaN inside a sample is a ConditioningError naming t."""
+    out = []
+    for t in times:
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                out.append(sample(t))
+        except FloatingPointError as exc:
+            raise ConditioningError(f"the flow overflowed or went non-finite at t = {t:.6g} ({exc})") from exc
+    return np.array(out)
+
+
 def _first_crossing(times: np.ndarray, values: np.ndarray, threshold: float) -> float:
     """Linear-interpolated first time `values` drops below `threshold` (nan if never)."""
     below = np.nonzero(values < threshold)[0]
@@ -337,8 +349,7 @@ def run_pod(cfg: ScenarioConfig, smap: StructureMap | None = None) -> PODReport:
         purities = purity(world.reduced(rows_1)), purity(world.reduced(rows_sp))
         return purities + (negativity(rows_1), negativity(rows_sp))
 
-    rows = np.array([sample(t) for t in cfg.times])
-    p1, psp, n12, nsp = rows.T
+    p1, psp, n12, nsp = _sampled(cfg.times, sample).T
     return PODReport(
         times=cfg.times,
         purity_1=p1,
@@ -363,9 +374,12 @@ def run_er_check(cfg: ScenarioConfig, smap: StructureMap | None = None) -> ERRep
     if not world.pure_global():
         raise DomainError("entanglement check needs a pure global state; purify the bath")
     splits = (world.particle, world.collective)
-    n12, nsp = np.array(
-        [[world.pure_log_negativity(world.rows(D, s)) for s in splits] for D in map(world.mode_flow, cfg.times)]
-    ).T
+
+    def sample(t: float) -> list[float]:
+        D = world.mode_flow(t)
+        return [world.pure_log_negativity(world.rows(D, s)) for s in splits]
+
+    n12, nsp = _sampled(cfg.times, sample).T
     witnessed = ((n12 < ER_PRODUCT_TOL) & (nsp > ER_WITNESS_THRESHOLD)) | (
         (nsp < ER_PRODUCT_TOL) & (n12 > ER_WITNESS_THRESHOLD)
     )
@@ -414,7 +428,7 @@ def run_exclusivity(cfg: ScenarioConfig, smap: StructureMap | None = None) -> Ex
             raise ConditioningError(f"branch block violates the uncertainty relation (4 det - 1 = {y2!r})")
         return 0.0 if y2 <= bound else float(np.arcsinh(np.sqrt(y2)) / np.log(2.0))
 
-    neg = np.array([sample(t) for t in cfg.times])
+    neg = _sampled(cfg.times, sample)
     excluding = neg > EXCLUSIVITY_THRESHOLD
     return ExclusivityReport(
         times=cfg.times,
@@ -427,7 +441,7 @@ def run_exclusivity(cfg: ScenarioConfig, smap: StructureMap | None = None) -> Ex
 def run_marginal(cfg: ScenarioConfig, smap: StructureMap | None = None) -> MarginalReport:
     """marginal_incompatibility over the whole grid, from one prepared world."""
     world = _prepare(cfg, smap)
-    cols = np.array([_marginal_row(world, t) for t in cfg.times]).T
+    cols = _sampled(cfg.times, partial(_marginal_row, world)).T
     return MarginalReport(cfg.times, *cols)
 
 
@@ -440,7 +454,7 @@ def marginal_incompatibility(
     for the collective coordinate is the forbidden move; the report
     quantifies how wrong it is.  Zero exactly when the map is the identity.
     """
-    return IncompatibilityReport(float(t), *_marginal_row(_prepare(cfg, smap), t))
+    return IncompatibilityReport(float(t), *_sampled([t], partial(_marginal_row, _prepare(cfg, smap)))[0])
 
 
 def _marginal_row(world: _World, t: float) -> tuple[float, float, float, float, float]:
@@ -523,17 +537,14 @@ def run_oracle_compare(
     env = list(range(1, n))
     mode0, env_idx = [0, n], env + [n + i for i in env]
 
-    def gaussian_table() -> np.ndarray:
-        out = []
-        for t in cfg.times:
-            D = world.mode_flow(t)
-            red = world.reduced(world.rows(D, world.particle))
-            r = decoherence_factor(evolve(cat0, world.flow(D)), env)
-            out.append([purity(red), *red.mean, *red.cov.ravel(), r])
-        return np.array(out)
+    def gaussian_row(t: float) -> list[float]:
+        D = world.mode_flow(t)
+        red = world.reduced(world.rows(D, world.particle))
+        r = decoherence_factor(evolve(cat0, world.flow(D)), env)
+        return [purity(red), *red.mean, *red.cov.ravel(), r]
 
     def fock_table(space: fo.FockSpace) -> np.ndarray:
-        evolver = fo.DenseEvolver(fo.build_fock_hamiltonian(params, space))
+        evolver = fo.DenseEvolver(fo.build_fock_hamiltonian(params, space), space)
         psi_plus = fo.gaussian_to_fock(GaussianState(mu_plus, cov0), space)
         psi_minus = fo.gaussian_to_fock(GaussianState(mu_minus, cov0), space)
         env_space = space.subspace(env)
@@ -549,7 +560,7 @@ def run_oracle_compare(
 
     space = fo.FockSpace.for_model(params, cutoffs)
     fock = fock_table(space)
-    delta = np.abs(gaussian_table() - fock)
+    delta = np.abs(_sampled(cfg.times, gaussian_row) - fock)
     drift = float(np.max(np.abs(fock - fock_table(space.bumped(bump))))) if certify else None
     return OracleCompareReport(
         times=cfg.times,

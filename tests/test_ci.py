@@ -1,4 +1,5 @@
-"""The CI workflow runs the Tier-1 command that ROADMAP.md names, verbatim."""
+"""The CI workflow runs the Tier-1 command that ROADMAP.md names, verbatim,
+after certifying the Fock oracle on the oracle-compare workload."""
 
 import re
 from pathlib import Path
@@ -6,6 +7,10 @@ from pathlib import Path
 import yaml
 
 ROOT = Path(__file__).resolve().parent.parent
+CERTIFY = (
+    "PYTHONPATH=src python -m qbm_structures.cli perfbench/workloads/oracle-compare.ini"
+    " --set oracle.certify=true --output /tmp/oc.csv"
+)
 
 
 def test_tier1_workflow_runs_the_roadmap_command():
@@ -20,5 +25,6 @@ def test_tier1_workflow_runs_the_roadmap_command():
     roadmap = (ROOT / "ROADMAP.md").read_text(encoding="utf-8")
     (tier1,) = re.findall(r"\*\*Tier-1 verify:\*\* `([^`]+)`", roadmap)
     assert commands[-1] == tier1
+    assert commands[-2] == CERTIFY  # certification at the default bump, on the unchanged workload config
     for package in ("numpy", "scipy", "pytest", "hypothesis", "mpmath", "pyyaml"):
         assert package in commands[0].split()

@@ -382,13 +382,16 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("kind", ["marginal", "er", "exclusivity"])
-def test_overflowed_flow_exits_2(tmp_path, kind):
+@pytest.mark.parametrize("kind", ["pod", "marginal", "er", "exclusivity"])
+def test_overflowed_flow_exits_2(tmp_path, capsys, kind):
     # the default free particle is unstable: by t = 1000 its mode-0 rows
-    # overflow and their canonicity product is NaN.  A separate process keeps
-    # the overflow warnings on their way to stderr rather than raising them.
-    path = _write_config(tmp_path, f"[scenario]\nkind = {kind}\n[times]\nt_max = 1000\n")
-    argv = [sys.executable, "-m", "qbm_structures.cli", str(path), "--output", str(tmp_path / "out.csv")]
-    out = subprocess.run(argv, env=_package_env(), capture_output=True, text=True)
-    assert out.returncode == 2
-    assert "lost canonicity" in out.stderr
+    # outgrow the floats, and by t = 2e4 the cosh of its closed-form flow
+    # does.  The suite raises every RuntimeWarning, so an overflow must
+    # surface as a ConditioningError and never as a warning.
+    for t_max in (1000, 1e6):
+        path = _write_config(tmp_path, f"[scenario]\nkind = {kind}\n[times]\nt_max = {t_max}\n")
+        assert main([str(path), "--output", str(tmp_path / "out.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("conditioning error: ")
+        if kind != "pod" or t_max > 1000:  # pod's covariance degenerates before its rows overflow
+            assert "the flow overflowed or went non-finite at t = " in err

@@ -132,7 +132,7 @@ def test_pod_matches_fock_oracle_n2():
     comp = collective_mode_map(H, params.masses)
     space = fo.FockSpace.for_model(params, (14, 12, 12))
     psi0 = fo.gaussian_to_fock(dense_initial(cfg), space)
-    evolver = fo.DenseEvolver(fo.build_fock_hamiltonian(params, space))
+    evolver = fo.DenseEvolver(fo.build_fock_hamiltonian(params, space), space)
 
     for i, t in enumerate(times):
         ft = evolver.propagate(psi0, t)
@@ -439,6 +439,30 @@ def test_oracle_compare_charges_each_moment_to_its_delta(monkeypatch, planted):
     for name in ("delta_purity", "delta_mean", "delta_cov", "delta_decoherence"):
         expected = 1e-3 if name == planted else 0.0
         assert np.abs(getattr(rep, name) - expected).max() < 1e-6, name
+
+
+def test_oracle_compare_diagonalises_per_parity_sector(monkeypatch):
+    # on the benchmark's oracle-compare model (dimension 1000) no eigh sees more
+    # than one excitation-parity sector of the Fock space
+    from qbm_structures import cli
+
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads", "oracle-compare.ini")
+    with open(path, encoding="utf-8") as fh:
+        run_cfg = cli.parse_config(fh.read())
+    scenario = cli.build_scenario(run_cfg)
+    dim = fo.FockSpace.for_model(scenario.model, run_cfg.cutoff).dim
+    sizes = []
+    real_eigh = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        sizes.append(np.shape(a)[-1])
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(fo.np.linalg, "eigh", spy)
+    run_oracle_compare(scenario, run_cfg.cutoff)
+    assert dim == 1000
+    assert max(sizes) <= -(-dim // 2)
+    assert sorted(sizes)[-2:] == [dim // 2, dim // 2]
 
 
 def test_oracle_compare_rejects_large_or_warm_runs():

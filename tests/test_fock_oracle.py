@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.special
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qbm_structures import (
     ConditioningError,
@@ -162,15 +164,59 @@ def test_swapped_factor_order_is_caught(monkeypatch):
     assert np.abs(build_fock_hamiltonian(FACTOR_PARAMS[0], space) - ref).max() > 1e-3
 
 
-def test_real_eigenvector_propagation_equals_complex_route():
+def parity_model(cutoffs, rng):
+    """A random model Hamiltonian on len(cutoffs) modes: one oscillator alone, or a particle + bath."""
+    if len(cutoffs) == 1:
+        m, w = rng.uniform(0.5, 2.0, 2)
+        space = FockSpace(tuple(cutoffs), (m,), (w,))
+        (x,), (p,) = fo._mode_quadratures(space)
+        return fo._kron(space, {0: (p @ p).real / (2 * m) + 0.5 * m * w**2 * (x @ x)}), space
+    potential = "harmonic" if rng.random() < 0.5 else "free"
+    params = ModelParams(
+        m1=rng.uniform(0.5, 2.0),
+        bath=tuple((*rng.uniform(0.5, 2.0, 2), rng.uniform(-0.4, 0.4)) for _ in cutoffs[1:]),
+        potential=potential,
+        omega=rng.uniform(0.5, 2.0) if potential == "harmonic" else None,
+        coupling_sign=int(rng.choice([-1, 1])),
+    )
+    space = FockSpace.for_model(params, tuple(cutoffs))
+    return build_fock_hamiltonian(params, space), space
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 7), min_size=1, max_size=3), st.integers(0, 2**32 - 1))
+@example([1], 0)  # one basis state: the odd sector is empty
+@example([5], 1)  # sectors of 3 and 2
+@example([3, 1, 4], 2)  # a cutoff-1 mode among coupled ones, sectors of 6 and 6
+@example([7, 5, 3], 3)  # sectors of 53 and 52
+def test_real_eigenvector_propagation_equals_complex_route(cutoffs, seed):
+    # the per-sector real eigenvectors give the propagator of one complex eigh of the full H
+    rng = np.random.default_rng(seed)
+    H, space = parity_model(cutoffs, rng)
+    evolver = DenseEvolver(H, space)
+    psi = random_state(space, seed)
+    energies, V = np.linalg.eigh(H.astype(complex))
+    for t in (0.0, 0.7, 5.3):
+        expected = V @ (np.exp(-1j * energies * t) * (V.conj().T @ psi.amplitudes))
+        assert np.abs(evolver.propagate(psi, t).amplitudes - expected).max() < 1e-12
+
+
+def test_dense_evolver_rejects_parity_coupling_and_foreign_states():
     params = FACTOR_PARAMS[0]
     space = FockSpace.for_model(params, FACTOR_CUTOFFS)
-    evolver = DenseEvolver(build_fock_hamiltonian(params, space))
-    psi = random_state(space, 1)
-    V = evolver.vectors.astype(complex)
-    for t in (0.0, 0.7, 5.3):
-        expected = V @ (np.exp(-1j * evolver.energies * t) * (V.conj().T @ psi.amplitudes))
-        assert np.abs(evolver.propagate(psi, t).amplitudes - expected).max() < 1e-12
+    H = build_fock_hamiltonian(params, space)
+    drive = fo._kron(space, {0: fo._x_matrix(FACTOR_CUTOFFS[0], space.masses[0], space.frequencies[0])})
+    with pytest.raises(DomainError, match="parity"):
+        DenseEvolver(H + drive, space)  # a linear drive flips the excitation parity
+
+    pair = ModelParams(m1=1.0, bath=((1.0, 1.2, 0.1),), potential="harmonic", omega=1.0)
+    space = FockSpace.for_model(pair, (10, 12))
+    evolver = DenseEvolver(build_fock_hamiltonian(pair, space), space)
+    foreign = random_state(FockSpace.for_model(pair, (12, 10)), 0)
+    with pytest.raises(DomainError):
+        evolver.propagate(foreign, 1.0)
+    with pytest.raises(DomainError):
+        DenseEvolver(np.eye(5), space)
 
 
 def test_space_cap_enforced():
@@ -206,7 +252,7 @@ def test_evolve_dense_zero_time_and_eigenstate():
     space = FockSpace.for_model(params, 8)
     H = build_fock_hamiltonian(params, space)
     psi = basis_state(space, (2, 1))
-    evolver = DenseEvolver(H)
+    evolver = DenseEvolver(H, space)
     assert np.allclose(evolver.propagate(psi, 0.0).amplitudes, psi.amplitudes)
     out = evolver.propagate(psi, 1.3)
     assert np.abs(np.abs(out.amplitudes) - np.abs(psi.amplitudes)).max() < 1e-10
@@ -223,7 +269,7 @@ def test_coherent_state_stays_coherent_under_harmonic():
         coherent_state(1, 0, alpha * np.sqrt(2), 0.0), coherent_state(1, 0, 0.0, 0.0)
     )
     psi0 = gaussian_to_fock(g0, space)
-    evolver = DenseEvolver(H)
+    evolver = DenseEvolver(H, space)
     Hg = build_qbm_hamiltonian(params)
     for t in (0.9, 2.7):
         predicted = gaussian_to_fock(evolve(g0, propagator(Hg, t)), space)
@@ -402,7 +448,7 @@ def test_mode_transform_unitary_matches_gaussian_route():
         coherent_state(1, 0, 1.0, 0.2, 1.2, 1.0), thermal_state([(0.9, 1.3)], 0.0)
     )
     f0 = gaussian_to_fock(g0, space)
-    evolver = DenseEvolver(build_fock_hamiltonian(params, space))
+    evolver = DenseEvolver(build_fock_hamiltonian(params, space), space)
     t = 1.9
     ft = evolver.propagate(f0, t)
     alt = evolve(evolve(g0, propagator(H, t)), comp.lift)
@@ -424,7 +470,8 @@ def test_fock_state_norm_validation():
 
 
 def test_dense_evolver_rejects_non_hermitian():
+    space = FockSpace((2,), (1.0,), (1.0,))
     with pytest.raises(DomainError):
-        DenseEvolver(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        DenseEvolver(np.array([[0.0, 1.0], [0.0, 0.0]]), space)
     with pytest.raises(DomainError):  # eigenvectors are kept real
-        DenseEvolver(np.array([[0.0, 1j], [-1j, 0.0]]))
+        DenseEvolver(np.array([[0.0, 1j], [-1j, 0.0]]), space)
