@@ -234,71 +234,41 @@ def run(cfg: RunConfig) -> int:
         scenario = build_scenario(cfg)
         if cfg.kind == "pod":
             rep = ex.run_pod(scenario)
-            _write_csv(
-                cfg.output,
-                ["t", "purity_1", "purity_Sp", "neg_12", "neg_SpEp"],
-                np.column_stack([rep.times, rep.purity_1, rep.purity_sp, rep.neg_12, rep.neg_spep]),
-            )
-            print(
-                "pod: min purity_1 = {:.6g}, min purity_Sp = {:.6g}, "
-                "half-times t1 = {}, tSp = {}{}".format(
-                    rep.purity_1.min(),
-                    rep.purity_sp.min(),
-                    _fmt_time(rep.half_time_1),
-                    _fmt_time(rep.half_time_sp),
-                    " (recurrences flagged)" if rep.recurrence_1 or rep.recurrence_sp else "",
-                )
-            )
+            columns = {"purity_1": rep.purity_1, "purity_Sp": rep.purity_sp}
+            columns |= {"neg_12": rep.neg_12, "neg_SpEp": rep.neg_spep}
+            summary = (
+                f"pod: min purity_1 = {rep.purity_1.min():.6g}, min purity_Sp = {rep.purity_sp.min():.6g}, "
+                f"half-times t1 = {_fmt_time(rep.half_time_1)}, tSp = {_fmt_time(rep.half_time_sp)}"
+            ) + (" (recurrences flagged)" if rep.recurrence_1 or rep.recurrence_sp else "")
         elif cfg.kind == "er":
             rep = ex.run_er_check(scenario)
-            _write_csv(
-                cfg.output,
-                ["t", "neg_12", "neg_SpEp", "witnessed"],
-                np.column_stack([rep.times, rep.neg_12, rep.neg_spep, rep.witnessed.astype(float)]),
-            )
-            print(
+            columns = {"neg_12": rep.neg_12, "neg_SpEp": rep.neg_spep, "witnessed": rep.witnessed.astype(float)}
+            summary = (
                 f"er: witnessed at {int(rep.witnessed.sum())} of {rep.times.size} instants "
                 f"(product tol {ex.ER_PRODUCT_TOL:g}, witness threshold {ex.ER_WITNESS_THRESHOLD:g})"
             )
         elif cfg.kind == "exclusivity":
             rep = ex.run_exclusivity(scenario)
-            _write_csv(
-                cfg.output,
-                ["t", "neg_SpEp_branch", "excluding"],
-                np.column_stack([rep.times, rep.neg_spep, rep.excluding.astype(float)]),
-            )
+            columns = {"neg_SpEp_branch": rep.neg_spep, "excluding": rep.excluding.astype(float)}
             margin = np.min(np.abs(rep.neg_spep - ex.EXCLUSIVITY_THRESHOLD))
-            print(
+            summary = (
                 f"exclusivity: flagged fraction {rep.flagged_fraction:.4f} "
                 f"over {rep.times.size} instants (threshold {ex.EXCLUSIVITY_THRESHOLD:g}, min margin {margin:.3g})"
             )
         elif cfg.kind == "marginal":
             rep = ex.run_marginal(scenario)
-            _write_csv(
-                cfg.output,
-                ["t", "l1_distance", "mean_1", "var_1", "mean_Sp", "var_Sp"],
-                np.column_stack([rep.times, rep.l1_distance, rep.mean_1, rep.var_1, rep.mean_sp, rep.var_sp]),
-            )
-            print(f"marginal: L1 distance min {rep.l1_distance.min():.6g}, max {rep.l1_distance.max():.6g}")
+            columns = {"l1_distance": rep.l1_distance, "mean_1": rep.mean_1, "var_1": rep.var_1}
+            columns |= {"mean_Sp": rep.mean_sp, "var_Sp": rep.var_sp}
+            summary = f"marginal: L1 distance min {rep.l1_distance.min():.6g}, max {rep.l1_distance.max():.6g}"
         else:
             rep = ex.run_oracle_compare(scenario, cfg.cutoff, certify=cfg.certify, bump=cfg.bump)
-            max_col = np.max(
-                np.column_stack([rep.delta_purity, rep.delta_mean, rep.delta_cov, rep.delta_decoherence]),
-                axis=1,
-            )
-            _write_csv(
-                cfg.output,
-                ["t", "delta_purity", "delta_mean", "delta_cov", "delta_decoherence", "max_abs_delta"],
-                np.column_stack(
-                    [rep.times, rep.delta_purity, rep.delta_mean, rep.delta_cov, rep.delta_decoherence, max_col]
-                ),
-            )
-            cert = (
-                f", certification drift {rep.certification_delta:.3e}"
-                if rep.certification_delta is not None
-                else ""
-            )
-            print(f"oracle-compare: max |delta| = {rep.max_abs_delta:.3e}{cert}")
+            columns = {"delta_purity": rep.delta_purity, "delta_mean": rep.delta_mean, "delta_cov": rep.delta_cov}
+            columns["delta_decoherence"] = rep.delta_decoherence
+            columns["max_abs_delta"] = np.max(np.column_stack(list(columns.values())), axis=1)
+            cert = "" if rep.certification_delta is None else f", certification drift {rep.certification_delta:.3e}"
+            summary = f"oracle-compare: max |delta| = {rep.max_abs_delta:.3e}{cert}"
+        _write_csv(cfg.output, ["t", *columns], np.column_stack([rep.times, *columns.values()]))
+        print(summary)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -9,20 +9,22 @@ the global state stays pure; ancillas never evolve and count as part of the
 environment side of every bipartition.
 
 The model is diagonalised once per run (structure.normal_modes); written in
-its normal modes it is decoupled, so gaussian.propagator moves every mode in
-closed form and no scenario exponentiates a generator.
+its normal modes it is decoupled, so every mode flows in closed form
+(gaussian._decoupled_flow) and no scenario exponentiates a generator.
 A split enters only through its mode-0 rows (X = sum m_i x_i / M and
 P = sum p_i for the collective one): two maps that share them differ by
 I (+) D, local on the rest, which changes no mode-0 diagnostic.  So every
 diagnostic uses only mode-0 rows of the flow; only the cat state of
 run_oracle_compare (at most three modes) forms the dense flow.
+er, exclusivity and marginal evaluate blocks of the time grid at once
+(_World.split_rows); pod and oracle-compare build D(t) once per sample.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +35,8 @@ from .gaussian import (
     UNCERTAINTY_TOL,
     GaussianState,
     _ancilla_nus,
+    _check_uncertainty,
+    _decoupled_flow,
     _thermal_widths,
     cat_state,
     decoherence_factor,
@@ -46,6 +50,7 @@ from .structure import StructureMap, cm_relative_map, normal_modes
 ER_PRODUCT_TOL = 1e-8
 ER_WITNESS_THRESHOLD = 1e-3
 EXCLUSIVITY_THRESHOLD = 1e-3
+_BLOCK = 16  # grid times per stacked evaluation: per-block arrays stay O(_BLOCK N)
 
 PARTICLE_STATE_COHERENT = "coherent"
 
@@ -139,27 +144,27 @@ class OracleCompareReport:
 
     @property
     def max_abs_delta(self) -> float:
-        return float(
-            max(
-                np.max(self.delta_purity),
-                np.max(self.delta_mean),
-                np.max(self.delta_cov),
-                np.max(self.delta_decoherence),
-            )
-        )
+        return float(np.max([self.delta_purity, self.delta_mean, self.delta_cov, self.delta_decoherence]))
 
 
 # ---------------------------------------------------------------------------
 # shared scaffolding
 
 
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum(a * b) over the last axis, as the one BLAS dot that np.dot takes for a single row."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def _check_conjugate(rows: np.ndarray) -> None:
-    """Rows g_x, g_p of a symplectic matrix must satisfy g_x^T Omega g_p = 1."""
-    n = rows.shape[1] // 2
-    product = rows[0, :n] @ rows[1, n:] - rows[0, n:] @ rows[1, :n]
-    scale = max(1.0, float(np.linalg.norm(rows[0]) * np.linalg.norm(rows[1])))
-    if not abs(product - 1.0) <= UNCERTAINTY_TOL * scale:  # NaN rows fail too
-        raise ConditioningError(f"mode-0 rows lost canonicity (g_x^T Omega g_p = {product!r})")
+    """Rows g_x, g_p (axis -2) of a symplectic matrix must satisfy g_x^T Omega g_p = 1."""
+    n = rows.shape[-1] // 2
+    g_x, g_p = np.moveaxis(rows, -2, 0)
+    product = _rowdot(g_x[..., :n], g_p[..., n:]) - _rowdot(g_x[..., n:], g_p[..., :n])
+    scale = np.maximum(1.0, np.sqrt(_rowdot(g_x, g_x)) * np.sqrt(_rowdot(g_p, g_p)))
+    bad = np.ravel(~(np.abs(product - 1.0) <= UNCERTAINTY_TOL * scale))  # NaN rows fail too
+    if np.any(bad):
+        raise ConditioningError(f"mode-0 rows lost canonicity (g_x^T Omega g_p = {np.ravel(product)[bad][0]!r})")
 
 
 @dataclass(frozen=True)
@@ -172,7 +177,9 @@ class _World:
     p = M V pi over the physical modes, so S(t) = P^-1 D(t) P with
     P = diag((M V)^T, V^T) and D(t) = propagator(normal, t).  A split is the
     2 x 2n normal-mode coefficients of its mode-0 x and p; `rows` turns them
-    into the mode-0 rows of its flow in O(N^2).
+    into the mode-0 rows of its flow from a dense D(t), `split_rows` for both
+    splits on a block of times (pod and oracle-compare stay on `mode_flow`
+    while the perfbench tracer test pins a propagator call per pod sample).
     """
 
     config: ScenarioConfig
@@ -203,6 +210,22 @@ class _World:
         _check_conjugate(rows)
         return rows
 
+    def split_rows(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`rows` of the particle and the collective split at every time: two (n_t, 2, 2n) stacks.
+
+        D(t) is 2 x 2 per normal mode: the splits' coefficients times the closed-form (n_t, N) c and s,
+        then one product per x/p block of to_modes, stacked per time so that no product mixes two times.
+        """
+        n = self.n_phys
+        a, b = np.diagonal(self.normal.K).reshape(2, n)
+        c, s = (f[:, None] for f in _decoupled_flow(a, b, times))
+        q, pi = np.hsplit(np.vstack([self.particle, self.collective]), 2)
+        rows_x = (q * c - pi * (a * s)) @ self.to_modes[:n, :n]
+        rows_p = (q * (b * s) + pi * c) @ self.to_modes[n:, n:]
+        rows = np.concatenate([rows_x, rows_p], axis=-1).reshape(len(times), 2, 2, 2 * n)
+        _check_conjugate(rows)
+        return rows[:, 0], rows[:, 1]
+
     @cached_property
     def _squeeze(self) -> np.ndarray:
         """lift's factors per mode: [[cosh r, sinh r] sqrt(a / nu), [cosh r, -sinh r] sqrt(b / nu)]."""
@@ -220,14 +243,14 @@ class _World:
         sinh r p0_anc) over vacuum coordinates z0; nu < 1/2 + 1e-12 takes an
         unsqueezed ancilla, as in gaussian.purify.  O(N) per row.
         """
-        return (rows.reshape(-1, 2, 1, self.n_phys) * self._squeeze).reshape(len(rows), -1)
+        return (rows.reshape(*rows.shape[:-1], 2, 1, self.n_phys) * self._squeeze).reshape(*rows.shape[:-1], -1)
 
     def reduced(self, rows: np.ndarray) -> GaussianState:
         """Mode-0 state of the split whose rows are given."""
         return GaussianState(rows @ self.mean, (rows * self.var) @ rows.T)
 
-    def pure_log_negativity(self, rows: np.ndarray) -> float:
-        """1|rest log-negativity from the split's rows; pure global states only.
+    def pure_log_negativity(self, rows: np.ndarray) -> np.ndarray:
+        """1|rest log-negativity from the split's rows (axis -2); pure global states only.
 
         With g = lift(rows), rows of G = S(t) S0, and z = (x part) + i (p part)
         of each row of g, |z1|^2 |z2|^2 - |z1^H z2|^2 = 4 nu^2 - 1 for the mode-0
@@ -238,10 +261,12 @@ class _World:
         """
         g = self.lift(rows)
         _check_conjugate(g)
-        z1, z2 = g[:, : 2 * self.n_phys] + 1j * g[:, 2 * self.n_phys :]
-        z2_perp = z2 - z1 * (np.vdot(z1, z2) / np.vdot(z1, z1).real)
-        neg = float(np.arcsinh(np.linalg.norm(z1) * np.linalg.norm(z2_perp)) / np.log(2.0))
-        return 0.0 if neg < NEGATIVITY_FLOOR else neg
+        z1, z2 = np.moveaxis(g[..., : 2 * self.n_phys] + 1j * g[..., 2 * self.n_phys :], -2, 0)
+        z2_perp = z2 - z1 * (_rowdot(z1.conj(), z2) / _rowdot(z1.conj(), z1).real)[..., None]
+        # each norm summed as np.linalg.norm sums one complex vector
+        n1, n2 = (np.sqrt(_rowdot(z.real, z.real) + _rowdot(z.imag, z.imag)) for z in (z1, z2_perp))
+        neg = np.arcsinh(n1 * n2) / np.log(2.0)
+        return np.where(neg < NEGATIVITY_FLOOR, 0.0, neg)
 
     def mixed_log_negativity(self, rows: np.ndarray) -> float:
         """1|rest log-negativity from the split's rows g_x, g_p; unpurified global states.
@@ -255,6 +280,15 @@ class _World:
         spectrum = np.linalg.eigvals((symplectic_form(self.n_phys) + R) * self.var)
         terms = -np.log2(2 * np.sort(np.abs(spectrum))[::2])
         return float(np.sum(terms[terms >= NEGATIVITY_FLOOR]))
+
+    def marginal(self, times: np.ndarray) -> np.ndarray:
+        """Per time: mean and variance of mode-0 x in each split, then their L1 distance."""
+        cols = []
+        for rows in self.split_rows(times):
+            cov = (rows * self.var) @ rows.swapaxes(-1, -2)
+            _check_uncertainty(cov)
+            cols += [(rows @ self.mean)[:, 0], cov[:, 0, 0]]
+        return np.column_stack(cols + [[gaussian_l1_distance(*m) for m in zip(*cols)]])
 
     def pure_global(self) -> bool:
         return self.config.bath_temperature == 0.0 or self.config.purified
@@ -294,16 +328,23 @@ def _block_diag(x: np.ndarray, p: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sampled(times: np.ndarray, sample) -> np.ndarray:
-    """sample(t) at every grid time, stacked; an overflow or NaN inside a sample is a ConditioningError naming t."""
+def _sampled(times: np.ndarray, evaluate) -> np.ndarray:
+    """evaluate(block) on consecutive _BLOCK-time blocks of the grid, concatenated, each under one errstate.
+
+    An overflow or NaN names the block's first time that fails alone: no evaluation mixes two times.
+    """
     out = []
-    for t in times:
+    for start in range(0, len(times), _BLOCK):
+        block = times[start : start + _BLOCK]
         try:
             with np.errstate(over="raise", invalid="raise"):
-                out.append(sample(t))
+                out.append(np.asarray(evaluate(block)))
         except FloatingPointError as exc:
-            raise ConditioningError(f"the flow overflowed or went non-finite at t = {t:.6g} ({exc})") from exc
-    return np.array(out)
+            if len(block) > 1:  # the first time that fails on its own raises here
+                for i in range(len(block)):
+                    _sampled(block[i : i + 1], evaluate)
+            raise ConditioningError(f"the flow overflowed or went non-finite at t = {block[0]:.6g} ({exc})") from exc
+    return np.concatenate(out)
 
 
 def _first_crossing(times: np.ndarray, values: np.ndarray, threshold: float) -> float:
@@ -349,7 +390,7 @@ def run_pod(cfg: ScenarioConfig, smap: StructureMap | None = None) -> PODReport:
         purities = purity(world.reduced(rows_1)), purity(world.reduced(rows_sp))
         return purities + (negativity(rows_1), negativity(rows_sp))
 
-    p1, psp, n12, nsp = _sampled(cfg.times, sample).T
+    p1, psp, n12, nsp = _sampled(cfg.times, lambda block: [sample(t) for t in block]).T
     return PODReport(
         times=cfg.times,
         purity_1=p1,
@@ -373,13 +414,9 @@ def run_er_check(cfg: ScenarioConfig, smap: StructureMap | None = None) -> ERRep
     world = _prepare(cfg, smap)
     if not world.pure_global():
         raise DomainError("entanglement check needs a pure global state; purify the bath")
-    splits = (world.particle, world.collective)
-
-    def sample(t: float) -> list[float]:
-        D = world.mode_flow(t)
-        return [world.pure_log_negativity(world.rows(D, s)) for s in splits]
-
-    n12, nsp = _sampled(cfg.times, sample).T
+    n12, nsp = _sampled(
+        cfg.times, lambda block: np.column_stack([world.pure_log_negativity(r) for r in world.split_rows(block)])
+    ).T
     witnessed = ((n12 < ER_PRODUCT_TOL) & (nsp > ER_WITNESS_THRESHOLD)) | (
         (nsp < ER_PRODUCT_TOL) & (n12 > ER_WITNESS_THRESHOLD)
     )
@@ -403,7 +440,7 @@ def run_exclusivity(cfg: ScenarioConfig, smap: StructureMap | None = None) -> Ex
     red = r_A W r_A^T + g_b g_b^T / 2 - c (g_a g_a^T / 2 + W)^-1 c^T,
     c = g_b g_a^T / 2.  Its last two terms are h h^T / 2, h = [g_b, 0]
     projected off the rows of [g_a, sqrt(2 W)]; the orthonormal projection
-    does not cancel as g_a grows (an unstable particle).  O(N^2) per sample.
+    does not cancel as g_a grows (an unstable particle).  O(N^2) per sample, stacked over grid blocks.
     """
     world = _prepare(cfg, smap)
     if not world.pure_global():
@@ -412,23 +449,24 @@ def run_exclusivity(cfg: ScenarioConfig, smap: StructureMap | None = None) -> Ex
     r_a = world.rows(np.eye(2 * n), world.collective)[:, [0, n]]
     base = r_a @ W @ r_a.T
 
-    def sample(t: float) -> float:
-        D = world.mode_flow(t)
-        rows_1 = world.rows(D, world.particle)
-        g_b = world.lift(world.rows(D, world.collective) - r_a @ rows_1)
-        basis = np.linalg.qr(np.hstack([world.lift(rows_1), np.sqrt(2 * W)]).T)[0]
-        h = np.hstack([g_b, np.zeros((2, 2))])
-        h -= (h @ basis) @ basis.T
-        red = base + 0.5 * h @ h.T
-        y2 = 4.0 * (red[0, 0] * red[1, 1] - red[0, 1] * red[1, 0]) - 1.0
+    def branch_negativity(times: np.ndarray) -> np.ndarray:
+        rows_1, rows_sp = world.split_rows(times)
+        g_b = world.lift(rows_sp - r_a @ rows_1)
+        span = np.concatenate([world.lift(rows_1), np.broadcast_to(np.sqrt(2 * W), (len(times), 2, 2))], axis=-1)
+        basis = np.linalg.qr(span.swapaxes(-1, -2))[0]
+        h = np.concatenate([g_b, np.zeros((len(times), 2, 2))], axis=-1)
+        h -= (h @ basis) @ basis.swapaxes(-1, -2)
+        red = base + 0.5 * h @ h.swapaxes(-1, -2)
+        y2 = 4.0 * (red[:, 0, 0] * red[:, 1, 1] - red[:, 0, 1] * red[:, 1, 0]) - 1.0
         # red sums h.size/2-term products of size up to `size`: y2 within that roundoff is 0
-        size = np.max(np.abs(base) + 0.5 * np.abs(g_b) @ np.abs(g_b).T)
-        bound = 4 * h.size * np.finfo(float).eps * size * np.max(np.abs(red))
-        if y2 < -bound:
-            raise ConditioningError(f"branch block violates the uncertainty relation (4 det - 1 = {y2!r})")
-        return 0.0 if y2 <= bound else float(np.arcsinh(np.sqrt(y2)) / np.log(2.0))
+        size = np.max(np.abs(base) + 0.5 * np.abs(g_b) @ np.abs(g_b).swapaxes(-1, -2), axis=(1, 2))
+        bound = 4 * h[0].size * np.finfo(float).eps * size * np.max(np.abs(red), axis=(1, 2))
+        if np.any(y2 < -bound):
+            bad = y2[y2 < -bound][0]
+            raise ConditioningError(f"branch block violates the uncertainty relation (4 det - 1 = {bad!r})")
+        return np.arcsinh(np.sqrt(np.where(y2 > bound, y2, 0.0))) / np.log(2.0)
 
-    neg = _sampled(cfg.times, sample)
+    neg = _sampled(cfg.times, branch_negativity)
     excluding = neg > EXCLUSIVITY_THRESHOLD
     return ExclusivityReport(
         times=cfg.times,
@@ -441,29 +479,17 @@ def run_exclusivity(cfg: ScenarioConfig, smap: StructureMap | None = None) -> Ex
 def run_marginal(cfg: ScenarioConfig, smap: StructureMap | None = None) -> MarginalReport:
     """marginal_incompatibility over the whole grid, from one prepared world."""
     world = _prepare(cfg, smap)
-    cols = _sampled(cfg.times, partial(_marginal_row, world)).T
-    return MarginalReport(cfg.times, *cols)
+    return MarginalReport(cfg.times, *_sampled(cfg.times, world.marginal).T)
 
 
-def marginal_incompatibility(
-    cfg: ScenarioConfig, t: float, smap: StructureMap | None = None
-) -> IncompatibilityReport:
+def marginal_incompatibility(cfg: ScenarioConfig, t: float, smap: StructureMap | None = None) -> IncompatibilityReport:
     """L1 distance between the collective mode's position density and the relabeled particle density.
 
     Treating the particle's reduced position density as if it were a density
     for the collective coordinate is the forbidden move; the report
     quantifies how wrong it is.  Zero exactly when the map is the identity.
     """
-    return IncompatibilityReport(float(t), *_sampled([t], partial(_marginal_row, _prepare(cfg, smap)))[0])
-
-
-def _marginal_row(world: _World, t: float) -> tuple[float, float, float, float, float]:
-    D = world.mode_flow(t)
-    red1 = world.reduced(world.rows(D, world.particle))
-    redsp = world.reduced(world.rows(D, world.collective))
-    mean_1, var_1 = float(red1.mean[0]), float(red1.cov[0, 0])
-    mean_sp, var_sp = float(redsp.mean[0]), float(redsp.cov[0, 0])
-    return mean_1, var_1, mean_sp, var_sp, gaussian_l1_distance(mean_1, var_1, mean_sp, var_sp)
+    return IncompatibilityReport(float(t), *_sampled(np.array([float(t)]), _prepare(cfg, smap).marginal)[0])
 
 
 def gaussian_l1_distance(mean_a: float, var_a: float, mean_b: float, var_b: float) -> float:
@@ -560,7 +586,7 @@ def run_oracle_compare(
 
     space = fo.FockSpace.for_model(params, cutoffs)
     fock = fock_table(space)
-    delta = np.abs(_sampled(cfg.times, gaussian_row) - fock)
+    delta = np.abs(_sampled(cfg.times, lambda block: [gaussian_row(t) for t in block]) - fock)
     drift = float(np.max(np.abs(fock - fock_table(space.bumped(bump))))) if certify else None
     return OracleCompareReport(
         times=cfg.times,

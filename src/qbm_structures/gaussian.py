@@ -45,11 +45,7 @@ class GaussianState:
         if np.max(np.abs(cov - cov.T)) > UNCERTAINTY_TOL * sym_scale:
             raise DomainError("covariance is not symmetric")
         cov = (cov + cov.T) / 2
-        # tolerance scales with the covariance norm so that unstable (unconfined)
-        # evolutions remain representable in double precision
-        scale = max(1.0, float(np.max(np.abs(cov))))
-        if np.linalg.eigvalsh(cov + 0.5j * symplectic_form(mean.size // 2)).min() < -UNCERTAINTY_TOL * scale:
-            raise DomainError("covariance violates the uncertainty relation")
+        _check_uncertainty(cov)
         mean.flags.writeable = False
         cov.flags.writeable = False
         object.__setattr__(self, "mean", mean)
@@ -58,6 +54,13 @@ class GaussianState:
     @property
     def n_modes(self) -> int:
         return self.mean.size // 2
+
+
+def _check_uncertainty(cov: np.ndarray) -> None:
+    """cov + i Omega / 2 >= 0 for a covariance or a stack; the tolerance grows with the entries (unstable runs)."""
+    least = np.linalg.eigvalsh(cov + 0.5j * symplectic_form(cov.shape[-1] // 2)).min(axis=-1)
+    if np.any(least < -UNCERTAINTY_TOL * np.maximum(1.0, np.max(np.abs(cov), axis=(-2, -1)))):
+        raise DomainError("covariance violates the uncertainty relation")
 
 
 @dataclass(frozen=True)
@@ -318,13 +321,8 @@ def purify(state: GaussianState) -> GaussianState:
 def propagator(H: QuadraticHamiltonian, t: float) -> np.ndarray:
     """Exact phase-space flow S(t) = exp(Omega K t).
 
-    A decoupled generator (diagonal K, as for a model written in its normal
-    modes) flows in closed form per mode at O(N^2): with a = K_xx, b = K_pp
-    of a mode, x(t) = c x0 + b s p0 and p(t) = -a s x0 + c p0, where
-    (c, s) = (cos, sin/Omega) of Omega t for ab = Omega^2 > 0, (1, t) for
-    ab = 0, and (cosh, sinh/gamma) of gamma t for ab = -gamma^2 < 0
-    (unstable modes).  Any other K, including position-momentum terms, takes
-    Pade scaling-and-squaring.
+    A decoupled generator (diagonal K, as for a model written in its normal modes) flows in
+    closed form per mode (_decoupled_flow); any other K takes Pade scaling-and-squaring.
     """
     K, n = H.K, H.n_modes
     d = np.diagonal(K)
@@ -333,19 +331,25 @@ def propagator(H: QuadraticHamiltonian, t: float) -> np.ndarray:
 
         return scipy.linalg.expm(symplectic_form(n) @ K * t)
     a, b = d[:n], d[n:]
+    c, s = _decoupled_flow(a, b, t)
+    return np.block([[np.diag(c), np.diag(b * s)], [np.diag(-(a * s)), np.diag(c)]])
+
+
+def _decoupled_flow(a: np.ndarray, b: np.ndarray, times) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form flow (c, s) of decoupled modes with K_xx = a, K_pp = b, shaped times.shape + a.shape.
+
+    x(t) = c x0 + b s p0 and p(t) = -a s x0 + c p0, where (c, s) = (cos, sin/Omega) of Omega t for
+    ab = Omega^2 > 0, (1, t) for ab = 0, and (cosh, sinh/gamma) of gamma t for ab = -gamma^2 < 0.
+    """
+    t = np.asarray(times, dtype=float)[..., None]
     ab = a * b
-    c = np.ones(n)
-    s = np.full(n, float(t))
     root = np.sqrt(np.abs(ab))
+    c = np.ones(t.shape[:-1] + a.shape)
+    s = c * t
     for mask, cos, sin in ((ab > 0, np.cos, np.sin), (ab < 0, np.cosh, np.sinh)):
-        c[mask] = cos(root[mask] * t)
-        s[mask] = sin(root[mask] * t) / root[mask]
-    S = np.zeros((2 * n, 2 * n))
-    i = np.arange(n)
-    S[i, i] = S[n + i, n + i] = c
-    S[i, n + i] = b * s
-    S[n + i, i] = -(a * s)
-    return S
+        c[..., mask] = cos(root[mask] * t)
+        s[..., mask] = sin(root[mask] * t) / root[mask]
+    return c, s
 
 
 def evolve(state, S: np.ndarray):

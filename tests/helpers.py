@@ -5,6 +5,7 @@ import numpy as np
 
 from qbm_structures import (
     BathSpec,
+    ConditioningError,
     GaussianState,
     ModelParams,
     build_qbm_hamiltonian,
@@ -20,7 +21,8 @@ from qbm_structures import (
     thermal_state,
     williamson,
 )
-from qbm_structures.experiments import ScenarioConfig, _prepare
+from qbm_structures.experiments import ScenarioConfig, _prepare, gaussian_l1_distance
+from qbm_structures.gaussian import NEGATIVITY_FLOOR
 from qbm_structures.structure import collective_mode_map
 
 POD_SEED = 42
@@ -183,3 +185,79 @@ def williamson_purify(state):
     mean[:n] = state.mean[:n]
     mean[N : N + n] = state.mean[n:]
     return GaussianState(mean, S_full @ big @ S_full.T)
+
+
+# ---------------------------------------------------------------------------
+# per-sample references: one dense D(t) and one errstate per grid time, as
+# run_er_check, run_exclusivity and run_marginal computed before they took
+# blocks of the grid at once
+
+
+def per_sample(times, sample):
+    """sample(t) at every grid time; an overflow or NaN inside a sample is a ConditioningError naming t."""
+    out = []
+    for t in times:
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                out.append(sample(t))
+        except FloatingPointError as exc:
+            raise ConditioningError(f"the flow overflowed or went non-finite at t = {t:.6g} ({exc})") from exc
+    return np.array(out)
+
+
+def _pure_log_negativity(world, rows):
+    g = world.lift(rows)
+    z1, z2 = g[:, : 2 * world.n_phys] + 1j * g[:, 2 * world.n_phys :]
+    z2_perp = z2 - z1 * (np.vdot(z1, z2) / np.vdot(z1, z1).real)
+    neg = float(np.arcsinh(np.linalg.norm(z1) * np.linalg.norm(z2_perp)) / np.log(2.0))
+    return 0.0 if neg < NEGATIVITY_FLOOR else neg
+
+
+def per_sample_er(cfg, smap=None):
+    """run_er_check's columns (neg_12, neg_spep)."""
+    world = _prepare(cfg, smap)
+
+    def sample(t):
+        D = world.mode_flow(t)
+        return [_pure_log_negativity(world, world.rows(D, s)) for s in (world.particle, world.collective)]
+
+    return per_sample(cfg.times, sample)
+
+
+def per_sample_exclusivity(cfg, smap=None):
+    """run_exclusivity's neg_spep column."""
+    world = _prepare(cfg, smap)
+    n, W = world.n_phys, world.width
+    r_a = world.rows(np.eye(2 * n), world.collective)[:, [0, n]]
+    base = r_a @ W @ r_a.T
+
+    def sample(t):
+        D = world.mode_flow(t)
+        rows_1 = world.rows(D, world.particle)
+        g_b = world.lift(world.rows(D, world.collective) - r_a @ rows_1)
+        basis = np.linalg.qr(np.hstack([world.lift(rows_1), np.sqrt(2 * W)]).T)[0]
+        h = np.hstack([g_b, np.zeros((2, 2))])
+        h -= (h @ basis) @ basis.T
+        red = base + 0.5 * h @ h.T
+        y2 = 4.0 * (red[0, 0] * red[1, 1] - red[0, 1] * red[1, 0]) - 1.0
+        size = np.max(np.abs(base) + 0.5 * np.abs(g_b) @ np.abs(g_b).T)
+        bound = 4 * h.size * np.finfo(float).eps * size * np.max(np.abs(red))
+        if y2 < -bound:
+            raise ConditioningError(f"branch block violates the uncertainty relation (4 det - 1 = {y2!r})")
+        return 0.0 if y2 <= bound else float(np.arcsinh(np.sqrt(y2)) / np.log(2.0))
+
+    return per_sample(cfg.times, sample)
+
+
+def per_sample_marginal(cfg, smap=None):
+    """run_marginal's columns (mean_1, var_1, mean_sp, var_sp, l1_distance)."""
+    world = _prepare(cfg, smap)
+
+    def sample(t):
+        D = world.mode_flow(t)
+        red1 = world.reduced(world.rows(D, world.particle))
+        redsp = world.reduced(world.rows(D, world.collective))
+        moments = [red1.mean[0], red1.cov[0, 0], redsp.mean[0], redsp.cov[0, 0]]
+        return moments + [gaussian_l1_distance(*moments)]
+
+    return per_sample(cfg.times, sample)

@@ -1,5 +1,6 @@
 """The CI workflow runs the Tier-1 command that ROADMAP.md names, verbatim,
-after certifying the Fock oracle on the oracle-compare workload."""
+after checking the mixed-state pod negativities against their 50-digit
+reference and certifying the Fock oracle on the oracle-compare workload."""
 
 import re
 from pathlib import Path
@@ -11,6 +12,7 @@ CERTIFY = (
     "PYTHONPATH=src python -m qbm_structures.cli perfbench/workloads/oracle-compare.ini"
     " --set oracle.certify=true --output /tmp/oc.csv"
 )
+REFERENCE = "PYTHONPATH=src python tests/reference_pod_negativity.py --check"
 
 
 def test_tier1_workflow_runs_the_roadmap_command():
@@ -26,5 +28,6 @@ def test_tier1_workflow_runs_the_roadmap_command():
     (tier1,) = re.findall(r"\*\*Tier-1 verify:\*\* `([^`]+)`", roadmap)
     assert commands[-1] == tier1
     assert commands[-2] == CERTIFY  # certification at the default bump, on the unchanged workload config
+    assert commands[-3] == REFERENCE  # the standing 50-digit gate, before certification
     for package in ("numpy", "scipy", "pytest", "hypothesis", "mpmath", "pyyaml"):
         assert package in commands[0].split()

@@ -1,12 +1,15 @@
 import dataclasses
 import os
+import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from qbm_structures import DomainError
+from helpers import per_sample_er, per_sample_exclusivity, per_sample_marginal
+from qbm_structures import ConditioningError, DomainError
 from qbm_structures.cli import (
     _FIELD_MAP,
     _SCHEMA,
@@ -395,3 +398,30 @@ def test_overflowed_flow_exits_2(tmp_path, capsys, kind):
         assert err.startswith("conditioning error: ")
         if kind != "pod" or t_max > 1000:  # pod's covariance degenerates before its rows overflow
             assert "the flow overflowed or went non-finite at t = " in err
+
+
+# first bad time of each run on the default free particle (50 points to
+# t_max), as the per-sample loop named it before the grid route
+FIRST_OVERFLOW = {
+    ("marginal", 1000): "489.796",
+    ("er", 1000): "489.796",
+    ("exclusivity", 1000): "285.714",
+    ("marginal", 1e6): "20408.2",
+    ("er", 1e6): "20408.2",
+    ("exclusivity", 1e6): "20408.2",
+}
+PER_SAMPLE = {"marginal": per_sample_marginal, "er": per_sample_er, "exclusivity": per_sample_exclusivity}
+
+
+@pytest.mark.parametrize("kind, t_max", list(FIRST_OVERFLOW))
+def test_grid_overflow_names_the_per_sample_first_bad_time(tmp_path, capsys, kind, t_max):
+    text = f"[scenario]\nkind = {kind}\n[times]\nt_max = {t_max}\n"
+    named = f"the flow overflowed or went non-finite at t = {FIRST_OVERFLOW[kind, t_max]} ("
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        assert main([str(_write_config(tmp_path, text)), "--output", str(tmp_path / "out.csv")]) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert err.startswith("conditioning error: ") and named in err
+    with pytest.raises(ConditioningError, match=re.escape(named)):
+        PER_SAMPLE[kind](build_scenario(parse_config(text)))

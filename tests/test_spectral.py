@@ -1,4 +1,6 @@
-"""Properties of the closed-form normal-mode flow and the rows-only diagnostics.
+"""Properties of the closed-form normal-mode flow and the rows-only diagnostics,
+including the grid route of er, exclusivity and marginal against their
+per-sample references.
 
 Random models come in three families: decoupled (a free or harmonic
 particle with zero coupling, so a free particle has an exact zero mode),
@@ -6,12 +8,17 @@ harmonic (every normal mode stable) and unstable (a coupled free particle,
 whose position form is indefinite).
 """
 
+import dataclasses
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qbm_structures.experiments as ex
 from qbm_structures import (
     ConditioningError,
     QuadraticHamiltonian,
@@ -26,7 +33,9 @@ from qbm_structures import (
     symplectic_form,
     transform_hamiltonian,
 )
+from qbm_structures.cli import build_scenario, parse_config
 from qbm_structures.experiments import (
+    _BLOCK,
     ScenarioConfig,
     _check_conjugate,
     _prepare,
@@ -41,7 +50,11 @@ from helpers import (
     default_split,
     dense_exclusivity,
     evolved_state,
+    exclusivity_scenario,
     lift_total,
+    per_sample_er,
+    per_sample_exclusivity,
+    per_sample_marginal,
     random_model,
     williamson_purify,
 )
@@ -253,3 +266,91 @@ def test_rows_that_lose_canonicity_raise():
     _check_conjugate(rows)
     with pytest.raises(ConditioningError):
         _check_conjugate(rows * (1.0 + 1e-8))
+
+
+# ---------------------------------------------------------------------------
+# the grid route against the per-sample loop it replaced
+
+GRID_RUNS = (
+    (run_er_check, per_sample_er, ("neg_12", "neg_spep")),
+    (run_exclusivity, per_sample_exclusivity, ("neg_spep",)),
+    (run_marginal, per_sample_marginal, ("mean_1", "var_1", "mean_sp", "var_sp", "l1_distance")),
+)
+
+
+def _assert_grid_matches_per_sample(cfg, smap=None):
+    for run, reference, fields in GRID_RUNS:
+        report, expected = run(cfg, smap), reference(cfg, smap).reshape(len(cfg.times), -1)
+        grid = np.column_stack([getattr(report, name) for name in fields])
+        assert grid.shape == expected.shape
+        gap = np.abs(grid - expected) / np.maximum(1.0, np.abs(expected))
+        assert np.max(gap) <= 1e-12, (run.__name__, np.max(gap))
+    world = _prepare(cfg, smap)  # a time's rows are the same on any grid that holds it
+    stacks = world.split_rows(cfg.times)
+    for i in range(len(cfg.times)):
+        for whole, alone in zip(stacks, world.split_rows(cfg.times[i : i + 1])):
+            assert np.array_equal(whole[i], alone[0])
+
+
+@SETTINGS
+@given(
+    models(),
+    st.sampled_from([(0.0, False), (1.5, True)]),
+    st.one_of(st.sampled_from([1, 2]), st.integers(3, 12)),
+    st.floats(0.5, 8.0),
+)
+@example(random_model(np.random.default_rng(7), 3), (1.5, True), _BLOCK + 1, 6.0)
+def test_grid_runs_equal_the_per_sample_loop(params, bath, n_times, t_max):
+    temperature, purified = bath
+    cfg = ScenarioConfig(
+        model=params,
+        times=np.linspace(0.0, t_max, n_times),
+        x0=1.0,
+        p0=-0.4,
+        bath_temperature=temperature,
+        purified=purified,
+    )
+    _assert_grid_matches_per_sample(cfg)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",  # the default free particle: coupled, so one normal mode is unstable
+        "[model]\nbath_omegas = 0.7 1.1 1.9\nbath_kappas = 0.2 0.1 0.3\nbath_masses = 1.2 0.9 1.0\n",
+        "[model]\npotential = harmonic\nomega = 1.0\nbath_omegas = 0.8 1.3\nbath_kappas = 0.3 0.2\n"
+        "[initial]\ntemperature = 2.0\npurified = true\n",
+    ],
+)
+def test_cli_models_grid_equals_per_sample_loop(text):
+    cfg = build_scenario(parse_config(f"[scenario]\nkind = er\n{text}[times]\nn_points = {_BLOCK + 1}\n"))
+    _assert_grid_matches_per_sample(cfg)
+    smap = default_split(cfg.model)
+    _assert_grid_matches_per_sample(ScenarioConfig(cfg.model, cfg.times[:2], 1.0, 0.3), smap)
+
+
+def test_grid_runs_take_stacked_calls_per_block(monkeypatch):
+    cfg = dataclasses.replace(exclusivity_scenario(), times=np.linspace(0.0, 10.0, 2 * _BLOCK + 1))
+    blocks = math.ceil(len(cfg.times) / _BLOCK)
+    calls = Counter()
+
+    def spy(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    spied = [(ex, "propagator"), (ex, "_decoupled_flow"), (ex, "_check_conjugate"), (ex._World, "lift"), (np.linalg, "qr")]
+    for owner, name in spied:
+        spy(owner, name)
+    for run, most in [(run_er_check, {"lift": 2}), (run_exclusivity, {"lift": 2, "qr": 1}), (run_marginal, {})]:
+        calls.clear()
+        run(cfg)
+        assert calls["propagator"] == 0, run.__name__
+        assert calls["_decoupled_flow"] == blocks, run.__name__
+        assert calls["_check_conjugate"] <= 3 * blocks + 1, run.__name__
+        for name in ("lift", "qr"):
+            assert calls[name] == most.get(name, 0) * blocks, (run.__name__, name)
