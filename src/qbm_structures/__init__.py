@@ -7,7 +7,6 @@ from .fock_oracle import (
     FockState,
     build_fock_hamiltonian,
     gaussian_to_fock,
-    log_negativity_density,
     purity_density,
     quadrature_moments,
     reduced_density,

@@ -535,15 +535,17 @@ def run_oracle_compare(
     certify: bool = False,
     bump: int = 10,
 ) -> OracleCompareReport:
-    """Compare the covariance-route results against the dense number-basis route.
+    """Compare the covariance-route results against the number-basis route (fock_oracle).
 
     Valid for one or two bath modes with a zero-temperature bath.  Each
     route gives one row per grid time: particle purity, particle mean
     (x, p) and 2 x 2 covariance, and the two-branch decoherence factor for
     branches displaced to +/- x0.  The Gaussian particle moments come from
-    the mode-0 rows that pod and marginal use.  With certify=True the dense
-    route is repeated with every cutoff raised by `bump` (at least 1) and
-    the worst drift is reported (convergence certification).
+    the mode-0 rows that pod and marginal use; the two Fock branches move
+    together along the grid in fock_oracle.ChebyshevEvolver.  With
+    certify=True the number-basis route is repeated with every cutoff raised
+    by `bump` (at least 1) and the worst drift is reported (convergence
+    certification).
     """
     params = cfg.model
     if len(params.bath) > 2:
@@ -570,15 +572,12 @@ def run_oracle_compare(
         return [purity(red), *red.mean, *red.cov.ravel(), r]
 
     def fock_table(space: fo.FockSpace) -> np.ndarray:
-        evolver = fo.DenseEvolver(fo.build_fock_hamiltonian(params, space), space)
-        psi_plus = fo.gaussian_to_fock(GaussianState(mu_plus, cov0), space)
-        psi_minus = fo.gaussian_to_fock(GaussianState(mu_minus, cov0), space)
+        branches = [fo.gaussian_to_fock(GaussianState(mu, cov0), space) for mu in (mu_plus, mu_minus)]
         env_space = space.subspace(env)
         out = []
-        for t in cfg.times:
-            bp = evolver.propagate(psi_plus, t)
+        for bp, bm in fo.ChebyshevEvolver(params, space).propagate(branches, cfg.times):
             mean, cov = fo.state_moments(bp)
-            shift = (fo.mode_means(evolver.propagate(psi_minus, t)) - mean)[env_idx]
+            shift = (fo.mode_means(bm) - mean)[env_idx]
             r = abs(np.trace(fo.reduced_density(bp, env) @ fo.weyl_operator(env_space, shift)))
             purity_0 = fo.purity_density(fo.reduced_density(bp, [0]))
             out.append([purity_0, *mean[mode0], *cov[np.ix_(mode0, mode0)].ravel(), r])

@@ -2,16 +2,14 @@
 
 Everything here works in a truncated number basis built from ladder
 operators, so results are independent of the covariance-matrix machinery
-they certify.  Operators are Kronecker products of single-mode factors, so
-the one O(dim^3) step is DenseEvolver's eigendecomposition, and the
-Hamiltonian it diagonalises is the one dense full-space operator on the
-pure-state route: moments apply single-mode factors along tensor axes
-(_apply), pure-state negativity comes from Schmidt coefficients, and mode
-transforms apply sparse generators to the amplitudes by expm_multiply.
-The model's terms are all even in the quadratures, so H conserves the
-total excitation parity, and the eigendecomposition is two eighs of about
-dim/2, one per parity sector: a quarter of the flops of one full eigh.
-For one to three modes at cutoffs of a few tens.
+they certify.  The model's H is h_0 (x) I + I (x) B + x_0 (x) Y over
+(mode 0) x (bath), built from single-mode factors (_factors).
+ChebyshevEvolver applies it in that factored form to propagate states along
+a time grid by a Chebyshev expansion, with no dense H and no eigh beyond
+the single-mode ones; moments apply single-mode factors along tensor axes
+(_apply).  build_fock_hamiltonian and DenseEvolver, which takes one eigh per
+excitation-parity sector of the dense H, are the reference the evolver is
+tested against.  For a few modes at cutoffs of a few tens.
 
 Each mode's basis is the eigenbasis of a reference oscillator with the
 mode's mass and a basis frequency; x and p matrices carry those widths.
@@ -19,13 +17,14 @@ mode's mass and a basis frequency; x and p matrices carry those widths.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConditioningError, DomainError
 from .gaussian import GaussianState, is_pure
-from .model import POTENTIAL_HARMONIC, ModelParams, symplectic_form
+from .model import POTENTIAL_HARMONIC, ModelParams
 
 DEFAULT_DIM_CAP = 20_000
 TRUNCATION_TOL = 1e-8
@@ -147,19 +146,30 @@ def _mode_quadratures(space: FockSpace) -> tuple[list[np.ndarray], list[np.ndarr
     return [_x_matrix(*f) for f in modes], [1j * _b_matrix(*f) for f in modes]
 
 
-def build_fock_hamiltonian(params: ModelParams, space: FockSpace) -> np.ndarray:
-    """Dense real-symmetric Hamiltonian of the particle + bath model, term by term."""
+def _factors(params: ModelParams, space: FockSpace):
+    """H = h_0 (x) I + I (x) B + x_0 (x) Y over (mode 0) x (bath), with the single-mode factors.
+
+    h_i = p^2/2m_i + k_i x^2/2 and x_i are at mode i's cutoff; B = sum_i h_i and
+    Y = sum_i s kappa_i x_i are dense on the bath space.
+    """
     if space.n_modes != params.n_modes:
         raise DomainError("space mode count does not match the model")
     stiffness = (params.m1 * params.omega**2 if params.potential == POTENTIAL_HARMONIC else 0.0,)
     stiffness += tuple(m * w**2 for m, w, _ in params.bath)
     xs, ps = _mode_quadratures(space)
-    H = np.zeros((space.dim, space.dim))
-    for i, (x, p, m) in enumerate(zip(xs, ps, params.masses)):
-        H += _kron(space, {i: (p @ p).real / (2 * m) + 0.5 * stiffness[i] * (x @ x)})
-    for i, (_, _, kappa) in enumerate(params.bath, start=1):
-        H += params.coupling_sign * kappa * _kron(space, {0: xs[0], i: xs[i]})
-    return (H + H.T) / 2
+    hs = [(p @ p).real / (2 * m) + 0.5 * k * (x @ x) for x, p, m, k in zip(xs, ps, params.masses, stiffness)]
+    hs = [(h + h.T) / 2 for h in hs]
+    bath = space.subspace(range(1, space.n_modes))
+    B = sum(_kron(bath, {i: h}) for i, h in enumerate(hs[1:]))
+    kappas = [params.coupling_sign * kappa for _, _, kappa in params.bath]
+    Y = sum(k * _kron(bath, {i: x}) for i, (x, k) in enumerate(zip(xs[1:], kappas)))
+    return hs, xs, B, Y
+
+
+def build_fock_hamiltonian(params: ModelParams, space: FockSpace) -> np.ndarray:
+    """Dense real-symmetric Hamiltonian of the particle + bath model, kron(h_0, I) + kron(I, B) + kron(x_0, Y)."""
+    hs, xs, B, Y = _factors(params, space)
+    return np.kron(hs[0], np.eye(len(B))) + np.kron(np.eye(len(hs[0])), B) + np.kron(xs[0], Y)
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +216,96 @@ class DenseEvolver:
         return FockState(evolved / norm, psi.space)
 
 
+def _bessel_series(z: float) -> np.ndarray:
+    """J_0(z) .. J_(K-1)(z) for z >= 0, where K is the first order above z with J_K(z) < 1e-17.
+
+    Miller's backward recurrence J_(k-1) = (2k/z) J_k - J_(k+1), started where
+    the bound |J_n(z)| <= (z/2)^n / n! is below 1e-30 and normalised by
+    J_0 + 2 sum_k J_2k = 1; rescaled on the way down so that it cannot overflow.
+    """
+    if z < 2e-17:  # J_1(z) = z/2 is already below the cutoff
+        return np.ones(1)
+    start = int(z) + 2
+    while start * math.log(z / 2) - math.lgamma(start + 1) > math.log(1e-30):
+        start += 1
+    j = np.zeros(start + 2)
+    j[start] = 1.0
+    for k in range(start, 0, -1):
+        j[k - 1] = 2 * k / z * j[k] - j[k + 1]
+        if abs(j[k - 1]) > 1e250:
+            j[k - 1 :] /= 1e250
+    j /= j[0] + 2 * j[2::2].sum()
+    return j[: next(k for k in range(int(z) + 1, start + 1) if j[k] < 1e-17)]
+
+
+class ChebyshevEvolver:
+    """Propagate states along a time grid by a Chebyshev expansion of exp(-i H dt), with no dense H.
+
+    H = h_0 (x) I + I (x) B + x_0 (x) Y (see _factors) acts on amplitudes shaped
+    (mode 0) x (bath) as  v @ [B | Y]  plus two d_0 x d_0 products, and the states
+    of a block move together as the real and imaginary parts of one real array
+    (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).  The spectrum lies in
+    the sum of the single-mode spectra widened by sum_i |kappa_i| |x_0| |x_i|
+    (Weyl's inequality), which fixes the expansion's interval.
+    """
+
+    def __init__(self, params: ModelParams, space: FockSpace):
+        hs, xs, B, Y = _factors(params, space)
+        ends = np.array([np.linalg.eigvalsh(h)[[0, -1]] for h in hs]).sum(axis=0)
+        norms = [np.abs(np.linalg.eigvalsh(x)).max() for x in xs]
+        coupling = sum(abs(kappa) * norms[0] * norm for (_, _, kappa), norm in zip(params.bath, norms[1:]))
+        self.space = space
+        self._center = (ends[0] + ends[1]) / 2
+        # a relative 1e-12 absorbs the rounding of the eigvalsh ends; a one-level space has H = center
+        self._half = ((ends[1] - ends[0]) / 2 + coupling) * (1 + 1e-12) or 1.0
+        # 2 (H - center) / half = h (x) I + I (x) B' + x_0 (x) Y', the operator of the recurrence
+        self._h = (hs[0] - self._center * np.eye(len(hs[0]))) * (2 / self._half)
+        self._x0, self._by = xs[0], np.hstack([B, Y]) * (2 / self._half)
+
+    def _twice_scaled(self, v: np.ndarray) -> np.ndarray:
+        """2 (H - center) / half applied to a (states, d_0, bath) real array."""
+        d = self._by.shape[0]
+        w = (v.reshape(-1, d) @ self._by).reshape(*v.shape[:2], 2 * d)
+        return self._h @ v + w[..., :d] + self._x0 @ w[..., d:]
+
+    def _step(self, v: np.ndarray, dt: float) -> np.ndarray:
+        """exp(-i H dt) on the complex states v[:n] + i v[n:], as the same real layout."""
+        coeffs = _bessel_series(self._half * dt)
+        even, odd = coeffs[0] * v, np.zeros_like(v)
+        prev, cur = None, v
+        for k, c in enumerate(coeffs[1:], start=1):
+            prev, cur = cur, 0.5 * self._twice_scaled(cur) if k == 1 else self._twice_scaled(cur) - prev
+            target = even if k % 2 == 0 else odd
+            target += (2 * c if k % 4 < 2 else -2 * c) * cur  # (-i)^k alternates within each parity
+        n = v.shape[0] // 2
+        # sum_k (-i)^k c_k T_k v = even - i odd, then the phase exp(-i center dt)
+        re, im = even[:n] + odd[n:], even[n:] - odd[:n]
+        cos, sin = np.cos(self._center * dt), np.sin(self._center * dt)
+        return np.concatenate([cos * re + sin * im, cos * im - sin * re])
+
+    def propagate(self, states, times):
+        """Iterator over the tuple of evolved states at each time of a non-decreasing grid of t >= 0."""
+        if any(psi.space != self.space for psi in states):
+            raise DomainError("state and Hamiltonian live in different Fock spaces")
+        times = np.asarray(times, dtype=float)
+        if times.size and (times[0] < 0 or np.any(np.diff(times) < 0)):
+            raise DomainError("times must be non-negative and non-decreasing")
+        amps = np.array([psi.amplitudes for psi in states]).reshape(len(states), self.space.cutoffs[0], -1)
+        return self._walk(np.concatenate([amps.real, amps.imag]), times)
+
+    def _walk(self, v: np.ndarray, times: np.ndarray):
+        n, now = v.shape[0] // 2, 0.0
+        for t in times:
+            if t > now:
+                v, now = self._step(v, t - now), t
+            amps = (v[:n] + 1j * v[n:]).reshape(n, -1)
+            norms = np.linalg.norm(amps, axis=1)
+            if np.any(np.abs(norms - 1.0) > 1e-10):
+                raise ConditioningError("unitary evolution failed to preserve the norm")
+            v = v / np.concatenate([norms, norms])[:, None, None]
+            yield tuple(FockState(a / norm, self.space) for a, norm in zip(amps, norms))
+
+
 # ---------------------------------------------------------------------------
 # reductions and diagnostics
 
@@ -230,31 +330,6 @@ def reduced_density(psi: FockState, keep) -> np.ndarray:
 
 def purity_density(rho: np.ndarray) -> float:
     return float(np.real(np.trace(rho @ rho)))
-
-
-def _check_party(party_a, k: int) -> list[int]:
-    party_a = sorted(set(int(i) for i in party_a))
-    if not party_a or party_a[0] < 0 or party_a[-1] >= k or len(party_a) == k:
-        raise DomainError("party_a must be a proper nonempty subset of the modes")
-    return party_a
-
-
-def log_negativity_density(rho: np.ndarray, party_a, dims) -> float:
-    """log2 of the trace norm after partial transposition on party_a modes."""
-    dims = tuple(int(d) for d in dims)
-    k = len(dims)
-    tensor = rho.reshape(dims + dims)
-    for i in _check_party(party_a, k):
-        tensor = np.swapaxes(tensor, i, k + i)
-    d = int(np.prod(dims))
-    pt = tensor.reshape(d, d)
-    return float(np.log2(np.sum(np.abs(np.linalg.eigvalsh(pt)))))
-
-
-def pure_log_negativity(psi: FockState, party_a) -> float:
-    """Log-negativity of a pure state, 2 log2 of the sum of its Schmidt coefficients."""
-    mat = _matricize(psi, _check_party(party_a, psi.space.n_modes))
-    return float(2 * np.log2(np.sum(np.linalg.svd(mat, compute_uv=False))))
 
 
 def quadrature_moments(rho: np.ndarray, space: FockSpace) -> tuple[np.ndarray, np.ndarray]:
@@ -292,75 +367,6 @@ def state_moments(psi: FockState) -> tuple[np.ndarray, np.ndarray]:
 def mode_means(psi: FockState) -> np.ndarray:
     """Per-mode <x>.., <p>.. of a pure state (the mean of state_moments)."""
     return state_moments(psi)[0]
-
-
-def quadratic_operator(space: FockSpace, K: np.ndarray):
-    """Sparse (CSR) Weyl-ordered operator (1/2) sum K_ij sym(z_i z_j) for symmetric K."""
-    import scipy.sparse  # loaded on first use, off the CLI's import path
-
-    n = space.n_modes
-    if K.shape != (2 * n, 2 * n) or np.max(np.abs(K - K.T)) > 1e-10:
-        raise DomainError("K must be a symmetric 2n x 2n matrix")
-    xs, ps = _mode_quadratures(space)
-    z = [((a, xs[a]), (n + a, ps[a])) for a in range(n)]  # (row of K, single-mode matrix)
-    H = scipy.sparse.csr_matrix((space.dim, space.dim), dtype=complex)
-    for a in range(n):
-        # (1/2) sum_ij K_ij z_i z_j is Weyl-ordered because K is symmetric
-        h = 0.5 * sum(K[i, j] * (u @ v) for i, u in z[a] for j, v in z[a])
-        H += _kron(space, {a: (h + h.conj().T) / 2}, scipy.sparse.kron)
-        for b in range(a + 1, n):  # different modes commute: sum_i z_i (x) sum_j K_ij z_j
-            for i, u in z[a]:
-                H += _kron(space, {a: u, b: sum(K[i, j] * v for j, v in z[b])}, scipy.sparse.kron)
-    return H.tocsr()  # a sum of Hermitian Kronecker products
-
-
-def mode_transform(psi: FockState, S: np.ndarray) -> FockState:
-    """The state U psi, where U^dag z U = S z for a symplectic S.
-
-    Splits S into polar factors (positive- and orthogonal-symplectic), takes
-    each one's quadratic generator by a matrix logarithm and applies its
-    exponential to the amplitudes (expm_multiply on the sparse
-    quadratic_operator).  The tensor slots of the result carry the
-    transformed modes, so its partial traces are plain ones.
-    """
-    import scipy.linalg  # loaded on first use, off the CLI's import path
-    import scipy.sparse.linalg
-
-    n = psi.space.n_modes
-    if S.shape != (2 * n, 2 * n):
-        raise DomainError("symplectic dimension does not match the space")
-    omega = symplectic_form(n)
-    if np.max(np.abs(S @ omega @ S.T - omega)) > 1e-8:
-        raise DomainError("matrix is not symplectic")
-    gram = S @ S.T
-    w, V = np.linalg.eigh(gram)
-    if w.min() <= 0:
-        raise ConditioningError("polar factor is not positive definite")
-    pos = (V * np.sqrt(w)) @ V.T
-    log_pos = (V * np.log(w)) @ V.T / 2
-    orth = np.linalg.solve(pos, S)
-
-    # orthogonal symplectic matrices are block encodings [[X, Y], [-Y, X]] of
-    # complex unitaries u = X + iY, whose skew-Hermitian log always exists
-    X, Y = orth[:n, :n], orth[:n, n:]
-    if np.max(np.abs(orth[n:, :n] + Y)) > 1e-8 or np.max(np.abs(orth[n:, n:] - X)) > 1e-8:
-        raise ConditioningError("polar factor is not orthogonal-symplectic")
-    T, Q = scipy.linalg.schur(X + 1j * Y, output="complex")
-    log_u = Q @ np.diag(np.log(np.diag(T))) @ Q.conj().T
-    log_orth = np.block([[log_u.real, log_u.imag], [-log_u.imag, log_u.real]])
-    if np.max(np.abs(scipy.linalg.expm(log_orth) - orth)) > 1e-8:
-        raise ConditioningError("failed to take the orthogonal factor's logarithm")
-
-    # U = exp(-i H_pos) exp(-i H_orth): the orthogonal factor acts first
-    amp = psi.amplitudes
-    for gen in (log_orth, log_pos):
-        K = -omega @ gen
-        K = (K + K.T) / 2
-        amp = scipy.sparse.linalg.expm_multiply(-1j * quadratic_operator(psi.space, K), amp)
-    norm = np.linalg.norm(amp)
-    if abs(norm - 1.0) > 1e-10:
-        raise ConditioningError("mode transform failed to preserve the norm")
-    return FockState(amp / norm, psi.space)
 
 
 def weyl_operator(space: FockSpace, delta: np.ndarray) -> np.ndarray:

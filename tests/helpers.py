@@ -1,6 +1,8 @@
 """Shared scenario builders for tests, acceptance runs and baseline recording,
 and the dense full-state routes the rows-only scenarios are checked against."""
 
+import os
+
 import numpy as np
 
 from qbm_structures import (
@@ -93,6 +95,16 @@ def oracle_scenario(n_bath):
         x0=1.0,
         p0=0.0,
     )
+
+
+def oracle_workload():
+    """The benchmark's oracle-compare run: its parsed config and its scenario (Fock dimension 1000)."""
+    from qbm_structures import cli
+
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads", "oracle-compare.ini")
+    with open(path, encoding="utf-8") as fh:
+        run_cfg = cli.parse_config(fh.read())
+    return run_cfg, cli.build_scenario(run_cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -45,9 +45,11 @@ from helpers import (
     exclusivity_scenario,
     lift_total,
     oracle_scenario,
+    oracle_workload,
     pod_scenario,
     random_model,
 )
+from reference import mode_transform, pure_log_negativity
 from reference_pod_negativity import model_matrices
 
 BASELINE_TOL = 1e-10
@@ -138,15 +140,15 @@ def test_pod_matches_fock_oracle_n2():
         ft = evolver.propagate(psi0, t)
         rho1 = fo.reduced_density(ft, [0])
         assert fo.purity_density(rho1) == pytest.approx(rep.purity_1[i], abs=1e-6)
-        assert fo.pure_log_negativity(ft, [0]) == pytest.approx(rep.neg_12[i], abs=1e-6)
-        fa = fo.mode_transform(ft, comp.lift)
+        assert pure_log_negativity(ft, [0]) == pytest.approx(rep.neg_12[i], abs=1e-6)
+        fa = mode_transform(ft, comp.lift)
         assert fo.purity_density(fo.reduced_density(fa, [0])) == pytest.approx(
             rep.purity_sp[i], abs=1e-6
         )
         # trace-norm negativity of a truncated state converges only like the
         # square root of the leaked probability, so its tolerance is coarser;
         # the densely measured covariance pins the same quantity at 1e-6
-        assert fo.pure_log_negativity(fa, [0]) == pytest.approx(rep.neg_spep[i], abs=5e-4)
+        assert pure_log_negativity(fa, [0]) == pytest.approx(rep.neg_spep[i], abs=5e-4)
         mean_f, cov_f = fo.state_moments(ft)
         lift = comp.lift
         alt_state = GaussianState(lift @ mean_f, lift @ cov_f @ lift.T)
@@ -441,28 +443,27 @@ def test_oracle_compare_charges_each_moment_to_its_delta(monkeypatch, planted):
         assert np.abs(getattr(rep, name) - expected).max() < 1e-6, name
 
 
-def test_oracle_compare_diagonalises_per_parity_sector(monkeypatch):
-    # on the benchmark's oracle-compare model (dimension 1000) no eigh sees more
-    # than one excitation-parity sector of the Fock space
-    from qbm_structures import cli
-
-    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads", "oracle-compare.ini")
-    with open(path, encoding="utf-8") as fh:
-        run_cfg = cli.parse_config(fh.read())
-    scenario = cli.build_scenario(run_cfg)
-    dim = fo.FockSpace.for_model(scenario.model, run_cfg.cutoff).dim
+def test_oracle_compare_forms_no_dense_hamiltonian(monkeypatch):
+    # on the benchmark's oracle-compare model (dimension 1000) the Fock route builds
+    # no dense H and diagonalises nothing larger than one mode's basis in gaussian_to_fock
+    run_cfg, scenario = oracle_workload()
     sizes = []
-    real_eigh = np.linalg.eigh
+    for name in ("eigh", "eigvalsh"):
 
-    def spy(a, *args, **kwargs):
-        sizes.append(np.shape(a)[-1])
-        return real_eigh(a, *args, **kwargs)
+        def spy(a, *args, real=getattr(np.linalg, name), **kwargs):
+            sizes.append(np.shape(a)[-1])
+            return real(a, *args, **kwargs)
 
-    monkeypatch.setattr(fo.np.linalg, "eigh", spy)
+        monkeypatch.setattr(np.linalg, name, spy)
+
+    def dense_route(*args, **kwargs):
+        raise AssertionError("the dense Fock route was called")
+
+    monkeypatch.setattr(fo, "build_fock_hamiltonian", dense_route)
+    monkeypatch.setattr(fo, "DenseEvolver", dense_route)
     run_oracle_compare(scenario, run_cfg.cutoff)
-    assert dim == 1000
-    assert max(sizes) <= -(-dim // 2)
-    assert sorted(sizes)[-2:] == [dim // 2, dim // 2]
+    assert fo.FockSpace.for_model(scenario.model, run_cfg.cutoff).dim == 1000
+    assert max(sizes) == run_cfg.cutoff + 8
 
 
 def test_oracle_compare_rejects_large_or_warm_runs():

@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.linalg
@@ -19,7 +20,6 @@ from qbm_structures import (
     evolve,
     gaussian_to_fock,
     log_negativity,
-    log_negativity_density,
     product_state,
     propagator,
     purity,
@@ -31,14 +31,10 @@ from qbm_structures import (
     weyl_operator,
 )
 import qbm_structures.fock_oracle as fo
-from qbm_structures.fock_oracle import (
-    mode_means,
-    mode_transform,
-    pure_log_negativity,
-    quadratic_operator,
-    state_moments,
-)
+from qbm_structures.fock_oracle import ChebyshevEvolver, mode_means, state_moments
 from qbm_structures.structure import collective_mode_map
+from helpers import oracle_workload
+from reference import log_negativity_density, mode_transform, pure_log_negativity, quadratic_operator
 
 
 def basis_state(space, occupations):
@@ -164,6 +160,18 @@ def test_swapped_factor_order_is_caught(monkeypatch):
     assert np.abs(build_fock_hamiltonian(FACTOR_PARAMS[0], space) - ref).max() > 1e-3
 
 
+def random_params(n_modes, rng):
+    """A random particle + (n_modes - 1) bath modes: harmonic or free, either coupling sign."""
+    potential = "harmonic" if rng.random() < 0.5 else "free"
+    return ModelParams(
+        m1=rng.uniform(0.5, 2.0),
+        bath=tuple((*rng.uniform(0.5, 2.0, 2), rng.uniform(-0.4, 0.4)) for _ in range(n_modes - 1)),
+        potential=potential,
+        omega=rng.uniform(0.5, 2.0) if potential == "harmonic" else None,
+        coupling_sign=int(rng.choice([-1, 1])),
+    )
+
+
 def parity_model(cutoffs, rng):
     """A random model Hamiltonian on len(cutoffs) modes: one oscillator alone, or a particle + bath."""
     if len(cutoffs) == 1:
@@ -171,14 +179,7 @@ def parity_model(cutoffs, rng):
         space = FockSpace(tuple(cutoffs), (m,), (w,))
         (x,), (p,) = fo._mode_quadratures(space)
         return fo._kron(space, {0: (p @ p).real / (2 * m) + 0.5 * m * w**2 * (x @ x)}), space
-    potential = "harmonic" if rng.random() < 0.5 else "free"
-    params = ModelParams(
-        m1=rng.uniform(0.5, 2.0),
-        bath=tuple((*rng.uniform(0.5, 2.0, 2), rng.uniform(-0.4, 0.4)) for _ in cutoffs[1:]),
-        potential=potential,
-        omega=rng.uniform(0.5, 2.0) if potential == "harmonic" else None,
-        coupling_sign=int(rng.choice([-1, 1])),
-    )
+    params = random_params(len(cutoffs), rng)
     space = FockSpace.for_model(params, tuple(cutoffs))
     return build_fock_hamiltonian(params, space), space
 
@@ -217,6 +218,127 @@ def test_dense_evolver_rejects_parity_coupling_and_foreign_states():
         evolver.propagate(foreign, 1.0)
     with pytest.raises(DomainError):
         DenseEvolver(np.eye(5), space)
+
+
+def test_dense_evolver_diagonalises_per_parity_sector(monkeypatch):
+    # on the benchmark's oracle-compare model (dimension 1000) no eigh sees more
+    # than one excitation-parity sector of the Fock space
+    run_cfg, scenario = oracle_workload()
+    space = FockSpace.for_model(scenario.model, run_cfg.cutoff)
+    H = build_fock_hamiltonian(scenario.model, space)
+    sizes = []
+    real_eigh = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        sizes.append(np.shape(a)[-1])
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(fo.np.linalg, "eigh", spy)
+    DenseEvolver(H, space)
+    assert space.dim == 1000
+    assert sizes == [500, 500]
+
+
+def time_grid(kind, rng):
+    """A one-point grid, a grid of exactly repeated steps, or an uneven one with a repeated time."""
+    if kind == "one":
+        return np.array([rng.uniform(0.1, 6.0)])
+    if kind == "repeated":
+        return np.arange(6) * rng.uniform(0.2, 1.5)
+    times = np.sort(rng.uniform(0.0, 6.0, 4))
+    return np.sort(np.concatenate([[0.0], times, times[1:2]]))
+
+
+def assert_matches_dense(params, space, times, seed):
+    dense = DenseEvolver(build_fock_hamiltonian(params, space), space)
+    states = (random_state(space, seed), random_state(space, seed + 1))
+    steps = ChebyshevEvolver(params, space).propagate(states, times)
+    for t, evolved in zip(times, steps, strict=True):
+        for psi, out in zip(states, evolved, strict=True):
+            assert np.abs(out.amplitudes - dense.propagate(psi, t).amplitudes).max() < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(1, 7), min_size=2, max_size=3),
+    st.sampled_from(["one", "repeated", "uneven"]),
+    st.integers(0, 2**32 - 1),
+)
+@example([6, 1], "repeated", 0)  # one active mode: the bath mode has a single level
+@example([1, 6], "uneven", 1)  # the particle has a single level
+@example([1, 1, 1], "one", 2)  # H is a number
+@example([7, 5, 3], "uneven", 3)
+def test_chebyshev_evolver_matches_dense_evolver(cutoffs, grid, seed):
+    rng = np.random.default_rng(seed)
+    params = random_params(len(cutoffs), rng)
+    space = FockSpace.for_model(params, tuple(cutoffs))
+    assert_matches_dense(params, space, time_grid(grid, rng), seed)
+
+
+def test_chebyshev_evolver_matches_dense_evolver_on_four_modes():
+    rng = np.random.default_rng(11)
+    params = random_params(4, rng)
+    space = FockSpace.for_model(params, 6)
+    assert space.dim == 1296
+    assert_matches_dense(params, space, np.linspace(0.0, 6.0, 5), 12)
+
+
+@pytest.mark.parametrize("coupled", [True, False])
+def test_chebyshev_interval_bounds_the_spectrum(coupled):
+    # Weyl's bound holds the whole spectrum, and is the spectrum's own span when nothing couples
+    params = FACTOR_PARAMS[0]
+    if not coupled:
+        params = ModelParams(m1=params.m1, bath=tuple((m, w, 0.0) for m, w, _ in params.bath), potential="free")
+    space = FockSpace.for_model(params, FACTOR_CUTOFFS)
+    evolver = ChebyshevEvolver(params, space)
+    energies = np.linalg.eigvalsh(build_fock_hamiltonian(params, space))
+    low, high = evolver._center - evolver._half, evolver._center + evolver._half
+    assert low <= energies[0] and energies[-1] <= high
+    if not coupled:
+        assert abs(low - energies[0]) < 1e-10 and abs(high - energies[-1]) < 1e-10
+
+
+def test_four_mode_dynamics_match_the_gaussian_route():
+    # a displaced particle and three bath vacua at cutoff 8 (dimension 4096); the
+    # truncation leaves about 1.5e-7 in the means and 1.0e-6 in the covariance
+    params = ModelParams(
+        m1=1.0, bath=((1.0, 0.8, 0.1), (1.0, 1.1, 0.1), (1.0, 1.5, 0.1)), potential="harmonic", omega=1.0
+    )
+    space = FockSpace.for_model(params, 8)
+    g0 = product_state(
+        coherent_state(1, 0, 0.5, 0.0), *(coherent_state(1, 0, 0.0, 0.0, 1.0, w) for _, w, _ in params.bath)
+    )
+    H = build_qbm_hamiltonian(params)
+    times = np.linspace(0.0, 6.0, 5)
+    steps = ChebyshevEvolver(params, space).propagate([gaussian_to_fock(g0, space)], times)
+    for t, (psi,) in zip(times, steps, strict=True):
+        expected = evolve(g0, propagator(H, t))
+        mean, cov = state_moments(psi)
+        assert np.abs(mean - expected.mean).max() < 1e-6
+        assert np.abs(cov - expected.cov).max() < 1e-5
+
+
+@pytest.mark.parametrize("z", [1e-20, 1e-6, 0.3, 1.0, 7.5, 44.6, 120.0])
+def test_bessel_series_matches_mpmath(z):
+    coeffs = fo._bessel_series(z)
+    expected = [float(mp.besselj(k, z)) for k in range(coeffs.size + 1)]
+    assert np.abs(coeffs - expected[:-1]).max() < 1e-15
+    # the series ends at the first order above z whose coefficient is below 1e-17
+    assert coeffs.size > z and abs(expected[-1]) < 1e-17 <= abs(expected[-2])
+
+
+def test_chebyshev_evolver_checks_its_inputs():
+    params = FACTOR_PARAMS[0]
+    space = FockSpace.for_model(params, FACTOR_CUTOFFS)
+    evolver = ChebyshevEvolver(params, space)
+    psi = random_state(space, 0)
+    (at_zero,) = next(evolver.propagate([psi], [0.0]))
+    assert np.abs(at_zero.amplitudes - psi.amplitudes).max() < 1e-15  # t = 0 only renormalises
+    with pytest.raises(DomainError):
+        evolver.propagate([random_state(FockSpace.for_model(params, (4, 3, 5)), 0)], [1.0])
+    for times in ([0.0, 2.0, 1.0], [-1.0, 0.0]):
+        with pytest.raises(DomainError):
+            evolver.propagate([psi], times)
 
 
 def test_space_cap_enforced():
