@@ -5,11 +5,11 @@ operators, so results are independent of the covariance-matrix machinery
 they certify.  The model's H is h_0 (x) I + I (x) B + x_0 (x) Y over
 (mode 0) x (bath), built from single-mode factors (_factors).
 ChebyshevEvolver applies it in that factored form to propagate states along
-a time grid by a Chebyshev expansion, with no dense H and no eigh beyond
-the single-mode ones; moments apply single-mode factors along tensor axes
-(_apply).  build_fock_hamiltonian and DenseEvolver, which takes one eigh per
-excitation-parity sector of the dense H, are the reference the evolver is
-tested against.  For a few modes at cutoffs of a few tens.
+a time grid by one Chebyshev expansion over the grid, with no dense H and no
+eigh beyond the single-mode ones; moments apply single-mode factors along
+tensor axes (_apply).  build_fock_hamiltonian and DenseEvolver, which takes
+one eigh per excitation-parity sector of the dense H, are the reference the
+evolver is tested against.  For a few modes at cutoffs of a few tens.
 
 Each mode's basis is the eigenbasis of a reference oscillator with the
 mode's mass and a basis frequency; x and p matrices carry those widths.
@@ -28,6 +28,9 @@ from .model import POTENTIAL_HARMONIC, ModelParams
 
 DEFAULT_DIM_CAP = 20_000
 TRUNCATION_TOL = 1e-8
+ROUNDING = 16 * np.finfo(float).eps  # relative size below which an off-diagonal part is rounding
+ORDER_BLOCK = 8  # Chebyshev orders summed into the grid times by one GEMM
+GRID_SPAN = 64  # grid times one Chebyshev expansion covers, which bounds its memory
 
 
 @dataclass(frozen=True)
@@ -216,37 +219,63 @@ class DenseEvolver:
         return FockState(evolved / norm, psi.space)
 
 
-def _bessel_series(z: float) -> np.ndarray:
-    """J_0(z) .. J_(K-1)(z) for z >= 0, where K is the first order above z with J_K(z) < 1e-17.
+def _bessel_series(zs) -> np.ndarray:
+    """A row J_0(z) .. J_(K-1)(z) per z >= 0, where K is the first order above max z with J_K(max z) < 1e-17.
 
-    Miller's backward recurrence J_(k-1) = (2k/z) J_k - J_(k+1), started where
-    the bound |J_n(z)| <= (z/2)^n / n! is below 1e-30 and normalised by
-    J_0 + 2 sum_k J_2k = 1; rescaled on the way down so that it cannot overflow.
+    Miller's backward recurrence J_(k-1) = (2k/z) J_k - J_(k+1), run on all z
+    at once from where the bound |J_n(max z)| <= (max z/2)^n / n! is below
+    1e-30, and normalised by J_0 + 2 sum_k J_2k = 1; rescaled on the way down
+    so that it cannot overflow.  Below z = 2e-17, J_1(z) = z/2 is already below
+    the cutoff and the row is 1, 0, 0 ...
     """
-    if z < 2e-17:  # J_1(z) = z/2 is already below the cutoff
-        return np.ones(1)
-    start = int(z) + 2
-    while start * math.log(z / 2) - math.lgamma(start + 1) > math.log(1e-30):
-        start += 1
-    j = np.zeros(start + 2)
-    j[start] = 1.0
-    for k in range(start, 0, -1):
-        j[k - 1] = 2 * k / z * j[k] - j[k + 1]
-        if abs(j[k - 1]) > 1e250:
-            j[k - 1 :] /= 1e250
-    j /= j[0] + 2 * j[2::2].sum()
-    return j[: next(k for k in range(int(z) + 1, start + 1) if j[k] < 1e-17)]
+    zs = np.asarray(zs, dtype=float)
+    top = zs.max()
+    live = zs >= 2e-17
+    if not live.any():
+        table = np.zeros((zs.size, 1))
+    else:
+        start = int(top) + 2
+        while start * math.log(top / 2) - math.lgamma(start + 1) > math.log(1e-30):
+            start += 1
+        ratio = 2 * np.arange(start + 1)[:, None] / zs[live]
+        # |J| can grow by at most max(ratio) + 1 per order, so the magnitudes are checked only near overflow
+        growth, bound = (ratio.max(axis=1) + 1).tolist(), 1.0
+        j = np.zeros((start + 2, ratio.shape[1]))
+        j[start] = 1.0
+        for k in range(start, 0, -1):
+            j[k - 1] = ratio[k] * j[k] - j[k + 1]
+            bound *= growth[k]
+            if bound > 1e250:
+                j[k - 1 :, np.abs(j[k - 1 : k + 1]).max(axis=0) > 1e250] /= 1e250
+                bound = np.abs(j[k - 1 : k + 1]).max()
+        j /= j[0] + 2 * j[2::2].sum(axis=0)
+        widest = j[:, zs[live].argmax()]
+        table = np.zeros((zs.size, next(k for k in range(int(top) + 1, start + 1) if widest[k] < 1e-17)))
+        table[live] = j[: table.shape[1]].T
+    table[~live, 0] = 1.0
+    return table
+
+
+def _split_diagonal(m: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The diagonal of m, and its off-diagonal part, or None when that part is at rounding level."""
+    diag = np.diag(m).copy()
+    off = m - np.diag(diag)
+    return diag, (off if np.abs(off).max() > ROUNDING * np.abs(m).max() else None)
 
 
 class ChebyshevEvolver:
-    """Propagate states along a time grid by a Chebyshev expansion of exp(-i H dt), with no dense H.
+    """Propagate states along a time grid by one Chebyshev expansion of exp(-i H t), with no dense H.
 
     H = h_0 (x) I + I (x) B + x_0 (x) Y (see _factors) acts on amplitudes shaped
-    (mode 0) x (bath) as  v @ [B | Y]  plus two d_0 x d_0 products, and the states
-    of a block move together as the real and imaginary parts of one real array
-    (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).  The spectrum lies in
-    the sum of the single-mode spectra widened by sum_i |kappa_i| |x_0| |x_i|
-    (Weyl's inequality), which fixes the expansion's interval.
+    (mode 0) x (bath).  In the basis FockSpace.for_model gives, B and a harmonic
+    particle's h_0 are diagonal up to rounding, so H v is  E * v + x_0 @ (v @ Y)
+    with E their diagonals summed; an off-diagonal part above rounding level (a
+    free particle's h_0, a basis that does not match the model) is applied as
+    a product of its own.  The states of a block move together as the real and
+    imaginary parts of one real array (Tal-Ezer & Kosloff, J. Chem. Phys. 81,
+    3967 (1984)).  The spectrum lies in the sum of the single-mode spectra
+    widened by sum_i |kappa_i| |x_0| |x_i| (Weyl's inequality), which fixes the
+    expansion's interval.
     """
 
     def __init__(self, params: ModelParams, space: FockSpace):
@@ -259,29 +288,21 @@ class ChebyshevEvolver:
         # a relative 1e-12 absorbs the rounding of the eigvalsh ends; a one-level space has H = center
         self._half = ((ends[1] - ends[0]) / 2 + coupling) * (1 + 1e-12) or 1.0
         # 2 (H - center) / half = h (x) I + I (x) B' + x_0 (x) Y', the operator of the recurrence
-        self._h = (hs[0] - self._center * np.eye(len(hs[0]))) * (2 / self._half)
-        self._x0, self._by = xs[0], np.hstack([B, Y]) * (2 / self._half)
+        scale = 2 / self._half
+        (h_diag, h_off), (b_diag, b_off) = _split_diagonal(hs[0]), _split_diagonal(B)
+        self._diag = (h_diag[:, None] + b_diag - self._center) * scale
+        self._h_off = None if h_off is None else h_off * scale
+        self._b_off = None if b_off is None else b_off * scale
+        self._x0, self._y = xs[0], Y * scale
 
     def _twice_scaled(self, v: np.ndarray) -> np.ndarray:
         """2 (H - center) / half applied to a (states, d_0, bath) real array."""
-        d = self._by.shape[0]
-        w = (v.reshape(-1, d) @ self._by).reshape(*v.shape[:2], 2 * d)
-        return self._h @ v + w[..., :d] + self._x0 @ w[..., d:]
-
-    def _step(self, v: np.ndarray, dt: float) -> np.ndarray:
-        """exp(-i H dt) on the complex states v[:n] + i v[n:], as the same real layout."""
-        coeffs = _bessel_series(self._half * dt)
-        even, odd = coeffs[0] * v, np.zeros_like(v)
-        prev, cur = None, v
-        for k, c in enumerate(coeffs[1:], start=1):
-            prev, cur = cur, 0.5 * self._twice_scaled(cur) if k == 1 else self._twice_scaled(cur) - prev
-            target = even if k % 2 == 0 else odd
-            target += (2 * c if k % 4 < 2 else -2 * c) * cur  # (-i)^k alternates within each parity
-        n = v.shape[0] // 2
-        # sum_k (-i)^k c_k T_k v = even - i odd, then the phase exp(-i center dt)
-        re, im = even[:n] + odd[n:], even[n:] - odd[:n]
-        cos, sin = np.cos(self._center * dt), np.sin(self._center * dt)
-        return np.concatenate([cos * re + sin * im, cos * im - sin * re])
+        out = self._diag * v + self._x0 @ (v.reshape(-1, len(self._y)) @ self._y).reshape(v.shape)
+        if self._h_off is not None:
+            out += self._h_off @ v
+        if self._b_off is not None:
+            out += v @ self._b_off
+        return out
 
     def propagate(self, states, times):
         """Iterator over the tuple of evolved states at each time of a non-decreasing grid of t >= 0."""
@@ -294,16 +315,50 @@ class ChebyshevEvolver:
         return self._walk(np.concatenate([amps.real, amps.imag]), times)
 
     def _walk(self, v: np.ndarray, times: np.ndarray):
-        n, now = v.shape[0] // 2, 0.0
-        for t in times:
-            if t > now:
-                v, now = self._step(v, t - now), t
-            amps = (v[:n] + 1j * v[n:]).reshape(n, -1)
-            norms = np.linalg.norm(amps, axis=1)
-            if np.any(np.abs(norms - 1.0) > 1e-10):
-                raise ConditioningError("unitary evolution failed to preserve the norm")
-            v = v / np.concatenate([norms, norms])[:, None, None]
-            yield tuple(FockState(a / norm, self.space) for a, norm in zip(amps, norms))
+        """One expansion per GRID_SPAN grid times: the first from t = 0, each later one from the last state before it."""
+        now = 0.0
+        for first in range(0, times.size, GRID_SPAN):
+            span = times[first : first + GRID_SPAN]
+            re, im = self._expand(v, span - now)
+            for r, i in zip(re, im):
+                amps = r + 1j * i
+                norms = np.linalg.norm(amps, axis=1)
+                if np.any(np.abs(norms - 1.0) > 1e-10):
+                    raise ConditioningError("unitary evolution failed to preserve the norm")
+                yield tuple(FockState(a / norm, self.space) for a, norm in zip(amps, norms))
+            v = np.concatenate([re[-1], im[-1]]).reshape(v.shape) / np.concatenate([norms, norms])[:, None, None]
+            now = span[-1]
+
+    def _expand(self, v: np.ndarray, dts: np.ndarray) -> np.ndarray:
+        """exp(-i H dt) on the complex states v[:n] + i v[n:] for every dt.
+
+        Returns the real and the imaginary parts, each (dts, n, d_0 * bath).
+        Runs T_k(H') v once, up to the order the largest dt needs, and adds
+        each dt's w_k = (2 - delta_k0) (-i)^k J_k(half dt) exp(-i center dt)
+        in by one GEMM per ORDER_BLOCK orders: w_k T_k (re + i im) is
+        (Re w_k re - Im w_k im) + i (Im w_k re + Re w_k im).
+        """
+        coeffs = _bessel_series(self._half * dts)
+        orders = coeffs.shape[1]
+        w = coeffs * (2 * np.array([1, -1j, -1, 1j]))[np.arange(orders) % 4]
+        w[:, 0] /= 2
+        w *= np.exp(-1j * self._center * dts)[:, None]
+        # rows (re, im) x dts, columns orders x (re, im) of T_k v
+        weights = np.stack([np.stack([w.real, -w.imag], axis=-1), np.stack([w.imag, w.real], axis=-1)])
+        weights = weights.reshape(2 * dts.size, 2 * orders)
+        ring = np.empty((min(ORDER_BLOCK, orders), *v.shape))  # T_k v at slot k % len(ring)
+        sums = np.zeros((2 * dts.size, v.size // 2))
+        for k in range(orders):
+            slot = k % len(ring)
+            if k == 0:
+                ring[0] = v
+            elif k == 1:
+                ring[1] = 0.5 * self._twice_scaled(ring[0])
+            else:
+                np.subtract(self._twice_scaled(ring[slot - 1]), ring[slot - 2], out=ring[slot])
+            if slot == len(ring) - 1 or k == orders - 1:
+                sums += weights[:, 2 * (k - slot) : 2 * (k + 1)] @ ring[: slot + 1].reshape(2 * (slot + 1), -1)
+        return sums.reshape(2, dts.size, v.shape[0] // 2, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -385,6 +385,30 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+# records OPENBLAS_THREAD_TIMEOUT at the moment numpy is first imported
+NUMPY_IMPORT_SPY = """
+import os, sys
+seen = []
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+sys.meta_path.insert(0, Spy())
+import qbm_structures.cli
+print(seen)
+"""
+
+
+@pytest.mark.parametrize("caller", [None, "12"])
+def test_openblas_thread_timeout_is_set_before_numpy_loads(caller):
+    # OpenBLAS reads the timeout once, when numpy loads it; a caller's own value wins
+    env = {k: v for k, v in _package_env().items() if not k.startswith("OPENBLAS_")}
+    if caller is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = caller
+    out = subprocess.run([sys.executable, "-c", NUMPY_IMPORT_SPY], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == repr([caller or "26"])
+
+
 @pytest.mark.parametrize("kind", ["pod", "marginal", "er", "exclusivity"])
 def test_overflowed_flow_exits_2(tmp_path, capsys, kind):
     # the default free particle is unstable: by t = 1000 its mode-0 rows

@@ -263,16 +263,45 @@ def assert_matches_dense(params, space, times, seed):
     st.lists(st.integers(1, 7), min_size=2, max_size=3),
     st.sampled_from(["one", "repeated", "uneven"]),
     st.integers(0, 2**32 - 1),
+    st.booleans(),
 )
-@example([6, 1], "repeated", 0)  # one active mode: the bath mode has a single level
-@example([1, 6], "uneven", 1)  # the particle has a single level
-@example([1, 1, 1], "one", 2)  # H is a number
-@example([7, 5, 3], "uneven", 3)
-def test_chebyshev_evolver_matches_dense_evolver(cutoffs, grid, seed):
+@example([6, 1], "repeated", 0, True)  # one active mode: the bath mode has a single level
+@example([1, 6], "uneven", 1, True)  # the particle has a single level
+@example([1, 1, 1], "one", 2, True)  # H is a number
+@example([7, 5, 3], "uneven", 3, True)
+@example([5, 6, 4], "uneven", 4, False)  # B is not diagonal in the bath basis
+def test_chebyshev_evolver_matches_dense_evolver(cutoffs, grid, seed, model_basis):
     rng = np.random.default_rng(seed)
     params = random_params(len(cutoffs), rng)
     space = FockSpace.for_model(params, tuple(cutoffs))
+    if not model_basis:  # bath basis frequencies that differ from the model's
+        bath = tuple(w * rng.uniform(0.6, 1.6) for w in space.frequencies[1:])
+        space = FockSpace(space.cutoffs, space.masses, space.frequencies[:1] + bath)
     assert_matches_dense(params, space, time_grid(grid, rng), seed)
+
+
+def test_chebyshev_evolver_continues_across_grid_spans(monkeypatch):
+    # a grid longer than GRID_SPAN takes one expansion per span, each from the last state of the one before
+    monkeypatch.setattr(fo, "GRID_SPAN", 2)
+    params = FACTOR_PARAMS[0]
+    times = np.array([0.0, 0.7, 1.5, 1.5, 2.9])
+    assert_matches_dense(params, FockSpace.for_model(params, FACTOR_CUTOFFS), times, 6)
+
+
+@pytest.mark.parametrize("case", ["model basis", "free particle", "bath basis off the model"])
+def test_chebyshev_product_matches_the_dense_hamiltonian(case):
+    # a diagonal h_0 and B enter H v as E * v; an off-diagonal part above rounding keeps its own product
+    params = FACTOR_PARAMS[1 if case == "free particle" else 0]
+    space = FockSpace.for_model(params, FACTOR_CUTOFFS)
+    if case == "bath basis off the model":
+        space = FockSpace(space.cutoffs, space.masses, (space.frequencies[0], 1.2, 1.1))
+    evolver = ChebyshevEvolver(params, space)
+    assert (evolver._h_off is None) == (case != "free particle")
+    assert (evolver._b_off is None) == (case != "bath basis off the model")
+    H = build_fock_hamiltonian(params, space)
+    v = np.random.default_rng(5).normal(size=(4, space.cutoffs[0], space.dim // space.cutoffs[0]))
+    expected = (H - evolver._center * np.eye(space.dim)) @ v.reshape(4, -1).T * (2 / evolver._half)
+    assert np.abs(evolver._twice_scaled(v).reshape(4, -1) - expected.T).max() < 1e-12
 
 
 def test_chebyshev_evolver_matches_dense_evolver_on_four_modes():
@@ -318,13 +347,25 @@ def test_four_mode_dynamics_match_the_gaussian_route():
         assert np.abs(cov - expected.cov).max() < 1e-5
 
 
-@pytest.mark.parametrize("z", [1e-20, 1e-6, 0.3, 1.0, 7.5, 44.6, 120.0])
+@pytest.mark.parametrize("z", [1e-20, 1e-6, 0.3, 1.0, 7.5, 44.6, 120.0, 300.0, 800.0])
 def test_bessel_series_matches_mpmath(z):
-    coeffs = fo._bessel_series(z)
-    expected = [float(mp.besselj(k, z)) for k in range(coeffs.size + 1)]
-    assert np.abs(coeffs - expected[:-1]).max() < 1e-15
+    (coeffs,) = fo._bessel_series([z])
+    # mpmath takes milliseconds per order at high order, so above z = 120 every 8th order is checked
+    orders = np.arange(0, coeffs.size, 1 if z <= 120 else 8)
+    assert np.abs(coeffs[orders] - [float(mp.besselj(k, z)) for k in orders]).max() < 1e-15
     # the series ends at the first order above z whose coefficient is below 1e-17
-    assert coeffs.size > z and abs(expected[-1]) < 1e-17 <= abs(expected[-2])
+    last, beyond = (float(mp.besselj(k, z)) for k in (coeffs.size - 1, coeffs.size))
+    assert coeffs.size > z and abs(beyond) < 1e-17 <= abs(last)
+
+
+def test_bessel_series_of_a_grid_matches_mpmath():
+    # one table for a whole grid: a row per z, as many orders as the largest z needs
+    zs = np.array([0.0, 1e-20, 0.3, 7.5, 44.6])
+    table = fo._bessel_series(zs)
+    assert table.shape == (zs.size, fo._bessel_series([44.6]).shape[1])
+    assert np.array_equal(table[:2], np.eye(1, table.shape[1]).repeat(2, axis=0))  # J_k(0) exactly
+    expected = [[float(mp.besselj(k, z)) for k in range(table.shape[1])] for z in zs[2:]]
+    assert np.abs(table[2:] - expected).max() < 1e-15
 
 
 def test_chebyshev_evolver_checks_its_inputs():
