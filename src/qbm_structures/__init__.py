@@ -29,7 +29,6 @@ from .gaussian import (
     evolve,
     is_pure,
     log_negativity,
-    mean_energy,
     product_state,
     propagator,
     purify,
@@ -48,12 +47,9 @@ from .model import (
     symplectic_form,
 )
 from .structure import (
-    IrreducibilityReport,
     StructureMap,
     cm_relative_map,
     collective_mode_map,
-    identity_map,
-    irreducibility_report,
     normal_mode_map,
     transform_hamiltonian,
 )

@@ -96,6 +96,8 @@ class RunConfig:
             raise DomainError(f"perturb must be in [0, 1), got {self.perturb}")
         if (self.bath_omegas is None) != (self.bath_kappas is None):
             raise DomainError("bath_omegas and bath_kappas must be given together")
+        if self.bath_masses is not None and self.bath_omegas is None:
+            raise DomainError("bath_masses needs bath_omegas and bath_kappas; the Ohmic grid uses bath_mass")
 
 
 # every other key names its own RunConfig field

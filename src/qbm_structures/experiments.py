@@ -8,9 +8,9 @@ second dynamics.  Thermal baths can be purified with ancilla modes so that
 the global state stays pure; ancillas never evolve and count as part of the
 environment side of every bipartition.
 
-The model is diagonalised once per run (structure.normal_modes); written in
-its normal modes it is decoupled, so every mode flows in closed form
-(gaussian._decoupled_flow) and no scenario exponentiates a generator.
+The model is diagonalised once per run (structure.normal_modes), which also
+decides the instability warning; in its normal modes it is decoupled, so every
+mode flows in closed form (gaussian._decoupled_flow), exponentiating nothing.
 A split enters only through its mode-0 rows (X = sum m_i x_i / M and
 P = sum p_i for the collective one): two maps that share them differ by
 I (+) D, local on the rest, which changes no mode-0 diagnostic.  So every
@@ -23,6 +23,7 @@ er, exclusivity and marginal evaluate blocks of the time grid at once
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -111,16 +112,6 @@ class ExclusivityReport:
     neg_spep: np.ndarray
     excluding: np.ndarray
     flagged_fraction: float
-
-
-@dataclass(frozen=True)
-class IncompatibilityReport:
-    time: float
-    mean_1: float
-    var_1: float
-    mean_sp: float
-    var_sp: float
-    l1_distance: float
 
 
 @dataclass(frozen=True)
@@ -306,6 +297,12 @@ def _prepare(cfg: ScenarioConfig, smap: StructureMap | None) -> _World:
     bath_m, bath_w, _ = np.array(params.bath).T
     var_x, var_p = _thermal_widths(bath_m, bath_w, cfg.bath_temperature)
     sq_freqs, V, M = normal_modes(H, range(n))
+    if sq_freqs[0] < 0:  # ascending; L^T B L has the inertia of the position block B (Sylvester)
+        warnings.warn(
+            "position block of the model Hamiltonian is indefinite "
+            "(coupling exceeds confinement); dynamics are unbounded",
+            stacklevel=2,
+        )
     MV = M @ V
     return _World(
         cfg,
@@ -360,9 +357,10 @@ def _first_crossing(times: np.ndarray, values: np.ndarray, threshold: float) -> 
 
 
 def _half_time(times: np.ndarray, purities: np.ndarray) -> float:
+    """First time the purity falls halfway from p(0) to its plateau, the mean of the last 20 % of samples."""
     tail = max(1, int(np.ceil(0.2 * purities.size)))
     plateau = float(np.mean(purities[-tail:]))
-    return _first_crossing(times, purities, (1.0 + plateau) / 2.0)
+    return _first_crossing(times, purities, (purities[0] + plateau) / 2.0)
 
 
 def _has_recurrence(values: np.ndarray, tol: float = 1e-6) -> bool:
@@ -482,14 +480,15 @@ def run_marginal(cfg: ScenarioConfig, smap: StructureMap | None = None) -> Margi
     return MarginalReport(cfg.times, *_sampled(cfg.times, world.marginal).T)
 
 
-def marginal_incompatibility(cfg: ScenarioConfig, t: float, smap: StructureMap | None = None) -> IncompatibilityReport:
+def marginal_incompatibility(cfg: ScenarioConfig, t: float, smap: StructureMap | None = None) -> MarginalReport:
     """L1 distance between the collective mode's position density and the relabeled particle density.
 
     Treating the particle's reduced position density as if it were a density
-    for the collective coordinate is the forbidden move; the report
-    quantifies how wrong it is.  Zero exactly when the map is the identity.
+    for the collective coordinate is the forbidden move; the one-row report
+    quantifies how wrong it is at t.  Zero exactly when the map is the identity.
     """
-    return IncompatibilityReport(float(t), *_sampled(np.array([float(t)]), _prepare(cfg, smap).marginal)[0])
+    times = np.array([float(t)])
+    return MarginalReport(times, *_sampled(times, _prepare(cfg, smap).marginal).T)
 
 
 def gaussian_l1_distance(mean_a: float, var_a: float, mean_b: float, var_b: float) -> float:

@@ -391,13 +391,6 @@ def reduce(state: GaussianState, keep) -> GaussianState:
     return GaussianState(state.mean[idx], state.cov[np.ix_(idx, idx)])
 
 
-def mean_energy(H: QuadraticHamiltonian, state: GaussianState) -> float:
-    """<H> = (tr(K sigma) + m^T K m) / 2."""
-    if H.n_modes != state.n_modes:
-        raise DomainError("Hamiltonian and state mode counts differ")
-    return float(0.5 * (np.trace(H.K @ state.cov) + state.mean @ H.K @ state.mean))
-
-
 # ---------------------------------------------------------------------------
 # entanglement and coherence diagnostics
 

@@ -14,7 +14,6 @@ Conventions (fixed once for the whole package):
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,8 +177,7 @@ def build_qbm_hamiltonian(params: ModelParams) -> QuadraticHamiltonian:
     Nonzero entries: kinetic 1/m on the momentum diagonal, bath potentials
     m_i w_i^2 on the position diagonal, the particle potential (if harmonic),
     and the symmetrized coupling entries (+/-) kappa_i between x_1 and x_{2i}.
-    Emits a warning when the resulting position block is indefinite (strong
-    coupling), in which case evolution is still well-defined but unbounded.
+    An indefinite position block (coupling beyond confinement) is reported by experiments._prepare.
     """
     n = params.n_modes
     K = np.zeros((2 * n, 2 * n))
@@ -190,11 +188,4 @@ def build_qbm_hamiltonian(params: ModelParams) -> QuadraticHamiltonian:
         K[n + i, n + i] = 1.0 / m
         K[i, i] = m * w**2
         K[0, i] = K[i, 0] = params.coupling_sign * kappa
-    H = QuadraticHamiltonian(n, K)
-    if np.linalg.eigvalsh(H.position_block).min() < 0:
-        warnings.warn(
-            "position block of the model Hamiltonian is indefinite "
-            "(coupling exceeds confinement); dynamics are unbounded",
-            stacklevel=2,
-        )
-    return H
+    return QuadraticHamiltonian(n, K)

@@ -22,7 +22,6 @@ from .errors import ConditioningError, DomainError, _require_finite
 from .model import QuadraticHamiltonian
 
 CANONICITY_TOL = 1e-10
-DENSITY_TOL = 1e-12
 NORMAL_MODE_TOL = 1e-10
 
 
@@ -65,10 +64,6 @@ class StructureMap:
         S[:n, :n] = self.T
         S[n:, n:] = self.T_inv.T
         return S
-
-
-def identity_map(n_modes: int) -> StructureMap:
-    return StructureMap(np.eye(n_modes))
 
 
 def cm_relative_map(masses) -> StructureMap:
@@ -190,46 +185,3 @@ def collective_mode_map(H: QuadraticHamiltonian, masses) -> StructureMap:
     cm = cm_relative_map(masses)
     nm = normal_mode_map(transform_hamiltonian(H, cm), range(1, H.n_modes))
     return StructureMap(nm.T @ cm.T)
-
-
-@dataclass(frozen=True)
-class IrreducibilityReport:
-    """Per-row support of T and T^{-1} plus the all-entries-nonzero verdict."""
-
-    row_density: np.ndarray
-    row_density_inv: np.ndarray
-    min_abs_coefficient: float
-    is_irreducible: bool
-
-
-def irreducibility_report(m: StructureMap, split_old, split_new) -> IrreducibilityReport:
-    """Quantify whether the map mixes every old coordinate into every new one.
-
-    split_old / split_new partition the old and new mode indices into the two
-    subsystems of each decomposition (first set = the distinguished open
-    system).  The map is reported irreducible when every row of T and of
-    T^{-1} has all entries above 1e-12 in magnitude, so no coordinate of one
-    decomposition is a function of a proper subset of the other's.
-    """
-    n = m.n_modes
-    _check_partition(split_old, n, "split_old")
-    _check_partition(split_new, n, "split_new")
-    dens = (np.abs(m.T) > DENSITY_TOL).sum(axis=1) / n
-    dens_inv = (np.abs(m.T_inv) > DENSITY_TOL).sum(axis=1) / n
-    cross_rows = np.concatenate(
-        [np.abs(m.T[list(split_new[0])].ravel()), np.abs(m.T_inv[list(split_old[0])].ravel())]
-    )
-    return IrreducibilityReport(
-        row_density=dens,
-        row_density_inv=dens_inv,
-        min_abs_coefficient=float(cross_rows.min()),
-        is_irreducible=bool(np.all(dens == 1.0) and np.all(dens_inv == 1.0)),
-    )
-
-
-def _check_partition(split, n: int, name: str) -> None:
-    seen: list[int] = []
-    for part in split:
-        seen.extend(int(i) for i in part)
-    if sorted(seen) != list(range(n)):
-        raise DomainError(f"{name} does not partition the {n} mode indices")

@@ -97,11 +97,11 @@ def oracle_scenario(n_bath):
     )
 
 
-def oracle_workload():
-    """The benchmark's oracle-compare run: its parsed config and its scenario (Fock dimension 1000)."""
+def workload(name):
+    """A benchmark workload's run: its parsed config and its scenario at seed 0."""
     from qbm_structures import cli
 
-    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads", "oracle-compare.ini")
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads", f"{name}.ini")
     with open(path, encoding="utf-8") as fh:
         run_cfg = cli.parse_config(fh.read())
     return run_cfg, cli.build_scenario(run_cfg)

@@ -117,6 +117,17 @@ def test_bath_lists_must_come_together():
         parse_config("[scenario]\nkind = pod\n[model]\nbath_omegas = 0.8\n")
 
 
+def test_bath_masses_need_explicit_bath_lists(tmp_path, capsys):
+    text = MINIMAL_POD + "[model]\nn_bath = 2\nbath_masses = 5 7\n[times]\nn_points = 3\n"
+    with pytest.raises(DomainError, match="bath_masses"):
+        parse_config(text)
+    assert main([str(_write_config(tmp_path, text)), "--output", str(tmp_path / "x.csv")]) == 1
+    assert "bath_masses needs bath_omegas" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+    cfg = parse_config(text.replace("n_bath = 2", "bath_omegas = 0.8 1.1\nbath_kappas = 0.1 0.2"))
+    assert [m for m, _, _ in build_scenario(cfg).model.bath] == [5.0, 7.0]
+
+
 def test_every_config_key_names_its_own_run_config_field():
     names = [_FIELD_MAP.get((section, key), key) for section, keys in _SCHEMA.items() for key in keys]
     assert len(names) == len(set(names))

@@ -16,11 +16,11 @@ from qbm_structures import (
     discretize_bath,
     build_qbm_hamiltonian,
     evolve,
-    identity_map,
     log_negativity,
     propagator,
     purity,
     reduce,
+    StructureMap,
     symplectic_form,
 )
 from qbm_structures.experiments import (
@@ -45,9 +45,9 @@ from helpers import (
     exclusivity_scenario,
     lift_total,
     oracle_scenario,
-    oracle_workload,
     pod_scenario,
     random_model,
+    workload,
 )
 from reference import mode_transform, pure_log_negativity
 from reference_pod_negativity import model_matrices
@@ -110,6 +110,20 @@ def test_pod_coupled_run_decoheres_both_sides():
     assert np.all(rep.neg_spep >= 0.0)
 
 
+def test_collective_half_time_starts_from_its_initial_purity():
+    # purified thermal bath: the collective mode starts mixed (purity 0.11), and its half-time is not 0
+    _, cfg = workload("pod-wide")
+    rep = run_pod(cfg)
+    p = rep.purity_sp
+    tail = math.ceil(0.2 * p.size)
+    threshold = (p[0] + np.mean(p[-tail:])) / 2
+    first = int(np.argmax(p < threshold))
+    assert p[0] < 0.2 and first > 0 and np.all(p[:first] >= threshold)
+    assert rep.half_time_sp > 0
+    assert rep.times[first - 1] < rep.half_time_sp <= rep.times[first]
+    assert rep.purity_1[0] == pytest.approx(1.0, abs=1e-12) and rep.half_time_1 > 0
+
+
 def test_pod_early_time_monotone_decay():
     cfg = pod_scenario()
     shortest_period = 2 * np.pi / max(w for _, w, _ in cfg.model.bath)
@@ -169,7 +183,7 @@ def test_er_initial_product_is_witnessed():
 
 def test_er_identity_map_gives_equal_negativities():
     cfg = small_scenario(n_times=4)
-    rep = run_er_check(cfg, smap=identity_map(2))
+    rep = run_er_check(cfg, smap=StructureMap(np.eye(2)))
     assert np.allclose(rep.neg_12, rep.neg_spep, atol=1e-12)
     assert not rep.witnessed.any()
 
@@ -192,7 +206,7 @@ def test_er_requires_pure_global_state():
 
 def test_exclusivity_identity_map_never_flags():
     cfg = small_scenario(n_times=4)
-    rep = run_exclusivity(cfg, smap=identity_map(2))
+    rep = run_exclusivity(cfg, smap=StructureMap(np.eye(2)))
     assert np.all(rep.neg_spep < 1e-10)
     assert rep.flagged_fraction == 0.0
 
@@ -250,12 +264,13 @@ def test_run_marginal_matches_pointwise_reports():
     rep = run_marginal(cfg)
     for i, t in enumerate(cfg.times):
         point = marginal_incompatibility(cfg, t)
+        assert point.times.tolist() == [t]
         assert (rep.mean_1[i], rep.var_1[i], rep.mean_sp[i], rep.var_sp[i], rep.l1_distance[i]) == (
-            point.mean_1,
-            point.var_1,
-            point.mean_sp,
-            point.var_sp,
-            point.l1_distance,
+            *point.mean_1,
+            *point.var_1,
+            *point.mean_sp,
+            *point.var_sp,
+            *point.l1_distance,
         )
 
 
@@ -265,20 +280,21 @@ def test_l1_distance_identical_is_zero():
 
 def test_marginal_identity_map_is_zero():
     cfg = small_scenario(n_times=2)
-    rep = marginal_incompatibility(cfg, 0.0, smap=identity_map(2))
-    assert rep.l1_distance == 0.0
+    rep = marginal_incompatibility(cfg, 0.0, smap=StructureMap(np.eye(2)))
+    assert rep.l1_distance.tolist() == [0.0]
 
 
 def test_marginal_generic_map_exceeds_threshold():
     rep = marginal_incompatibility(pod_scenario(), 0.0)
-    assert rep.l1_distance > 0.1
+    assert rep.l1_distance[0] > 0.1
 
 
 def test_marginal_translation_covariance():
     # shifting both position axes by the same amount leaves the distance alone
     rep = marginal_incompatibility(small_scenario(n_times=2), 1.0)
-    a = gaussian_l1_distance(rep.mean_1, rep.var_1, rep.mean_sp, rep.var_sp)
-    b = gaussian_l1_distance(rep.mean_1 + 5.0, rep.var_1, rep.mean_sp + 5.0, rep.var_sp)
+    ((mean_1, var_1, mean_sp, var_sp),) = np.column_stack([rep.mean_1, rep.var_1, rep.mean_sp, rep.var_sp])
+    a = gaussian_l1_distance(mean_1, var_1, mean_sp, var_sp)
+    b = gaussian_l1_distance(mean_1 + 5.0, var_1, mean_sp + 5.0, var_sp)
     assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -446,7 +462,7 @@ def test_oracle_compare_charges_each_moment_to_its_delta(monkeypatch, planted):
 def test_oracle_compare_forms_no_dense_hamiltonian(monkeypatch):
     # on the benchmark's oracle-compare model (dimension 1000) the Fock route builds
     # no dense H and diagonalises nothing larger than one mode's basis in gaussian_to_fock
-    run_cfg, scenario = oracle_workload()
+    run_cfg, scenario = workload("oracle-compare")
     sizes = []
     for name in ("eigh", "eigvalsh"):
 

@@ -33,7 +33,7 @@ from qbm_structures import (
 import qbm_structures.fock_oracle as fo
 from qbm_structures.fock_oracle import ChebyshevEvolver, mode_means, state_moments
 from qbm_structures.structure import collective_mode_map
-from helpers import oracle_workload
+from helpers import workload
 from reference import log_negativity_density, mode_transform, pure_log_negativity, quadratic_operator
 
 
@@ -223,7 +223,7 @@ def test_dense_evolver_rejects_parity_coupling_and_foreign_states():
 def test_dense_evolver_diagonalises_per_parity_sector(monkeypatch):
     # on the benchmark's oracle-compare model (dimension 1000) no eigh sees more
     # than one excitation-parity sector of the Fock space
-    run_cfg, scenario = oracle_workload()
+    run_cfg, scenario = workload("oracle-compare")
     space = FockSpace.for_model(scenario.model, run_cfg.cutoff)
     H = build_fock_hamiltonian(scenario.model, space)
     sizes = []

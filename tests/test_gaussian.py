@@ -20,7 +20,6 @@ from qbm_structures import (
     evolve,
     is_pure,
     log_negativity,
-    mean_energy,
     product_state,
     propagator,
     purify,
@@ -273,19 +272,6 @@ def test_schmidt_symmetry_of_pure_reductions():
     pa = purity(reduce(pure, [0, 2]))
     pb = purity(reduce(pure, [1, 3]))
     assert pa == pytest.approx(pb, rel=1e-8)
-
-
-def test_mean_energy_formula():
-    params = random_model(np.random.default_rng(12), n_bath=1, potential="harmonic")
-    H = build_qbm_hamiltonian(params)
-    st = product_state(
-        coherent_state(1, 0, 1.0, 0.0, params.m1, params.omega),
-        thermal_state([(m, w) for m, w, _ in params.bath], 0.0),
-    )
-    # coherent ground-state energy + displacement + bath zero point
-    w1, (m2, w2, _) = params.omega, params.bath[0]
-    expected = w1 / 2 + 0.5 * params.m1 * w1**2 * 1.0 + w2 / 2
-    assert mean_energy(H, st) == pytest.approx(expected, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

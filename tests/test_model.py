@@ -1,3 +1,6 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,15 +12,15 @@ from qbm_structures import (
     build_qbm_hamiltonian,
     coherent_state,
     discretize_bath,
+    cli,
     evolve,
-    mean_energy,
     product_state,
     propagator,
     symplectic_form,
     thermal_state,
 )
-from qbm_structures.experiments import ScenarioConfig
-from helpers import random_model
+from qbm_structures.experiments import ScenarioConfig, _prepare
+from helpers import random_model, workload
 
 
 def test_zero_coupling_minimal_entries():
@@ -121,9 +124,58 @@ def test_asymmetric_matrix_rejected():
         QuadraticHamiltonian(2, K)
 
 
+INDEFINITE = (
+    "position block of the model Hamiltonian is indefinite (coupling exceeds confinement); dynamics are unbounded"
+)
+
+
+def _indefinite_warnings(call):
+    """call()'s result and the messages of the indefinite-position-block warnings it issued."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call()
+    return result, [str(w.message) for w in caught if str(w.message).startswith("position block")]
+
+
 def test_indefinite_position_block_warns():
-    with pytest.warns(UserWarning, match="indefinite"):
-        build_qbm_hamiltonian(ModelParams(m1=1.0, bath=((1.0, 0.5, 0.8),)))
+    # building the model decides nothing; the run's normal modes do
+    params = ModelParams(m1=1.0, bath=((1.0, 0.5, 0.8),))
+    assert _indefinite_warnings(lambda: build_qbm_hamiltonian(params))[1] == []
+    cfg = ScenarioConfig(params, times=np.array([0.0, 1.0]))
+    assert _indefinite_warnings(lambda: _prepare(cfg, None))[1] == [INDEFINITE]
+
+
+def test_default_free_particle_warns_once_per_run(tmp_path):
+    config = tmp_path / "pod.ini"
+    config.write_text("[scenario]\nkind = pod\n\n[times]\nn_points = 3\n")
+    assert _indefinite_warnings(lambda: cli.main([str(config), "--output", str(tmp_path / "o.csv")])) == (
+        0,
+        [INDEFINITE],
+    )
+
+
+def test_harmonic_and_zero_coupling_models_do_not_warn():
+    wide, _ = workload("pod-wide")
+    for seed in (0, 1, 2):
+        cfg = cli.build_scenario(replace(wide, seed=seed))
+        assert _indefinite_warnings(lambda: _prepare(cfg, None))[1] == []
+    # a free particle without coupling: the position block has an exact 0 eigenvalue, a free mode, not an unstable one
+    params = ModelParams(m1=2.0, bath=((1.0, 0.7, 0.0), (1.5, 1.2, 0.0)))
+    assert np.linalg.eigvalsh(build_qbm_hamiltonian(params).position_block).min() == 0.0
+    world, messages = _indefinite_warnings(lambda: _prepare(ScenarioConfig(params, times=np.array([0.0, 1.0])), None))
+    assert messages == [] and np.diagonal(world.normal.K)[0] == 0.0
+
+
+def test_prepare_solves_the_model_once(monkeypatch):
+    calls = []
+    for name in ("eigh", "eigvalsh", "eigvals", "eig"):
+        solver = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, _f=solver, _n=name, **k: calls.append(_n) or _f(*a, **k))
+    cfg = cli.build_scenario(cli.parse_config("[scenario]\nkind = pod\n"))
+    build_qbm_hamiltonian(cfg.model)
+    assert calls == []
+    _prepare(cfg, None)
+    assert calls == ["eigh"]
 
 
 def test_discretize_single_mode_linear():
@@ -173,10 +225,11 @@ def test_energy_conserved_along_evolution():
             coherent_state(1, 0, 1.0, -0.5, params.m1, params.omega),
             thermal_state([(m, w) for m, w, _ in params.bath], temperature=0.7),
         )
-        e0 = mean_energy(H, state)
+        # <H> = (tr(K sigma) + m^T K m) / 2
+        energy = lambda st: 0.5 * (np.trace(H.K @ st.cov) + st.mean @ H.K @ st.mean)  # noqa: E731
+        e0 = energy(state)
         for t in (0.3, 1.7, 4.0):
-            et = mean_energy(H, evolve(state, propagator(H, t)))
-            assert et == pytest.approx(e0, rel=1e-8)
+            assert energy(evolve(state, propagator(H, t))) == pytest.approx(e0, rel=1e-8)
 
 
 def test_symplectic_form_shape():

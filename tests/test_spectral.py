@@ -22,10 +22,10 @@ import qbm_structures.experiments as ex
 from qbm_structures import (
     ConditioningError,
     QuadraticHamiltonian,
+    StructureMap,
     build_qbm_hamiltonian,
     cm_relative_map,
     evolve,
-    identity_map,
     log_negativity,
     propagator,
     purity,
@@ -223,7 +223,7 @@ def test_default_split_equals_full_collective_map(params, bath):
 def test_identity_map_makes_both_splits_agree(params, bath):
     temperature, purified = bath
     cfg, _ = _world(params, temperature, purified=purified)
-    smap = identity_map(params.n_modes)
+    smap = StructureMap(np.eye(params.n_modes))
     pod = run_pod(cfg, smap)
     assert np.array_equal(pod.purity_1, pod.purity_sp)
     assert np.array_equal(pod.neg_12, pod.neg_spep)

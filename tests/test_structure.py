@@ -12,8 +12,6 @@ from qbm_structures import (
     build_qbm_hamiltonian,
     cm_relative_map,
     collective_mode_map,
-    identity_map,
-    irreducibility_report,
     normal_mode_map,
     symplectic_form,
     transform_hamiltonian,
@@ -55,7 +53,7 @@ def test_cm_relative_rejects_bad_masses():
 def test_transform_identity_is_noop():
     params = random_model(np.random.default_rng(1), n_bath=3)
     H = build_qbm_hamiltonian(params)
-    H2 = transform_hamiltonian(H, identity_map(4))
+    H2 = transform_hamiltonian(H, StructureMap(np.eye(4)))
     assert np.array_equal(H2.K, H.K)
 
 
@@ -99,7 +97,7 @@ def test_transform_dimension_mismatch():
     params = random_model(np.random.default_rng(5), n_bath=2)
     H = build_qbm_hamiltonian(params)
     with pytest.raises(DomainError):
-        transform_hamiltonian(H, identity_map(5))
+        transform_hamiltonian(H, StructureMap(np.eye(5)))
 
 
 def test_normal_mode_single_mode_rescales():
@@ -176,35 +174,14 @@ def test_compose_matches_stepwise_transformation():
     assert np.allclose(stepwise.K, onestep.K, atol=1e-10)
 
 
-def test_irreducibility_identity_and_swap_are_reducible():
-    ident = identity_map(3)
-    rep = irreducibility_report(ident, [[0], [1, 2]], [[0], [1, 2]])
-    assert not rep.is_irreducible
-    swap = StructureMap(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    rep2 = irreducibility_report(swap, [[0], [1]], [[0], [1]])
-    assert not rep2.is_irreducible
-    assert np.all(rep2.row_density == 0.5)
-
-
 def test_irreducibility_composite_generic():
     rng = np.random.default_rng(9)
     params = random_model(rng, n_bath=3)
     H = build_qbm_hamiltonian(params)
     comp = collective_mode_map(H, params.masses)
-    rep = irreducibility_report(comp, [[0], [1, 2, 3]], [[0], [1, 2, 3]])
-    # independent check: inspect the matrices directly
+    # irreducible: every old coordinate enters every new one, and back
     assert np.all(np.abs(comp.T) > 1e-12)
     assert np.all(np.abs(comp.T_inv) > 1e-12)
-    assert rep.is_irreducible
-    assert rep.min_abs_coefficient > 1e-12
-    assert np.all(rep.row_density == 1.0) and np.all(rep.row_density_inv == 1.0)
-
-
-def test_irreducibility_rejects_malformed_partition():
-    with pytest.raises(DomainError):
-        irreducibility_report(identity_map(3), [[0], [1]], [[0], [1, 2]])
-    with pytest.raises(DomainError):
-        irreducibility_report(identity_map(3), [[0, 1], [1, 2]], [[0], [1, 2]])
 
 
 def test_rejects_singular_map():
