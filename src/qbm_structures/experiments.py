@@ -17,11 +17,14 @@ I (+) D, local on the rest, which changes no mode-0 diagnostic.  So every
 diagnostic uses only mode-0 rows of the flow; only the cat state of
 run_oracle_compare (at most three modes) forms the dense flow.
 er, exclusivity and marginal evaluate blocks of the time grid at once
-(_World.split_rows); pod and oracle-compare build D(t) once per sample.
+(_World.split_rows); pod and oracle-compare's Gaussian rows build D(t) once
+per sample, and oracle-compare's number-basis rows come per block of up to
+fock_oracle.GRID_SPAN times (fock_oracle.branch_diagnostics).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -357,9 +360,14 @@ def _first_crossing(times: np.ndarray, values: np.ndarray, threshold: float) -> 
 
 
 def _half_time(times: np.ndarray, purities: np.ndarray) -> float:
-    """First time the purity falls halfway from p(0) to its plateau, the mean of the last 20 % of samples."""
+    """First time the purity falls halfway from p(0) to its plateau, the mean of the last 20 % of samples.
+
+    nan when the plateau is not below p(0): the purity does not decay, and the midpoint would sit at or above p(0).
+    """
     tail = max(1, int(np.ceil(0.2 * purities.size)))
     plateau = float(np.mean(purities[-tail:]))
+    if plateau >= purities[0]:
+        return float("nan")
     return _first_crossing(times, purities, (purities[0] + plateau) / 2.0)
 
 
@@ -541,10 +549,11 @@ def run_oracle_compare(
     (x, p) and 2 x 2 covariance, and the two-branch decoherence factor for
     branches displaced to +/- x0.  The Gaussian particle moments come from
     the mode-0 rows that pod and marginal use; the two Fock branches move
-    together along the grid in fock_oracle.ChebyshevEvolver.  With
-    certify=True the number-basis route is repeated with every cutoff raised
-    by `bump` (at least 1) and the worst drift is reported (convergence
-    certification).
+    together along the grid in fock_oracle.ChebyshevEvolver, and
+    fock_oracle.branch_diagnostics reads their rows per block of grid
+    times.  With certify=True the number-basis route is repeated with every
+    cutoff raised by `bump` (at least 1) and the worst drift is reported
+    (convergence certification).
     """
     params = cfg.model
     if len(params.bath) > 2:
@@ -560,9 +569,7 @@ def run_oracle_compare(
     mu_minus = mu_plus.copy()
     mu_minus[0] = -mu_plus[0]
     cat0 = cat_state([1 / np.sqrt(2), 1 / np.sqrt(2)], [mu_plus, mu_minus], cov0)
-    n = world.n_phys
-    env = list(range(1, n))
-    mode0, env_idx = [0, n], env + [n + i for i in env]
+    env = list(range(1, world.n_phys))
 
     def gaussian_row(t: float) -> list[float]:
         D = world.mode_flow(t)
@@ -572,15 +579,11 @@ def run_oracle_compare(
 
     def fock_table(space: fo.FockSpace) -> np.ndarray:
         branches = [fo.gaussian_to_fock(GaussianState(mu, cov0), space) for mu in (mu_plus, mu_minus)]
-        env_space = space.subspace(env)
+        walk = fo.ChebyshevEvolver(params, space).propagate(branches, cfg.times)
         out = []
-        for bp, bm in fo.ChebyshevEvolver(params, space).propagate(branches, cfg.times):
-            mean, cov = fo.state_moments(bp)
-            shift = (fo.mode_means(bm) - mean)[env_idx]
-            r = abs(np.trace(fo.reduced_density(bp, env) @ fo.weyl_operator(env_space, shift)))
-            purity_0 = fo.purity_density(fo.reduced_density(bp, [0]))
-            out.append([purity_0, *mean[mode0], *cov[np.ix_(mode0, mode0)].ravel(), r])
-        return np.array(out)
+        while block := [[psi.amplitudes for psi in states] for states in itertools.islice(walk, fo.GRID_SPAN)]:
+            out.append(fo.branch_diagnostics(np.reshape(block, (len(block), 2, *space.cutoffs)), space))
+        return np.concatenate(out)
 
     space = fo.FockSpace.for_model(params, cutoffs)
     fock = fock_table(space)

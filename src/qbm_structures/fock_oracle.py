@@ -6,10 +6,14 @@ they certify.  The model's H is h_0 (x) I + I (x) B + x_0 (x) Y over
 (mode 0) x (bath), built from single-mode factors (_factors).
 ChebyshevEvolver applies it in that factored form to propagate states along
 a time grid by one Chebyshev expansion over the grid, with no dense H and no
-eigh beyond the single-mode ones; moments apply single-mode factors along
-tensor axes (_apply).  build_fock_hamiltonian and DenseEvolver, which takes
-one eigh per excitation-parity sector of the dense H, are the reference the
-evolver is tested against.  For a few modes at cutoffs of a few tens.
+eigh beyond the single-mode ones.  branch_diagnostics reads oracle-compare's
+columns for a block of grid times off stacked single-mode reduced densities.
+build_fock_hamiltonian and DenseEvolver, which takes one eigh per
+excitation-parity sector of the dense H, are the reference the evolver is
+tested against; the per-state state_moments (single-mode factors along tensor
+axes, _apply), mode_means, reduced_density, purity_density and weyl_operator
+are the reference for branch_diagnostics.  For a few modes at cutoffs of a few
+tens.
 
 Each mode's basis is the eigenbasis of a reference oscillator with the
 mode's mass and a basis frequency; x and p matrices carry those widths.
@@ -422,6 +426,48 @@ def state_moments(psi: FockState) -> tuple[np.ndarray, np.ndarray]:
 def mode_means(psi: FockState) -> np.ndarray:
     """Per-mode <x>.., <p>.. of a pure state (the mean of state_moments)."""
     return state_moments(psi)[0]
+
+
+def branch_diagnostics(amps: np.ndarray, space: FockSpace) -> np.ndarray:
+    """Per time: mode-0 purity, <x_0>, <p_0>, the 2 x 2 covariance and the decoherence factor of two branches.
+
+    amps holds the branches psi_+, psi_- of a block of times, shaped (times, 2,
+    *cutoffs); each row is [purity, <x_0>, <p_0>, cov (row-major), r].  Every
+    number comes from single-mode reduced densities rho_i, stacked over the
+    block.  The mode-0 columns are psi_+'s, from its rho_0 and the truncated
+    x_0, p_0, x_0^2, p_0^2 and (x_0 p_0 + p_0 x_0)/2, as state_moments takes
+    them.  r = |<psi_+| I (x) W_1 (x) W_2 .. |psi_+>|, where W_i shifts mode
+    i's means from psi_+'s to psi_-'s (weyl_operator's factor, from one
+    stacked eigh per mode) and acts along mode i's axis.  O(times dim d), with
+    no operator beyond one mode.
+    """
+    n_t, cut = len(amps), space.cutoffs
+    if amps.shape != (n_t, 2, *cut):
+        raise DomainError(f"amplitudes of shape {amps.shape} are not (times, 2, *{cut})")
+    xs, ps = _mode_quadratures(space)
+
+    def expect(i: int, ops: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """Mode i's rho_i of both branches, (times, 2, d, d), and its Re tr(rho_i op) per op, (ops, times, 2)."""
+        d = cut[i]
+        mat = np.moveaxis(amps.reshape(n_t, 2, -1, d, int(np.prod(cut[i + 1 :]))), 3, 2).reshape(n_t, 2, d, -1)
+        rho = mat @ mat.conj().swapaxes(-1, -2)
+        values = np.real(rho.reshape(n_t, 2, d * d) @ np.array([op.T.ravel() for op in ops]).T)
+        return rho, np.moveaxis(values, -1, 0)
+
+    x, p = xs[0], ps[0]
+    rho, values = expect(0, [x, p, x @ x, p @ p, (x @ p + p @ x) / 2])
+    mx, mp, xx, pp, xp = values[..., 0]
+    cov_xp = xp - mx * mp
+    columns = [np.sum(np.abs(rho[:, 0]) ** 2, axis=(1, 2)), mx, mp, xx - mx**2, cov_xp, cov_xp, pp - mp**2]
+    plus = amps[:, 0].reshape(n_t, -1)
+    shifted = plus
+    for i in range(1, space.n_modes):
+        means = expect(i, [xs[i], ps[i]])[1]
+        dx, dp = means[..., 1] - means[..., 0]
+        w, U = np.linalg.eigh(dp[:, None, None] * xs[i] - dx[:, None, None] * ps[i])
+        W = (U * np.exp(1j * w)[:, None, :]) @ U.conj().swapaxes(-1, -2)
+        shifted = (W[:, None] @ shifted.reshape(n_t, int(np.prod(cut[:i])), cut[i], -1)).reshape(n_t, -1)
+    return np.column_stack(columns + [np.abs(np.sum(plus.conj() * shifted, axis=1))])
 
 
 def weyl_operator(space: FockSpace, delta: np.ndarray) -> np.ndarray:

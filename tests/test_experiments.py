@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 
@@ -122,6 +123,17 @@ def test_collective_half_time_starts_from_its_initial_purity():
     assert rep.half_time_sp > 0
     assert rep.times[first - 1] < rep.half_time_sp <= rep.times[first]
     assert rep.purity_1[0] == pytest.approx(1.0, abs=1e-12) and rep.half_time_1 > 0
+
+
+def test_half_time_is_nan_when_the_purity_does_not_decay():
+    # the exclusivity-long model run as pod: the collective purity starts at 0.342 and ends near 0.40
+    _, cfg = workload("exclusivity-long")
+    cfg = dataclasses.replace(cfg, times=np.linspace(0.0, cfg.times[-1], 50))
+    rep = run_pod(cfg)
+    p = rep.purity_sp
+    assert np.mean(p[-math.ceil(0.2 * p.size) :]) > p[0] and p.min() < p[0]
+    assert math.isnan(rep.half_time_sp)
+    assert rep.half_time_1 > 0
 
 
 def test_pod_early_time_monotone_decay():
@@ -441,22 +453,29 @@ def test_oracle_compare_charges_each_moment_to_its_delta(monkeypatch, planted):
     # an error planted in one Fock moment of the particle shows in its own delta only
     cfg = oracle_scenario(1)
     cfg = ScenarioConfig(model=cfg.model, times=cfg.times[:3], x0=cfg.x0, p0=cfg.p0)
-    real_moments = fo.state_moments
+    real_diagnostics = fo.branch_diagnostics
 
-    def planted_moments(psi):
-        mean, cov = (a.copy() for a in real_moments(psi))
-        n = psi.space.n_modes
-        if planted == "delta_mean":
-            mean[n] += 1e-3  # <p_0>
-        else:
-            cov[n, n] += 1e-3  # var(p_0)
-        return mean, cov
+    def planted_diagnostics(amps, space):
+        table = real_diagnostics(amps, space)
+        table[:, 2 if planted == "delta_mean" else 6] += 1e-3  # <p_0> or var(p_0)
+        return table
 
-    monkeypatch.setattr(fo, "state_moments", planted_moments)
+    monkeypatch.setattr(fo, "branch_diagnostics", planted_diagnostics)
     rep = run_oracle_compare(cfg, cutoffs=18)
     for name in ("delta_purity", "delta_mean", "delta_cov", "delta_decoherence"):
         expected = 1e-3 if name == planted else 0.0
         assert np.abs(getattr(rep, name) - expected).max() < 1e-6, name
+
+
+def test_oracle_compare_is_the_same_on_blocks_of_the_grid(monkeypatch):
+    # blocks of two grid times (the last one a single time) give the report of one block over the grid
+    cfg = oracle_scenario(2)
+    cfg = ScenarioConfig(model=cfg.model, times=cfg.times[:5], x0=cfg.x0, p0=cfg.p0)
+    whole = run_oracle_compare(cfg, cutoffs=10, certify=True, bump=2)
+    monkeypatch.setattr(fo, "GRID_SPAN", 2)
+    blocks = run_oracle_compare(cfg, cutoffs=10, certify=True, bump=2)
+    for name in ("delta_purity", "delta_mean", "delta_cov", "delta_decoherence", "certification_delta"):
+        assert np.abs(getattr(blocks, name) - getattr(whole, name)).max() < 1e-13, name
 
 
 def test_oracle_compare_forms_no_dense_hamiltonian(monkeypatch):

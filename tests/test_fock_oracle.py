@@ -573,6 +573,42 @@ def test_moments_of_coherent_state():
         assert mode_means(psi) == pytest.approx(g.mean, abs=1e-9)
 
 
+def per_state_diagnostics(plus, minus):
+    """branch_diagnostics' row from the per-state reductions: reduced densities, state_moments and a dense Weyl operator."""
+    n = plus.space.n_modes
+    mode0, env = [0, n], list(range(1, n))
+    mean, cov = state_moments(plus)
+    shift = (mode_means(minus) - mean)[env + [n + i for i in env]]
+    r = abs(np.trace(reduced_density(plus, env) @ weyl_operator(plus.space.subspace(env), shift)))
+    purity_0 = purity_density(reduced_density(plus, [0]))
+    return [purity_0, *mean[mode0], *cov[np.ix_(mode0, mode0)].ravel(), r]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 7), min_size=2, max_size=3), st.integers(0, 2**32 - 1), st.booleans())
+@example([6, 1], 0, True)  # a single-level bath mode: its Weyl factor is 1
+@example([1, 5, 3], 1, True)  # a single-level particle: x_0 = p_0 = 0
+@example([7, 6, 5], 2, False)  # bath basis frequencies that differ from the model's
+def test_branch_diagnostics_match_the_per_state_reductions(cutoffs, seed, model_basis):
+    rng = np.random.default_rng(seed)
+    params = random_params(len(cutoffs), rng)
+    space = FockSpace.for_model(params, tuple(cutoffs))
+    if not model_basis:
+        bath = tuple(w * rng.uniform(0.6, 1.6) for w in space.frequencies[1:])
+        space = FockSpace(space.cutoffs, space.masses, space.frequencies[:1] + bath)
+    pairs = []
+    for _ in range(3):  # psi_- is psi_+ mixed with another state, then shifted on every mode
+        plus, other = (random_state(space, int(s)) for s in rng.integers(2**32, size=2))
+        shift = weyl_operator(space, rng.normal(scale=0.6, size=2 * space.n_modes))
+        minus = shift @ (plus.amplitudes + other.amplitudes)
+        pairs.append((plus, FockState(minus / np.linalg.norm(minus), space)))
+    amps = np.reshape([[psi.amplitudes for psi in pair] for pair in pairs], (3, 2, *space.cutoffs))
+    expected = np.array([per_state_diagnostics(*pair) for pair in pairs])
+    assert np.abs(fo.branch_diagnostics(amps, space) - expected).max() < 1e-13
+    with pytest.raises(DomainError):
+        fo.branch_diagnostics(amps[:, :1], space)
+
+
 def test_pure_state_routes_form_no_dense_operator(monkeypatch):
     g, space = squeezed_product()
     psi = gaussian_to_fock(g, space)
@@ -585,6 +621,8 @@ def test_pure_state_routes_form_no_dense_operator(monkeypatch):
     mean, cov = state_moments(psi)
     assert np.abs(cov - g.cov).max() < 1e-9
     assert np.array_equal(mode_means(psi), mean)
+    row = fo.branch_diagnostics(np.stack([psi.amplitudes, psi.amplitudes]).reshape(1, 2, *space.cutoffs), space)
+    assert row[0, 1:7] == pytest.approx([mean[0], mean[4], cov[0, 0], cov[0, 4], cov[4, 0], cov[4, 4]], abs=1e-12)
 
     def sparse_only(space, factors, kron=np.kron):
         if kron is np.kron:

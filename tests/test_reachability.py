@@ -33,15 +33,21 @@ UNREACHED = {
         ("fock_oracle", "DenseEvolver.__init__"),
         ("fock_oracle", "DenseEvolver.propagate"),
         ("fock_oracle", "quadrature_moments"),
+        ("fock_oracle", "reduced_density"),
+        ("fock_oracle", "mode_means"),
+        ("fock_oracle", "purity_density"),
     },
     "called only by a function wrapped by perfbench/tracer.TARGETS": {
         ("structure", "normal_mode_map"),
         ("structure", "transform_hamiltonian"),
         ("fock_oracle", "DenseEvolver.propagate.<locals>.apply"),
+        ("fock_oracle", "_matricize"),
     },
     "test reference": {
         ("structure", "StructureMap.lift"),
         ("model", "QuadraticHamiltonian.cross_block"),
+        ("fock_oracle", "state_moments"),
+        ("fock_oracle", "_apply"),
     },
 }
 
