@@ -1,4 +1,7 @@
-"""Exact simulator for a particle-plus-harmonic-bath universe and its alternate decompositions."""
+"""Exact simulator for a particle-plus-harmonic-bath universe and its alternate decompositions.
+
+The number-basis oracle is imported from `qbm_structures.fock_oracle`; only oracle-compare loads it.
+"""
 
 import os as _os
 
@@ -7,17 +10,6 @@ import os as _os
 _os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "26")
 
 from .errors import ConditioningError, DomainError
-from .fock_oracle import (
-    DenseEvolver,
-    FockSpace,
-    FockState,
-    build_fock_hamiltonian,
-    gaussian_to_fock,
-    purity_density,
-    quadrature_moments,
-    reduced_density,
-    weyl_operator,
-)
 from .gaussian import (
     CatState,
     GaussianState,

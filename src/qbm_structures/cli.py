@@ -14,6 +14,7 @@ import argparse
 import configparser
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -170,9 +171,60 @@ def apply_overrides(cfg: RunConfig, pairs: list[str]) -> RunConfig:
     return cfg
 
 
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hasher(hash_const: int, mult: int):
+    """numpy SeedSequence's hashmix of 32-bit words; each call advances its constant."""
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * mult & _M32
+        value = value * hash_const & _M32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _mix(x: int, y: int) -> int:
+    value = 0xCA01F9DD * x - 0x4973F715 * y & _M32
+    return value ^ value >> 16
+
+
+def _uniform_draws(seed: int) -> Iterator[float]:
+    """The stream of np.random.default_rng(seed).uniform(-1, 1), bit for bit, without loading numpy.random.
+
+    numpy's SeedSequence hashes the seed's 32-bit words into a pool of four and
+    draws four 64-bit words from it: the 128-bit PCG64 state and stream.  Each
+    draw steps the LCG and takes its XSL-RR output x (O'Neill, HMC-CS-2014-0905),
+    read as the double -1 + 2 (x >> 11) 2^-53, as uniform(low, high) reads it.
+    """
+    entropy = [seed >> shift & _M32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(word) for word in (entropy + [0] * 3)[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    draw_word = _hasher(0x8B51F9DD, 0x58F38DED)
+    words = [draw_word(pool[i % 4]) for i in range(8)]
+    seed_hi, seed_lo, inc_hi, inc_lo = (words[k] | words[k + 1] << 32 for k in range(0, 8, 2))
+    inc = (inc_hi << 64 | inc_lo) << 1 & _M128 | 1
+    state = (inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULT + inc & _M128
+    while True:
+        state = state * _PCG64_MULT + inc & _M128
+        x, rot = (state >> 64 ^ state) & _M64, state >> 122
+        x = (x >> rot | x << (-rot & 63)) & _M64
+        yield -1.0 + 2.0 * ((x >> 11) * 2.0**-53)
+
+
 def build_scenario(cfg: RunConfig) -> ex.ScenarioConfig:
     """Resolve the bath, apply the seeded genericity jitter, assemble the scenario."""
-    rng = np.random.default_rng(cfg.seed)
     if cfg.bath_omegas is not None:
         omegas = cfg.bath_omegas
         kappas = cfg.bath_kappas
@@ -184,7 +236,8 @@ def build_scenario(cfg: RunConfig) -> ex.ScenarioConfig:
         bath = discretize_bath(BathSpec(cfg.n_bath, cfg.gamma, cfg.cutoff_freq, cfg.grid), cfg.bath_mass)
     m1 = cfg.m1
     if cfg.perturb > 0:
-        jitter = lambda: 1.0 + cfg.perturb * rng.uniform(-1.0, 1.0)  # noqa: E731
+        draws = _uniform_draws(cfg.seed)
+        jitter = lambda: 1.0 + cfg.perturb * next(draws)  # noqa: E731
         bath = tuple((m * jitter(), w * jitter(), k) for m, w, k in bath)
         m1 = m1 * jitter()
     params = ModelParams(

@@ -29,10 +29,10 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from . import fock_oracle as fo
 from .errors import ConditioningError, DomainError, _require_finite
 from .gaussian import (
     NEGATIVITY_FLOOR,
@@ -88,8 +88,7 @@ class ScenarioConfig:
         object.__setattr__(self, "times", times)
 
 
-@dataclass(frozen=True)
-class PODReport:
+class PODReport(NamedTuple):
     times: np.ndarray
     purity_1: np.ndarray
     purity_sp: np.ndarray
@@ -101,24 +100,21 @@ class PODReport:
     recurrence_sp: bool
 
 
-@dataclass(frozen=True)
-class ERReport:
+class ERReport(NamedTuple):
     times: np.ndarray
     neg_12: np.ndarray
     neg_spep: np.ndarray
     witnessed: np.ndarray
 
 
-@dataclass(frozen=True)
-class ExclusivityReport:
+class ExclusivityReport(NamedTuple):
     times: np.ndarray
     neg_spep: np.ndarray
     excluding: np.ndarray
     flagged_fraction: float
 
 
-@dataclass(frozen=True)
-class MarginalReport:
+class MarginalReport(NamedTuple):
     times: np.ndarray
     mean_1: np.ndarray
     var_1: np.ndarray
@@ -127,8 +123,7 @@ class MarginalReport:
     l1_distance: np.ndarray
 
 
-@dataclass(frozen=True)
-class OracleCompareReport:
+class OracleCompareReport(NamedTuple):
     times: np.ndarray
     delta_purity: np.ndarray
     delta_mean: np.ndarray
@@ -282,7 +277,7 @@ class _World:
             cov = (rows * self.var) @ rows.swapaxes(-1, -2)
             _check_uncertainty(cov)
             cols += [(rows @ self.mean)[:, 0], cov[:, 0, 0]]
-        return np.column_stack(cols + [[gaussian_l1_distance(*m) for m in zip(*cols)]])
+        return np.column_stack(cols + [gaussian_l1_distance(*cols)])
 
     def pure_global(self) -> bool:
         return self.config.bath_temperature == 0.0 or self.config.purified
@@ -499,37 +494,42 @@ def marginal_incompatibility(cfg: ScenarioConfig, t: float, smap: StructureMap |
     return MarginalReport(times, *_sampled(times, _prepare(cfg, smap).marginal).T)
 
 
-def gaussian_l1_distance(mean_a: float, var_a: float, mean_b: float, var_b: float) -> float:
-    """Closed-form integral of |N(mean_a, var_a) - N(mean_b, var_b)| over the line.
+def gaussian_l1_distance(mean_a: np.ndarray, var_a: np.ndarray, mean_b: np.ndarray, var_b: np.ndarray) -> np.ndarray:
+    """Closed-form integral of |N(mean_a, var_a) - N(mean_b, var_b)| over the line, elementwise over equal shapes.
 
     The densities cross at the real roots of a quadratic; the distance is the
-    total variation of the CDF difference across those crossings.
+    total variation of the CDF difference across those crossings.  A single
+    crossing is taken as a double root, whose second gap adds exactly 0.  The
+    squares take libm pow (np.float_power), not the x * x of an array **, and
+    the |gaps| add left to right, so every value has the bits that a per-pair
+    scalar evaluation gave.  A scalar input returns a scalar.
     """
-    if var_a <= 0 or var_b <= 0:
+    mean_a, var_a, mean_b, var_b = np.asarray([mean_a, var_a, mean_b, var_b], dtype=float)
+    if np.any(var_a <= 0) or np.any(var_b <= 0):
         raise DomainError("variances must be positive")
-    scale = max(abs(mean_a), abs(mean_b), np.sqrt(var_a), np.sqrt(var_b), 1.0)
-    if abs(mean_a - mean_b) < 1e-14 * scale and abs(var_a - var_b) < 1e-14 * scale**2:
-        return 0.0
-    a = 1.0 / var_b - 1.0 / var_a
-    b = 2.0 * mean_a / var_a - 2.0 * mean_b / var_b
-    c = mean_b**2 / var_b - mean_a**2 / var_a + np.log(var_b / var_a)
-    if abs(a) < 1e-300:
-        roots = [-c / b]
-    else:
-        disc = b * b - 4 * a * c
-        if disc <= 0:
-            roots = [-b / (2 * a)]
-        else:
-            sq = np.sqrt(disc)
-            roots = sorted([(-b - sq) / (2 * a), (-b + sq) / (2 * a)])
     sd_a, sd_b = np.sqrt(var_a), np.sqrt(var_b)
-    gaps = [0.0] + [_normal_cdf((r - mean_a) / sd_a) - _normal_cdf((r - mean_b) / sd_b) for r in roots] + [0.0]
-    return float(np.sum(np.abs(np.diff(gaps))))
+    scale = np.maximum.reduce([np.abs(mean_a), np.abs(mean_b), sd_a, sd_b, np.ones(sd_a.shape)])
+    differ = np.abs(mean_a - mean_b) >= 1e-14 * scale
+    differ |= np.abs(var_a - var_b) >= 1e-14 * np.float_power(scale, 2)
+    out = np.zeros(differ.shape)
+    m_a, v_a, m_b, v_b, sd_a, sd_b = (x[differ] for x in (mean_a, var_a, mean_b, var_b, sd_a, sd_b))
+    a = 1.0 / v_b - 1.0 / v_a
+    b = 2.0 * m_a / v_a - 2.0 * m_b / v_b
+    c = np.float_power(m_b, 2) / v_b - np.float_power(m_a, 2) / v_a + np.log(v_b / v_a)
+    linear = np.abs(a) < 1e-300
+    two_a = 2 * np.where(linear, 1.0, a)
+    sq = np.sqrt(np.maximum(b * b - 4 * a * c, 0.0))  # disc <= 0: the double root -b / 2a
+    roots = np.sort([(-b - sq) / two_a, (-b + sq) / two_a], axis=0)
+    roots[:, linear] = -c[linear] / b[linear]
+    gap_lo, gap_hi = _normal_cdf((roots - m_a) / sd_a) - _normal_cdf((roots - m_b) / sd_b)
+    out[differ] = np.abs(gap_lo) + np.abs(gap_hi - gap_lo) + np.abs(gap_hi)
+    return out[()]
 
 
-def _normal_cdf(z: float) -> float:
-    """Standard normal CDF; erfc keeps full relative precision far out in the lower tail."""
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+def _normal_cdf(z: np.ndarray) -> np.ndarray:
+    """Standard normal CDF, elementwise; erfc keeps full relative precision far out in the lower tail."""
+    w = -z / math.sqrt(2.0)
+    return 0.5 * np.reshape([math.erfc(v) for v in w.ravel().tolist()], w.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -562,6 +562,8 @@ def run_oracle_compare(
         raise DomainError("oracle comparison runs with a zero-temperature, unpurified bath")
     if certify and bump < 1:
         raise DomainError(f"certification needs bump >= 1, got bump = {bump}")
+    from . import fock_oracle as fo  # only this scenario loads the number-basis route
+
     world = _prepare(cfg, None)
 
     cov0 = np.diag(world.var)

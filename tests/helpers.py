@@ -1,6 +1,7 @@
 """Shared scenario builders for tests, acceptance runs and baseline recording,
 and the dense full-state routes the rows-only scenarios are checked against."""
 
+import math
 import os
 
 import numpy as np
@@ -23,7 +24,7 @@ from qbm_structures import (
     thermal_state,
     williamson,
 )
-from qbm_structures.experiments import ScenarioConfig, _prepare, gaussian_l1_distance
+from qbm_structures.experiments import ScenarioConfig, _prepare
 from qbm_structures.gaussian import NEGATIVITY_FLOOR
 from qbm_structures.structure import collective_mode_map
 
@@ -270,6 +271,29 @@ def per_sample_marginal(cfg, smap=None):
         red1 = world.reduced(world.rows(D, world.particle))
         redsp = world.reduced(world.rows(D, world.collective))
         moments = [red1.mean[0], red1.cov[0, 0], redsp.mean[0], redsp.cov[0, 0]]
-        return moments + [gaussian_l1_distance(*moments)]
+        return moments + [l1_distance_per_pair(*moments)]
 
     return per_sample(cfg.times, sample)
+
+
+def l1_distance_per_pair(mean_a, var_a, mean_b, var_b):
+    """experiments.gaussian_l1_distance for one pair, in numpy scalar arithmetic: the formula that computed the
+    marginal column one time at a time, whose bits the block evaluation keeps."""
+    scale = max(abs(mean_a), abs(mean_b), np.sqrt(var_a), np.sqrt(var_b), 1.0)
+    if abs(mean_a - mean_b) < 1e-14 * scale and abs(var_a - var_b) < 1e-14 * scale**2:
+        return 0.0
+    a = 1.0 / var_b - 1.0 / var_a
+    b = 2.0 * mean_a / var_a - 2.0 * mean_b / var_b
+    c = mean_b**2 / var_b - mean_a**2 / var_a + np.log(var_b / var_a)
+    if abs(a) < 1e-300:
+        roots = [-c / b]
+    else:
+        disc = b * b - 4 * a * c
+        if disc <= 0:
+            roots = [-b / (2 * a)]
+        else:
+            sq = np.sqrt(disc)
+            roots = sorted([(-b - sq) / (2 * a), (-b + sq) / (2 * a)])
+    cdf = lambda z: 0.5 * math.erfc(-z / math.sqrt(2.0))  # noqa: E731
+    gaps = [0.0] + [cdf((r - mean_a) / np.sqrt(var_a)) - cdf((r - mean_b) / np.sqrt(var_b)) for r in roots] + [0.0]
+    return float(np.sum(np.abs(np.diff(gaps))))

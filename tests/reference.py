@@ -11,7 +11,8 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 import qbm_structures.fock_oracle as fo
-from qbm_structures import ConditioningError, DomainError, FockState, symplectic_form
+from qbm_structures import ConditioningError, DomainError, symplectic_form
+from qbm_structures.fock_oracle import FockState
 
 
 def _check_party(party_a, k: int) -> list[int]:

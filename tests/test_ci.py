@@ -1,6 +1,7 @@
 """The CI workflow runs the Tier-1 command that ROADMAP.md names, verbatim,
-after checking the mixed-state pod negativities against their 50-digit
-reference and certifying the Fock oracle on the oracle-compare workload."""
+after running the benchmark's output checks on every workload, checking the
+mixed-state pod negativities against their 50-digit reference and certifying
+the Fock oracle on the oracle-compare workload."""
 
 import re
 from pathlib import Path
@@ -13,6 +14,7 @@ CERTIFY = (
     " --set oracle.certify=true --output /tmp/oc.csv"
 )
 REFERENCE = "PYTHONPATH=src python tests/reference_pod_negativity.py --check"
+BENCHMARK = "python3 perfbench/run.py --workload all --seed 0 --seconds 1"
 
 
 def test_tier1_workflow_runs_the_roadmap_command():
@@ -29,5 +31,6 @@ def test_tier1_workflow_runs_the_roadmap_command():
     assert commands[-1] == tier1
     assert commands[-2] == CERTIFY  # certification at the default bump, on the unchanged workload config
     assert commands[-3] == REFERENCE  # the standing 50-digit gate, before certification
+    assert commands[-4] == BENCHMARK  # baseline replays and output checks of every workload, unchanged harness
     for package in ("numpy", "scipy", "pytest", "hypothesis", "mpmath", "pyyaml"):
         assert package in commands[0].split()

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import os
 import re
 import subprocess
@@ -7,12 +8,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from helpers import per_sample_er, per_sample_exclusivity, per_sample_marginal
 from qbm_structures import ConditioningError, DomainError
 from qbm_structures.cli import (
     _FIELD_MAP,
     _SCHEMA,
+    _uniform_draws,
     CSV_VERSION_HEADER,
     RunConfig,
     apply_overrides,
@@ -171,6 +175,19 @@ def test_perturb_outside_unit_interval_rejected(tmp_path, capsys, perturb):
     path = _write_config(tmp_path, MINIMAL_POD)
     assert main([str(path), "--output", str(tmp_path / "x.csv"), "--set", f"model.perturb={perturb}"]) == 1
     assert "perturb must be in [0, 1)" in capsys.readouterr().err
+
+
+@given(st.integers(0, 2**256))
+@example(0)
+@example(2**32 - 1)
+@example(2**32)
+@example(2**64 + 7)
+@example(2**200 + 1)
+def test_jitter_draws_are_numpys_uniform_stream(seed):
+    # pins the seed -> model mapping: N_bath = 1024 takes 2 N_bath + 1 draws; seeds past
+    # 2^128 carry more 32-bit words than SeedSequence's pool of four holds
+    ours = list(itertools.islice(_uniform_draws(seed), 2049))
+    assert ours == np.random.default_rng(seed).uniform(-1.0, 1.0, size=2049).tolist()
 
 
 def test_seed_changes_perturbed_model():
@@ -353,7 +370,12 @@ def test_unwritable_output_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: cannot write output: ")
 
 
-LOADED_SCIPY = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+# modules a run must load only when it needs them: scipy (no scenario), numpy.random (the jitter
+# draws its own copy of numpy's stream) and the Fock oracle (oracle-compare only)
+LOADED_OPTIONAL = (
+    "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m.startswith('numpy.random')"
+    " or m == 'qbm_structures.fock_oracle')"
+)
 
 SCIPY_FREE_RUNS = {
     "pod-purified": (FULL_POD, []),
@@ -361,7 +383,7 @@ SCIPY_FREE_RUNS = {
     "er": (FULL_POD, ["scenario.kind=er"]),
     "exclusivity": (FULL_POD, ["scenario.kind=exclusivity"]),
     "marginal": (FULL_POD, ["scenario.kind=marginal"]),
-    "oracle-compare": (ORACLE_TINY, []),
+    "oracle-compare": (ORACLE_TINY, ["model.perturb=0.05"]),
 }
 
 
@@ -373,13 +395,15 @@ def _package_env():
 
 @pytest.mark.parametrize("case", list(SCIPY_FREE_RUNS))
 def test_cli_run_leaves_scipy_unloaded(tmp_path, case):
+    # every run draws the seeded jitter; none loads scipy or numpy.random, and only oracle-compare the Fock oracle
     text, overrides = SCIPY_FREE_RUNS[case]
     argv = [str(_write_config(tmp_path, text)), "--output", str(tmp_path / "out.csv"), "--set", "times.n_points=3"]
     for item in overrides:
         argv += ["--set", item]
-    code = f"import sys, qbm_structures.cli as cli; status = cli.main({argv!r}); print(status, {LOADED_SCIPY})"
+    code = f"import sys, qbm_structures.cli as cli; status = cli.main({argv!r}); print(status, {LOADED_OPTIONAL})"
     out = subprocess.run([sys.executable, "-c", code], env=_package_env(), capture_output=True, text=True, check=True)
-    assert out.stdout.strip().splitlines()[-1] == "0 []"
+    expected = ["qbm_structures.fock_oracle"] if case == "oracle-compare" else []
+    assert out.stdout.strip().splitlines()[-1] == f"0 {expected}"
 
 
 def _write_config(tmp_path, text, name="config.txt"):
@@ -390,8 +414,9 @@ def _write_config(tmp_path, text, name="config.txt"):
 
 def test_cli_import_leaves_scipy_unloaded():
     # scipy loads only on routes no scenario takes: williamson on a correlated
-    # state, propagator's Pade fallback and the Fock oracle's mode transform
-    code = f"import sys, qbm_structures.cli; print({LOADED_SCIPY})"
+    # state, propagator's Pade fallback and the tests' Fock mode transform;
+    # numpy.random and the Fock oracle load on no import of the CLI
+    code = f"import sys, qbm_structures.cli; print({LOADED_OPTIONAL})"
     out = subprocess.run([sys.executable, "-c", code], env=_package_env(), capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.stats
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qbm_structures.fock_oracle as fo
 from qbm_structures import (
@@ -44,6 +46,7 @@ from helpers import (
     dense_initial,
     evolved_state,
     exclusivity_scenario,
+    l1_distance_per_pair,
     lift_total,
     oracle_scenario,
     pod_scenario,
@@ -288,6 +291,28 @@ def test_run_marginal_matches_pointwise_reports():
 
 def test_l1_distance_identical_is_zero():
     assert gaussian_l1_distance(0.3, 1.2, 0.3, 1.2) == 0.0
+
+
+@st.composite
+def moment_pairs(draw):
+    """(mean_a, var_a, mean_b, var_b), with equal variances (one crossing) and equal pairs (distance 0) mixed in."""
+    means = st.floats(-50.0, 50.0)
+    variances = st.floats(1e-6, 1e6)
+    mean_a, var_a, mean_b, var_b = draw(st.tuples(means, variances, means, variances))
+    kind = draw(st.sampled_from(["any", "equal variances", "equal means", "equal"]))
+    if kind in ("equal variances", "equal"):
+        var_b = var_a
+    if kind in ("equal means", "equal"):
+        mean_b = mean_a + draw(st.sampled_from([0.0, 1e-15, -3e-15]))
+    return mean_a, var_a, mean_b, var_b
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(moment_pairs(), min_size=1, max_size=40))
+@example([(2.759, 1.0, 0.0, 2.0)])  # libm pow and x * x square 2.759 one ulp apart, which shows in the distance
+def test_l1_distance_on_a_block_has_the_per_pair_bits(pairs):
+    # the marginal column of a block is the same floats that one scalar evaluation per time gave
+    assert gaussian_l1_distance(*np.array(pairs).T).tolist() == [l1_distance_per_pair(*p) for p in pairs]
 
 
 def test_marginal_identity_map_is_zero():

@@ -8,30 +8,34 @@ from hypothesis import strategies as st
 
 from qbm_structures import (
     ConditioningError,
-    DenseEvolver,
     DomainError,
-    FockSpace,
-    FockState,
     GaussianState,
     ModelParams,
-    build_fock_hamiltonian,
     build_qbm_hamiltonian,
     coherent_state,
     evolve,
-    gaussian_to_fock,
     log_negativity,
     product_state,
     propagator,
     purity,
-    purity_density,
-    quadrature_moments,
     reduce,
-    reduced_density,
     thermal_state,
-    weyl_operator,
 )
 import qbm_structures.fock_oracle as fo
-from qbm_structures.fock_oracle import ChebyshevEvolver, mode_means, state_moments
+from qbm_structures.fock_oracle import (
+    ChebyshevEvolver,
+    DenseEvolver,
+    FockSpace,
+    FockState,
+    build_fock_hamiltonian,
+    gaussian_to_fock,
+    mode_means,
+    purity_density,
+    quadrature_moments,
+    reduced_density,
+    state_moments,
+    weyl_operator,
+)
 from qbm_structures.structure import collective_mode_map
 from helpers import workload
 from reference import log_negativity_density, mode_transform, pure_log_negativity, quadratic_operator
