@@ -228,7 +228,7 @@ def build_scenario(cfg: RunConfig) -> ex.ScenarioConfig:
     if cfg.bath_omegas is not None:
         omegas = cfg.bath_omegas
         kappas = cfg.bath_kappas
-        masses = cfg.bath_masses or (cfg.bath_mass,) * len(omegas)
+        masses = (cfg.bath_mass,) * len(omegas) if cfg.bath_masses is None else cfg.bath_masses
         if len(kappas) != len(omegas) or len(masses) != len(omegas):
             raise DomainError("bath_omegas, bath_kappas and bath_masses must have equal lengths")
         bath = tuple(zip(masses, omegas, kappas))

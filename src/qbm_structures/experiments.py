@@ -2,20 +2,21 @@
 branch exclusivity, and marginal incompatibility.
 
 Every scenario runs one global evolution in the original particle + bath
-coordinates; quantities for the alternate decomposition are obtained by
-applying the (embedded) structure map to the very same states, never by a
-second dynamics.  Thermal baths can be purified with ancilla modes so that
-the global state stays pure; ancillas never evolve and count as part of the
-environment side of every bipartition.
+coordinates; quantities for the alternate decomposition are read from the
+very same states, never from a second dynamics.  Thermal baths can be purified
+with ancilla modes so that the global state stays pure; ancillas never evolve
+and count as part of the environment side of every bipartition.
 
 The model is diagonalised once per run (structure.normal_modes), which also
 decides the instability warning; in its normal modes it is decoupled, so every
 mode flows in closed form (gaussian._decoupled_flow), exponentiating nothing.
-A split enters only through its mode-0 rows (X = sum m_i x_i / M and
-P = sum p_i for the collective one): two maps that share them differ by
-I (+) D, local on the rest, which changes no mode-0 diagnostic.  So every
-diagnostic uses only mode-0 rows of the flow; only the cat state of
-run_oracle_compare (at most three modes) forms the dense flow.
+A split is the pair (a, b) of its mode-0 observables X = a.x and P = b.p with
+a.b = 1 (a point map T's first row and T^-1's first column): (e_1, e_1) for the
+particle, and (m / M, 1), the centre of mass and total momentum, for the
+collective split.  Two maps that share the pair differ by I (+) D, local on the
+rest, which changes no mode-0 diagnostic, so every diagnostic uses only mode-0
+rows of the flow; only the cat state of run_oracle_compare (at most three
+modes) forms the dense flow.
 er, exclusivity and marginal evaluate blocks of the time grid at once
 (_World.split_rows); pod and oracle-compare's Gaussian rows build D(t) once
 per sample, and oracle-compare's number-basis rows come per block of up to
@@ -49,7 +50,7 @@ from .gaussian import (
     purity,
 )
 from .model import POTENTIAL_HARMONIC, ModelParams, QuadraticHamiltonian, build_qbm_hamiltonian, symplectic_form
-from .structure import StructureMap, cm_relative_map, normal_modes
+from .structure import CANONICITY_TOL, normal_modes
 
 ER_PRODUCT_TOL = 1e-8
 ER_WITNESS_THRESHOLD = 1e-3
@@ -163,12 +164,13 @@ class _World:
     The initial state is a product over the physical modes, of mean `mean`
     and covariance diag(`var`): the particle's packet (`width`), then thermal
     bath modes.  With V^T M V = I from structure.normal_modes, x = V q and
-    p = M V pi over the physical modes, so S(t) = P^-1 D(t) P with
-    P = diag((M V)^T, V^T) and D(t) = propagator(normal, t).  A split is the
-    2 x 2n normal-mode coefficients of its mode-0 x and p; `rows` turns them
-    into the mode-0 rows of its flow from a dense D(t), `split_rows` for both
-    splits on a block of times (pod and oracle-compare stay on `mode_flow`
-    while the perfbench tracer test pins a propagator call per pod sample).
+    p = MV pi, so S(t) = P^-1 D(t) P with P = diag(MV^T, V^T) and
+    D(t) = propagator(normal, t).  `splits` holds the particle's and the
+    alternate split's (a, b) (`pair`) as normal-mode coefficients
+    [[a V, 0], [0, b MV]], (2, 2, 2n); `rows` turns them into their mode-0 rows
+    of the flow from a dense D(t), `split_rows` on a block of times (pod and
+    oracle-compare stay on `mode_flow` while the perfbench tracer test pins a
+    propagator call per pod sample).
     """
 
     config: ScenarioConfig
@@ -176,10 +178,10 @@ class _World:
     mean: np.ndarray
     var: np.ndarray
     normal: QuadraticHamiltonian
-    to_modes: np.ndarray
-    from_modes: np.ndarray
-    particle: np.ndarray
-    collective: np.ndarray
+    V: np.ndarray
+    MV: np.ndarray
+    pair: np.ndarray  # the alternate split's (a, b), (2, n)
+    splits: np.ndarray
 
     @property
     def width(self) -> np.ndarray:
@@ -189,31 +191,35 @@ class _World:
         """D(t): the flow in normal-mode coordinates, closed form per mode."""
         return propagator(self.normal, t)
 
+    def _physical(self, coefficients: np.ndarray) -> np.ndarray:
+        """Rows over the normal modes (q.., pi..) as rows over the physical (x.., p..): q = MV^T x, pi = V^T p."""
+        n = self.n_phys
+        return np.concatenate([coefficients[..., :n] @ self.MV.T, coefficients[..., n:] @ self.V.T], axis=-1)
+
     def flow(self, D: np.ndarray) -> np.ndarray:
         """Dense S(t) on the physical modes; O(N^3), for the oracle's cat state."""
-        return self.from_modes @ D @ self.to_modes
+        return self._physical(np.vstack([self.V @ D[: self.n_phys], self.MV @ D[self.n_phys :]]))
 
-    def rows(self, D: np.ndarray, split: np.ndarray) -> np.ndarray:
-        """Mode-0 x and p rows of the split's flow over the physical (x.., p..) coordinates."""
-        rows = split @ D @ self.to_modes
+    def rows(self, D: np.ndarray) -> np.ndarray:
+        """Both splits' mode-0 x and p rows of the flow over the physical (x.., p..) coordinates, (2, 2, 2n)."""
+        rows = self._physical(self.splits @ D)
         _check_conjugate(rows)
         return rows
 
-    def split_rows(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """`rows` of the particle and the collective split at every time: two (n_t, 2, 2n) stacks.
+    def split_rows(self, times: np.ndarray) -> np.ndarray:
+        """`rows` at every time: one (n_t, 2, 2, 2n) stack.
 
         D(t) is 2 x 2 per normal mode: the splits' coefficients times the closed-form (n_t, N) c and s,
-        then one product per x/p block of to_modes, stacked per time so that no product mixes two times.
+        then one product per x/p block, stacked per time so that no product mixes two times.
         """
         n = self.n_phys
-        a, b = np.diagonal(self.normal.K).reshape(2, n)
-        c, s = (f[:, None] for f in _decoupled_flow(a, b, times))
-        q, pi = np.hsplit(np.vstack([self.particle, self.collective]), 2)
-        rows_x = (q * c - pi * (a * s)) @ self.to_modes[:n, :n]
-        rows_p = (q * (b * s) + pi * c) @ self.to_modes[n:, n:]
-        rows = np.concatenate([rows_x, rows_p], axis=-1).reshape(len(times), 2, 2, 2 * n)
+        k_x, k_p = np.diagonal(self.normal.K).reshape(2, n)
+        c, s = (f[:, None] for f in _decoupled_flow(k_x, k_p, times))
+        q, pi = np.hsplit(self.splits.reshape(4, 2 * n), 2)
+        rows = self._physical(np.concatenate([q * c - pi * (k_x * s), q * (k_p * s) + pi * c], axis=-1))
+        rows = rows.reshape(len(times), 2, 2, 2 * n)
         _check_conjugate(rows)
-        return rows[:, 0], rows[:, 1]
+        return rows
 
     @cached_property
     def _squeeze(self) -> np.ndarray:
@@ -272,25 +278,28 @@ class _World:
 
     def marginal(self, times: np.ndarray) -> np.ndarray:
         """Per time: mean and variance of mode-0 x in each split, then their L1 distance."""
-        cols = []
-        for rows in self.split_rows(times):
-            cov = (rows * self.var) @ rows.swapaxes(-1, -2)
-            _check_uncertainty(cov)
-            cols += [(rows @ self.mean)[:, 0], cov[:, 0, 0]]
-        return np.column_stack(cols + [gaussian_l1_distance(*cols)])
+        rows = self.split_rows(times)
+        cov = (rows * self.var) @ rows.swapaxes(-1, -2)
+        _check_uncertainty(cov)
+        (mean_1, mean_sp), (var_1, var_sp) = (rows @ self.mean)[..., 0].T, cov[..., 0, 0].T
+        return np.column_stack([mean_1, var_1, mean_sp, var_sp, gaussian_l1_distance(mean_1, var_1, mean_sp, var_sp)])
 
     def pure_global(self) -> bool:
         return self.config.bath_temperature == 0.0 or self.config.purified
 
 
-def _prepare(cfg: ScenarioConfig, smap: StructureMap | None) -> _World:
+def _prepare(cfg: ScenarioConfig, split=None) -> _World:
+    """The run's world; `split` = (a, b) is the alternate split X = a.x, P = b.p, by default (m / M, 1)."""
     params = cfg.model
     H = build_qbm_hamiltonian(params)
     n = params.n_modes
-    if smap is None:
-        smap = cm_relative_map(params.masses)  # collective_mode_map's mode-0 rows
-    if smap.n_modes != n:
-        raise DomainError("structure map mode count does not match the model")
+    if split is None:
+        split = params.masses / np.sum(params.masses), np.ones(n)
+    a, b = (np.asarray(v, dtype=float) for v in split)
+    if a.shape != (n,) or b.shape != (n,):
+        raise DomainError(f"a split is a pair (a, b) of {n}-vectors, one entry per mode")
+    if not abs(a @ b - 1.0) <= CANONICITY_TOL:  # NaN fails too
+        raise DomainError(f"a split's X = a.x and P = b.p must be conjugate, a.b = 1; got a.b = {a @ b!r}")
     mw = params.m1 * (params.omega if params.potential == POTENTIAL_HARMONIC else 1.0)
     bath_m, bath_w, _ = np.array(params.bath).T
     var_x, var_p = _thermal_widths(bath_m, bath_w, cfg.bath_temperature)
@@ -302,25 +311,20 @@ def _prepare(cfg: ScenarioConfig, smap: StructureMap | None) -> _World:
             stacklevel=2,
         )
     MV = M @ V
+    pairs = np.array([[np.eye(1, n)[0]] * 2, [a, b]])  # the particle split (e_1, e_1), then the alternate one
+    splits = np.zeros((2, 2, 2 * n))
+    splits[:, 0, :n], splits[:, 1, n:] = pairs[:, 0] @ V, pairs[:, 1] @ MV
     return _World(
         cfg,
         n,
         np.r_[cfg.x0, np.zeros(n - 1), cfg.p0, np.zeros(n - 1)],
         np.r_[0.5 / mw, var_x, 0.5 * mw, var_p],
         normal=QuadraticHamiltonian(n, np.diag(np.r_[sq_freqs, np.ones(n)])),
-        to_modes=_block_diag(MV.T, V.T),
-        from_modes=_block_diag(V, MV),
-        particle=_block_diag(V[:1], MV[:1]),
-        collective=_block_diag(smap.T[:1] @ V, smap.T_inv[:, :1].T @ MV),
+        V=V,
+        MV=MV,
+        pair=pairs[1],
+        splits=splits,
     )
-
-
-def _block_diag(x: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """[[x, 0], [0, p]]: a map acting on positions through x and on momenta through p."""
-    out = np.zeros((x.shape[0] + p.shape[0], x.shape[1] + p.shape[1]))
-    out[: x.shape[0], : x.shape[1]] = x
-    out[x.shape[0] :, x.shape[1] :] = p
-    return out
 
 
 def _sampled(times: np.ndarray, evaluate) -> np.ndarray:
@@ -375,21 +379,18 @@ def _has_recurrence(values: np.ndarray, tol: float = 1e-6) -> bool:
 # scenarios
 
 
-def run_pod(cfg: ScenarioConfig, smap: StructureMap | None = None) -> PODReport:
+def run_pod(cfg: ScenarioConfig, split=None) -> PODReport:
     """Purity and entanglement of both open systems along one global evolution.
 
     Every column comes from the mode-0 rows of each split, at O(N^2) per
     sample; a mixed global state adds one eigvals per split.
     """
-    world = _prepare(cfg, smap)
+    world = _prepare(cfg, split)
     negativity = world.pure_log_negativity if world.pure_global() else world.mixed_log_negativity
 
     def sample(t: float):
-        D = world.mode_flow(t)
-        rows_1 = world.rows(D, world.particle)
-        rows_sp = world.rows(D, world.collective)
-        purities = purity(world.reduced(rows_1)), purity(world.reduced(rows_sp))
-        return purities + (negativity(rows_1), negativity(rows_sp))
+        rows = world.rows(world.mode_flow(t))
+        return [purity(world.reduced(r)) for r in rows] + [negativity(r) for r in rows]
 
     p1, psp, n12, nsp = _sampled(cfg.times, lambda block: [sample(t) for t in block]).T
     return PODReport(
@@ -405,26 +406,24 @@ def run_pod(cfg: ScenarioConfig, smap: StructureMap | None = None) -> PODReport:
     )
 
 
-def run_er_check(cfg: ScenarioConfig, smap: StructureMap | None = None) -> ERReport:
+def run_er_check(cfg: ScenarioConfig, split=None) -> ERReport:
     """Entanglement across both decompositions; flags instants witnessing relativity.
 
     A time instant is flagged when the state is a product across one split
     (negativity below 1e-8) while entangled across the other (above 1e-3).
     Requires a pure global state (zero-temperature or purified bath).
     """
-    world = _prepare(cfg, smap)
+    world = _prepare(cfg, split)
     if not world.pure_global():
         raise DomainError("entanglement check needs a pure global state; purify the bath")
-    n12, nsp = _sampled(
-        cfg.times, lambda block: np.column_stack([world.pure_log_negativity(r) for r in world.split_rows(block)])
-    ).T
+    n12, nsp = _sampled(cfg.times, lambda block: world.pure_log_negativity(world.split_rows(block))).T
     witnessed = ((n12 < ER_PRODUCT_TOL) & (nsp > ER_WITNESS_THRESHOLD)) | (
         (nsp < ER_PRODUCT_TOL) & (n12 > ER_WITNESS_THRESHOLD)
     )
     return ERReport(times=cfg.times, neg_12=n12, neg_spep=nsp, witnessed=witnessed)
 
 
-def run_exclusivity(cfg: ScenarioConfig, smap: StructureMap | None = None) -> ExclusivityReport:
+def run_exclusivity(cfg: ScenarioConfig, split=None) -> ExclusivityReport:
     """Entanglement of the instantaneous product-form branch under the alternate split.
 
     At each grid time the evolved global state sigma = G G^T / 2, G = S(t) S0,
@@ -436,22 +435,22 @@ def run_exclusivity(cfg: ScenarioConfig, smap: StructureMap | None = None) -> Ex
     product branch of the other.
 
     The branch is pure, so E_N = asinh(sqrt(4 det red - 1)) / ln 2 from its
-    mode-0 block red in the alternate split.  With r_A the particle columns
-    of the split's rows, r_B the rest, g_a = G_A and g_b = r_B G,
+    mode-0 block red in the alternate split.  With r_A = diag(a_0, b_0) the particle
+    columns of the split's rows, r_B the rest, g_a = G_A and g_b = r_B G,
     red = r_A W r_A^T + g_b g_b^T / 2 - c (g_a g_a^T / 2 + W)^-1 c^T,
     c = g_b g_a^T / 2.  Its last two terms are h h^T / 2, h = [g_b, 0]
     projected off the rows of [g_a, sqrt(2 W)]; the orthonormal projection
     does not cancel as g_a grows (an unstable particle).  O(N^2) per sample, stacked over grid blocks.
     """
-    world = _prepare(cfg, smap)
+    world = _prepare(cfg, split)
     if not world.pure_global():
         raise DomainError("branch analysis needs a pure global state; purify the bath")
-    n, W = world.n_phys, world.width
-    r_a = world.rows(np.eye(2 * n), world.collective)[:, [0, n]]
+    W = world.width
+    r_a = np.diag(world.pair[:, 0])
     base = r_a @ W @ r_a.T
 
     def branch_negativity(times: np.ndarray) -> np.ndarray:
-        rows_1, rows_sp = world.split_rows(times)
+        rows_1, rows_sp = world.split_rows(times).swapaxes(0, 1)
         g_b = world.lift(rows_sp - r_a @ rows_1)
         span = np.concatenate([world.lift(rows_1), np.broadcast_to(np.sqrt(2 * W), (len(times), 2, 2))], axis=-1)
         basis = np.linalg.qr(span.swapaxes(-1, -2))[0]
@@ -477,13 +476,13 @@ def run_exclusivity(cfg: ScenarioConfig, smap: StructureMap | None = None) -> Ex
     )
 
 
-def run_marginal(cfg: ScenarioConfig, smap: StructureMap | None = None) -> MarginalReport:
+def run_marginal(cfg: ScenarioConfig, split=None) -> MarginalReport:
     """marginal_incompatibility over the whole grid, from one prepared world."""
-    world = _prepare(cfg, smap)
+    world = _prepare(cfg, split)
     return MarginalReport(cfg.times, *_sampled(cfg.times, world.marginal).T)
 
 
-def marginal_incompatibility(cfg: ScenarioConfig, t: float, smap: StructureMap | None = None) -> MarginalReport:
+def marginal_incompatibility(cfg: ScenarioConfig, t: float, split=None) -> MarginalReport:
     """L1 distance between the collective mode's position density and the relabeled particle density.
 
     Treating the particle's reduced position density as if it were a density
@@ -491,7 +490,7 @@ def marginal_incompatibility(cfg: ScenarioConfig, t: float, smap: StructureMap |
     quantifies how wrong it is at t.  Zero exactly when the map is the identity.
     """
     times = np.array([float(t)])
-    return MarginalReport(times, *_sampled(times, _prepare(cfg, smap).marginal).T)
+    return MarginalReport(times, *_sampled(times, _prepare(cfg, split).marginal).T)
 
 
 def gaussian_l1_distance(mean_a: np.ndarray, var_a: np.ndarray, mean_b: np.ndarray, var_b: np.ndarray) -> np.ndarray:
@@ -575,7 +574,7 @@ def run_oracle_compare(
 
     def gaussian_row(t: float) -> list[float]:
         D = world.mode_flow(t)
-        red = world.reduced(world.rows(D, world.particle))
+        red = world.reduced(world.rows(D)[0])
         r = decoherence_factor(evolve(cat0, world.flow(D)), env)
         return [purity(red), *red.mean, *red.cov.ravel(), r]
 

@@ -117,6 +117,11 @@ def default_split(params):
     return collective_mode_map(build_qbm_hamiltonian(params), params.masses)
 
 
+def map_split(smap):
+    """A full map's mode-0 pair (a, b): X = a.x with a = T[0], P = b.p with b = T^-1[:, 0]."""
+    return smap.T[0], smap.T_inv[:, 0]
+
+
 def dense_initial(cfg, purify=purify):
     """The global initial state as one dense GaussianState.
 
@@ -158,11 +163,14 @@ def branch_proxy(state, width):
     return product_state(particle, posterior)
 
 
-def dense_exclusivity(cfg, purify=purify):
-    """run_exclusivity's negativities from full states: evolve, branch_proxy, lift, log_negativity."""
+def dense_exclusivity(cfg, purify=purify, smap=None):
+    """run_exclusivity's negativities from full states: evolve, branch_proxy, lift, log_negativity.
+
+    The alternate split is the full map `smap`, by default the collective one.
+    """
     world = _prepare(cfg, None)
     states = [evolved_state(world, t, purify) for t in cfg.times]
-    lift = lift_total(states[0], default_split(cfg.model))
+    lift = lift_total(states[0], smap or default_split(cfg.model))
     return np.array([log_negativity(evolve(branch_proxy(s, world.width), lift), [0]) for s in states])
 
 
@@ -226,28 +234,26 @@ def _pure_log_negativity(world, rows):
     return 0.0 if neg < NEGATIVITY_FLOOR else neg
 
 
-def per_sample_er(cfg, smap=None):
+def per_sample_er(cfg, split=None):
     """run_er_check's columns (neg_12, neg_spep)."""
-    world = _prepare(cfg, smap)
+    world = _prepare(cfg, split)
 
     def sample(t):
-        D = world.mode_flow(t)
-        return [_pure_log_negativity(world, world.rows(D, s)) for s in (world.particle, world.collective)]
+        return [_pure_log_negativity(world, rows) for rows in world.rows(world.mode_flow(t))]
 
     return per_sample(cfg.times, sample)
 
 
-def per_sample_exclusivity(cfg, smap=None):
+def per_sample_exclusivity(cfg, split=None):
     """run_exclusivity's neg_spep column."""
-    world = _prepare(cfg, smap)
-    n, W = world.n_phys, world.width
-    r_a = world.rows(np.eye(2 * n), world.collective)[:, [0, n]]
+    world = _prepare(cfg, split)
+    W = world.width
+    r_a = np.diag(world.pair[:, 0])
     base = r_a @ W @ r_a.T
 
     def sample(t):
-        D = world.mode_flow(t)
-        rows_1 = world.rows(D, world.particle)
-        g_b = world.lift(world.rows(D, world.collective) - r_a @ rows_1)
+        rows_1, rows_sp = world.rows(world.mode_flow(t))
+        g_b = world.lift(rows_sp - r_a @ rows_1)
         basis = np.linalg.qr(np.hstack([world.lift(rows_1), np.sqrt(2 * W)]).T)[0]
         h = np.hstack([g_b, np.zeros((2, 2))])
         h -= (h @ basis) @ basis.T
@@ -262,14 +268,12 @@ def per_sample_exclusivity(cfg, smap=None):
     return per_sample(cfg.times, sample)
 
 
-def per_sample_marginal(cfg, smap=None):
+def per_sample_marginal(cfg, split=None):
     """run_marginal's columns (mean_1, var_1, mean_sp, var_sp, l1_distance)."""
-    world = _prepare(cfg, smap)
+    world = _prepare(cfg, split)
 
     def sample(t):
-        D = world.mode_flow(t)
-        red1 = world.reduced(world.rows(D, world.particle))
-        redsp = world.reduced(world.rows(D, world.collective))
+        red1, redsp = (world.reduced(rows) for rows in world.rows(world.mode_flow(t)))
         moments = [red1.mean[0], red1.cov[0, 0], redsp.mean[0], redsp.cov[0, 0]]
         return moments + [l1_distance_per_pair(*moments)]
 

@@ -132,6 +132,16 @@ def test_bath_masses_need_explicit_bath_lists(tmp_path, capsys):
     assert [m for m, _, _ in build_scenario(cfg).model.bath] == [5.0, 7.0]
 
 
+@pytest.mark.parametrize("masses", ["", "5"])
+def test_bath_masses_of_the_wrong_length_exit_1(tmp_path, capsys, masses):
+    # an empty list is a list of length 0, not a missing key: it does not fall back to bath_mass
+    text = MINIMAL_POD + f"[model]\nbath_omegas = 0.8 1.1\nbath_kappas = 0.1 0.2\nbath_masses = {masses}\n"
+    assert parse_config(text).bath_masses == tuple(float(m) for m in masses.split())
+    assert main([str(_write_config(tmp_path, text)), "--output", str(tmp_path / "x.csv")]) == 1
+    assert "bath_masses must have equal lengths" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_every_config_key_names_its_own_run_config_field():
     names = [_FIELD_MAP.get((section, key), key) for section, keys in _SCHEMA.items() for key in keys]
     assert len(names) == len(set(names))

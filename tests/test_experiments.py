@@ -23,7 +23,6 @@ from qbm_structures import (
     propagator,
     purity,
     reduce,
-    StructureMap,
     symplectic_form,
 )
 from qbm_structures.experiments import (
@@ -57,6 +56,7 @@ from reference import mode_transform, pure_log_negativity
 from reference_pod_negativity import model_matrices
 
 BASELINE_TOL = 1e-10
+PARTICLE_SPLIT = ([1.0, 0.0], [1.0, 0.0])  # (e_1, e_1) on small_scenario's two modes
 
 
 def _baseline(name):
@@ -198,7 +198,7 @@ def test_er_initial_product_is_witnessed():
 
 def test_er_identity_map_gives_equal_negativities():
     cfg = small_scenario(n_times=4)
-    rep = run_er_check(cfg, smap=StructureMap(np.eye(2)))
+    rep = run_er_check(cfg, split=PARTICLE_SPLIT)
     assert np.allclose(rep.neg_12, rep.neg_spep, atol=1e-12)
     assert not rep.witnessed.any()
 
@@ -221,7 +221,7 @@ def test_er_requires_pure_global_state():
 
 def test_exclusivity_identity_map_never_flags():
     cfg = small_scenario(n_times=4)
-    rep = run_exclusivity(cfg, smap=StructureMap(np.eye(2)))
+    rep = run_exclusivity(cfg, split=PARTICLE_SPLIT)
     assert np.all(rep.neg_spep < 1e-10)
     assert rep.flagged_fraction == 0.0
 
@@ -317,7 +317,7 @@ def test_l1_distance_on_a_block_has_the_per_pair_bits(pairs):
 
 def test_marginal_identity_map_is_zero():
     cfg = small_scenario(n_times=2)
-    rep = marginal_incompatibility(cfg, 0.0, smap=StructureMap(np.eye(2)))
+    rep = marginal_incompatibility(cfg, 0.0, split=PARTICLE_SPLIT)
     assert rep.l1_distance.tolist() == [0.0]
 
 

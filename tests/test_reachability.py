@@ -38,6 +38,10 @@ UNREACHED = {
         ("fock_oracle", "purity_density"),
     },
     "called only by a function wrapped by perfbench/tracer.TARGETS": {
+        ("structure", "StructureMap.__post_init__"),
+        ("structure", "StructureMap.n_modes"),
+        ("structure", "StructureMap.T_inv"),
+        ("structure", "cm_relative_map"),
         ("structure", "normal_mode_map"),
         ("structure", "transform_hamiltonian"),
         ("fock_oracle", "DenseEvolver.propagate.<locals>.apply"),

@@ -15,12 +15,13 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import qbm_structures.experiments as ex
 from qbm_structures import (
     ConditioningError,
+    DomainError,
     QuadraticHamiltonian,
     StructureMap,
     build_qbm_hamiltonian,
@@ -52,6 +53,7 @@ from helpers import (
     evolved_state,
     exclusivity_scenario,
     lift_total,
+    map_split,
     per_sample_er,
     per_sample_exclusivity,
     per_sample_marginal,
@@ -204,8 +206,10 @@ def test_mixed_global_state_negativity_matches_full_route():
 @given(models(), st.sampled_from([(0.0, True), (1.5, True), (1.5, False)]))
 def test_default_split_equals_full_collective_map(params, bath):
     temperature, purified = bath
-    cfg, _ = _world(params, temperature, purified=purified)
-    smap = default_split(params)
+    cfg, world = _world(params, temperature, purified=purified)
+    pair = map_split(default_split(params))
+    for closed_form, from_map in zip(world.pair, pair):  # (m / M, 1) against (T[0], T^-1[:, 0])
+        assert np.max(np.abs(closed_form - from_map)) <= 1e-12 * np.max(np.abs(from_map))
     runs = [
         (run_pod, ("purity_1", "purity_sp", "neg_12", "neg_spep")),
         (run_marginal, ("mean_sp", "var_sp", "l1_distance")),
@@ -213,7 +217,7 @@ def test_default_split_equals_full_collective_map(params, bath):
     if temperature == 0.0 or purified:
         runs += [(run_er_check, ("neg_12", "neg_spep")), (run_exclusivity, ("neg_spep",))]
     for run, fields in runs:
-        default, full = run(cfg), run(cfg, smap)
+        default, full = run(cfg), run(cfg, pair)
         for name in fields:
             assert np.max(np.abs(getattr(default, name) - getattr(full, name))) <= 1e-12, (run.__name__, name)
 
@@ -223,14 +227,74 @@ def test_default_split_equals_full_collective_map(params, bath):
 def test_identity_map_makes_both_splits_agree(params, bath):
     temperature, purified = bath
     cfg, _ = _world(params, temperature, purified=purified)
-    smap = StructureMap(np.eye(params.n_modes))
-    pod = run_pod(cfg, smap)
+    e_1 = np.eye(1, params.n_modes)[0]
+    split = (e_1, e_1)  # the particle split itself: both splits' columns are the same bits
+    assert np.array_equal(*_prepare(cfg, split).splits)
+    pod = run_pod(cfg, split)
     assert np.array_equal(pod.purity_1, pod.purity_sp)
     assert np.array_equal(pod.neg_12, pod.neg_spep)
-    assert np.all(run_marginal(cfg, smap).l1_distance == 0.0)
+    marginal = run_marginal(cfg, split)
+    assert np.array_equal(marginal.mean_1, marginal.mean_sp) and np.array_equal(marginal.var_1, marginal.var_sp)
+    assert np.all(marginal.l1_distance == 0.0)
     if temperature == 0.0 or purified:
-        assert not run_er_check(cfg, smap).witnessed.any()
-        assert np.all(run_exclusivity(cfg, smap).neg_spep == 0.0)
+        er = run_er_check(cfg, split)
+        assert np.array_equal(er.neg_12, er.neg_spep) and not er.witnessed.any()
+        assert np.all(run_exclusivity(cfg, split).neg_spep == 0.0)
+
+
+@pytest.mark.parametrize(
+    "split",
+    [
+        ([0.5, 0.5], [1.0, 1.0]),  # two entries on a three-mode model
+        ([0.5, 0.25, 0.25], [1.0, 1.0, 1.0, 1.0]),
+        ([0.5, 0.25, 0.25], [1.0, 1.0, 1.0 + 1e-9]),  # a.b = 1 + 2.5e-10
+        ([0.5, 0.25, 0.25], [1.0, float("nan"), 1.0]),
+        ([0.5, float("inf"), 0.25], [1.0, 1.0, 1.0]),
+    ],
+)
+def test_a_split_that_is_not_a_conjugate_pair_raises(split):
+    params = random_model(np.random.default_rng(0), 2, potential="harmonic")
+    cfg = ScenarioConfig(model=params, times=np.linspace(0.0, 1.0, 3), x0=1.0)
+    with pytest.raises(DomainError, match="split"):
+        run_pod(cfg, split)
+
+
+def _completed_map(a, b):
+    """A full StructureMap with T[0] = a and T^-1[:, 0] = b (for a.b = 1): the other rows of T span b's complement."""
+    complement = np.linalg.qr(b[:, None], mode="complete")[0][:, 1:].T
+    return StructureMap(np.vstack([a, complement]))
+
+
+@SETTINGS
+@given(
+    models(),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1.0, 64.0]),
+    st.sampled_from([(0.0, True), (1.5, True), (1.5, False)]),
+)
+def test_any_split_equals_the_dense_route_of_a_full_map(params, seed, mass_scale, bath):
+    # the I (+) D claim for every split: only the mode-0 pair matters, not the rest of the map
+    rng = np.random.default_rng(seed)
+    a, b = rng.normal(size=(2, params.n_modes))
+    assume(abs(a @ b) >= 0.3 * np.linalg.norm(a) * np.linalg.norm(b))  # off near-orthogonal, ill-conditioned T
+    scale = math.sqrt(abs(a @ b))
+    a, b = a / scale, b / (scale * np.sign(a @ b))
+    temperature, purified = bath
+    # the same spectral density J with every bath mass scaled: m_i -> s m_i, kappa_i -> sqrt(s) kappa_i
+    scaled = tuple((mass_scale * m, w, math.sqrt(mass_scale) * k) for m, w, k in params.bath)
+    cfg, world = _world(dataclasses.replace(params, bath=scaled), temperature, purified=purified)
+    smap = _completed_map(a, b)
+    pod, marginal = run_pod(cfg, (a, b)), run_marginal(cfg, (a, b))
+    for i, t in enumerate(cfg.times):
+        state = evolved_state(world, t)
+        alt = evolve(state, lift_total(state, smap))
+        assert pod.purity_sp[i] == pytest.approx(purity(reduce(alt, [0])), abs=1e-10)
+        assert pod.neg_spep[i] == pytest.approx(log_negativity(alt, [0]), abs=1e-9)
+        assert marginal.mean_sp[i] == pytest.approx(alt.mean[0], rel=1e-10, abs=1e-10)
+        assert marginal.var_sp[i] == pytest.approx(alt.cov[0, 0], rel=1e-10)
+    if temperature == 0.0 or purified:
+        gap = np.abs(run_exclusivity(cfg, (a, b)).neg_spep - dense_exclusivity(cfg, smap=smap))
+        assert np.max(gap) <= 1e-10
 
 
 @SETTINGS
@@ -278,18 +342,17 @@ GRID_RUNS = (
 )
 
 
-def _assert_grid_matches_per_sample(cfg, smap=None):
+def _assert_grid_matches_per_sample(cfg, split=None):
     for run, reference, fields in GRID_RUNS:
-        report, expected = run(cfg, smap), reference(cfg, smap).reshape(len(cfg.times), -1)
+        report, expected = run(cfg, split), reference(cfg, split).reshape(len(cfg.times), -1)
         grid = np.column_stack([getattr(report, name) for name in fields])
         assert grid.shape == expected.shape
         gap = np.abs(grid - expected) / np.maximum(1.0, np.abs(expected))
         assert np.max(gap) <= 1e-12, (run.__name__, np.max(gap))
-    world = _prepare(cfg, smap)  # a time's rows are the same on any grid that holds it
-    stacks = world.split_rows(cfg.times)
+    world = _prepare(cfg, split)  # a time's rows are the same on any grid that holds it
+    whole = world.split_rows(cfg.times)
     for i in range(len(cfg.times)):
-        for whole, alone in zip(stacks, world.split_rows(cfg.times[i : i + 1])):
-            assert np.array_equal(whole[i], alone[0])
+        assert np.array_equal(whole[i], world.split_rows(cfg.times[i : i + 1])[0])
 
 
 @SETTINGS
@@ -325,8 +388,8 @@ def test_grid_runs_equal_the_per_sample_loop(params, bath, n_times, t_max):
 def test_cli_models_grid_equals_per_sample_loop(text):
     cfg = build_scenario(parse_config(f"[scenario]\nkind = er\n{text}[times]\nn_points = {_BLOCK + 1}\n"))
     _assert_grid_matches_per_sample(cfg)
-    smap = default_split(cfg.model)
-    _assert_grid_matches_per_sample(ScenarioConfig(cfg.model, cfg.times[:2], 1.0, 0.3), smap)
+    split = map_split(default_split(cfg.model))
+    _assert_grid_matches_per_sample(ScenarioConfig(cfg.model, cfg.times[:2], 1.0, 0.3), split)
 
 
 def test_grid_runs_take_stacked_calls_per_block(monkeypatch):
@@ -346,7 +409,7 @@ def test_grid_runs_take_stacked_calls_per_block(monkeypatch):
     spied = [(ex, "propagator"), (ex, "_decoupled_flow"), (ex, "_check_conjugate"), (ex._World, "lift"), (np.linalg, "qr")]
     for owner, name in spied:
         spy(owner, name)
-    for run, most in [(run_er_check, {"lift": 2}), (run_exclusivity, {"lift": 2, "qr": 1}), (run_marginal, {})]:
+    for run, most in [(run_er_check, {"lift": 1}), (run_exclusivity, {"lift": 2, "qr": 1}), (run_marginal, {})]:
         calls.clear()
         run(cfg)
         assert calls["propagator"] == 0, run.__name__
