@@ -99,6 +99,14 @@ class RunConfig:
             raise DomainError("bath_omegas and bath_kappas must be given together")
         if self.bath_masses is not None and self.bath_omegas is None:
             raise DomainError("bath_masses needs bath_omegas and bath_kappas; the Ohmic grid uses bath_mass")
+        for key, field in (("n_bath", "n_modes"), ("gamma", "gamma"), ("cutoff_freq", "cutoff"), ("grid", "scheme")):
+            try:  # BathSpec's checks, one key at a time, also where explicit bath lists leave the grid unused
+                replace(BathSpec(1, 0.0, 1.0), **{field: getattr(self, key)})
+            except DomainError as exc:
+                raise DomainError(f"[model] {key}: {exc}") from exc
+        for key in ("cutoff", "bump"):  # also where no oracle-compare run reads them
+            if getattr(self, key) < 1:
+                raise DomainError(f"[oracle] {key} must be at least 1, got {getattr(self, key)}")
 
 
 # every other key names its own RunConfig field

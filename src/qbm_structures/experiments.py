@@ -49,7 +49,7 @@ from .gaussian import (
     propagator,
     purity,
 )
-from .model import POTENTIAL_HARMONIC, ModelParams, QuadraticHamiltonian, build_qbm_hamiltonian, symplectic_form
+from .model import POTENTIAL_HARMONIC, ModelParams, QuadraticHamiltonian, position_block, symplectic_form
 from .structure import CANONICITY_TOL, normal_modes
 
 ER_PRODUCT_TOL = 1e-8
@@ -163,21 +163,20 @@ class _World:
 
     The initial state is a product over the physical modes, of mean `mean`
     and covariance diag(`var`): the particle's packet (`width`), then thermal
-    bath modes.  With V^T M V = I from structure.normal_modes, x = V q and
-    p = MV pi, so S(t) = P^-1 D(t) P with P = diag(MV^T, V^T) and
-    D(t) = propagator(normal, t).  `splits` holds the particle's and the
-    alternate split's (a, b) (`pair`) as normal-mode coefficients
-    [[a V, 0], [0, b MV]], (2, 2, 2n); `rows` turns them into their mode-0 rows
-    of the flow from a dense D(t), `split_rows` on a block of times (pod and
-    oracle-compare stay on `mode_flow` while the perfbench tracer test pins a
-    propagator call per pod sample).
+    bath modes.  The model is held as n-vectors and n x n blocks: the squared normal-mode
+    frequencies `sq_freqs` and, with V^T M V = I, x = V q and p = MV pi, so S(t) = P^-1 D(t) P
+    with P = diag(MV^T, V^T).  `splits` holds the particle's and the alternate split's (a, b)
+    (`pair`) as normal-mode coefficients [[a V, 0], [0, b MV]], (2, 2, 2n); `split_rows` turns
+    them into mode-0 rows of the flow on a block of times, `rows` from a dense D(t): pod and
+    oracle-compare's `mode_flow`, the one user of the 2n x 2n `normal`, which the perfbench
+    tracer test pins at a propagator call per pod sample.
     """
 
     config: ScenarioConfig
     n_phys: int
     mean: np.ndarray
     var: np.ndarray
-    normal: QuadraticHamiltonian
+    sq_freqs: np.ndarray
     V: np.ndarray
     MV: np.ndarray
     pair: np.ndarray  # the alternate split's (a, b), (2, n)
@@ -186,6 +185,10 @@ class _World:
     @property
     def width(self) -> np.ndarray:
         return np.diag(self.var[[0, self.n_phys]])
+
+    @cached_property
+    def normal(self) -> QuadraticHamiltonian:  # the model in its normal modes, K = diag(w, 1)
+        return QuadraticHamiltonian(self.n_phys, np.diag(np.r_[self.sq_freqs, np.ones(self.n_phys)]))
 
     def mode_flow(self, t: float) -> np.ndarray:
         """D(t): the flow in normal-mode coordinates, closed form per mode."""
@@ -212,11 +215,10 @@ class _World:
         D(t) is 2 x 2 per normal mode: the splits' coefficients times the closed-form (n_t, N) c and s,
         then one product per x/p block, stacked per time so that no product mixes two times.
         """
-        n = self.n_phys
-        k_x, k_p = np.diagonal(self.normal.K).reshape(2, n)
-        c, s = (f[:, None] for f in _decoupled_flow(k_x, k_p, times))
+        n, w = self.n_phys, self.sq_freqs
+        c, s = (f[:, None] for f in _decoupled_flow(w, np.ones(n), times))
         q, pi = np.hsplit(self.splits.reshape(4, 2 * n), 2)
-        rows = self._physical(np.concatenate([q * c - pi * (k_x * s), q * (k_p * s) + pi * c], axis=-1))
+        rows = self._physical(np.concatenate([q * c - pi * (w * s), q * s + pi * c], axis=-1))
         rows = rows.reshape(len(times), 2, 2, 2 * n)
         _check_conjugate(rows)
         return rows
@@ -291,26 +293,24 @@ class _World:
 def _prepare(cfg: ScenarioConfig, split=None) -> _World:
     """The run's world; `split` = (a, b) is the alternate split X = a.x, P = b.p, by default (m / M, 1)."""
     params = cfg.model
-    H = build_qbm_hamiltonian(params)
-    n = params.n_modes
+    n, masses = params.n_modes, params.masses
     if split is None:
-        split = params.masses / np.sum(params.masses), np.ones(n)
+        split = masses / np.sum(masses), np.ones(n)
     a, b = (np.asarray(v, dtype=float) for v in split)
     if a.shape != (n,) or b.shape != (n,):
         raise DomainError(f"a split is a pair (a, b) of {n}-vectors, one entry per mode")
     if not abs(a @ b - 1.0) <= CANONICITY_TOL:  # NaN fails too
         raise DomainError(f"a split's X = a.x and P = b.p must be conjugate, a.b = 1; got a.b = {a @ b!r}")
     mw = params.m1 * (params.omega if params.potential == POTENTIAL_HARMONIC else 1.0)
-    bath_m, bath_w, _ = np.array(params.bath).T
-    var_x, var_p = _thermal_widths(bath_m, bath_w, cfg.bath_temperature)
-    sq_freqs, V, M = normal_modes(H, range(n))
-    if sq_freqs[0] < 0:  # ascending; L^T B L has the inertia of the position block B (Sylvester)
+    var_x, var_p = _thermal_widths(masses[1:], np.array(params.bath)[:, 1], cfg.bath_temperature)
+    sq_freqs, V = normal_modes(position_block(params), masses)
+    if sq_freqs[0] < 0:  # ascending; M^-1/2 B M^-1/2 has the inertia of the position block B (Sylvester)
         warnings.warn(
             "position block of the model Hamiltonian is indefinite "
             "(coupling exceeds confinement); dynamics are unbounded",
             stacklevel=2,
         )
-    MV = M @ V
+    MV = masses[:, None] * V
     pairs = np.array([[np.eye(1, n)[0]] * 2, [a, b]])  # the particle split (e_1, e_1), then the alternate one
     splits = np.zeros((2, 2, 2 * n))
     splits[:, 0, :n], splits[:, 1, n:] = pairs[:, 0] @ V, pairs[:, 1] @ MV
@@ -319,7 +319,7 @@ def _prepare(cfg: ScenarioConfig, split=None) -> _World:
         n,
         np.r_[cfg.x0, np.zeros(n - 1), cfg.p0, np.zeros(n - 1)],
         np.r_[0.5 / mw, var_x, 0.5 * mw, var_p],
-        normal=QuadraticHamiltonian(n, np.diag(np.r_[sq_freqs, np.ones(n)])),
+        sq_freqs=sq_freqs,
         V=V,
         MV=MV,
         pair=pairs[1],

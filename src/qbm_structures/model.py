@@ -171,21 +171,25 @@ def discretize_bath(spec: BathSpec, mass: float = 1.0) -> tuple[tuple[float, flo
     return tuple((mass, float(w), float(k)) for w, k in zip(omegas, kappas))
 
 
-def build_qbm_hamiltonian(params: ModelParams) -> QuadraticHamiltonian:
-    """Assemble the K matrix of the particle + bath model from physical parameters.
+def position_block(params: ModelParams) -> np.ndarray:
+    """B, the n x n position block of K: potentials m w^2 on the diagonal, couplings (+/-) kappa_i at [0, i] and [i, 0].
 
-    Nonzero entries: kinetic 1/m on the momentum diagonal, bath potentials
-    m_i w_i^2 on the position diagonal, the particle potential (if harmonic),
-    and the symmetrized coupling entries (+/-) kappa_i between x_1 and x_{2i}.
+    The particle's potential m1 omega^2 enters only when it is harmonic.
+    """
+    bath_m, bath_w, kappa = np.array(params.bath).T
+    particle = params.m1 * params.omega**2 if params.potential == POTENTIAL_HARMONIC else 0.0
+    B = np.diag(np.r_[particle, bath_m * bath_w**2])
+    B[0, 1:] = B[1:, 0] = params.coupling_sign * kappa
+    return B
+
+
+def build_qbm_hamiltonian(params: ModelParams) -> QuadraticHamiltonian:
+    """Assemble the K matrix of the particle + bath model: position_block(params) and the kinetic diag(1/m).
+
     An indefinite position block (coupling beyond confinement) is reported by experiments._prepare.
     """
     n = params.n_modes
     K = np.zeros((2 * n, 2 * n))
-    K[n, n] = 1.0 / params.m1
-    if params.potential == POTENTIAL_HARMONIC:
-        K[0, 0] = params.m1 * params.omega**2
-    for i, (m, w, kappa) in enumerate(params.bath, start=1):
-        K[n + i, n + i] = 1.0 / m
-        K[i, i] = m * w**2
-        K[0, i] = K[i, 0] = params.coupling_sign * kappa
+    K[:n, :n] = position_block(params)
+    K[n:, n:] = np.diag(1.0 / params.masses)
     return QuadraticHamiltonian(n, K)

@@ -100,64 +100,50 @@ def transform_hamiltonian(H: QuadraticHamiltonian, m: StructureMap) -> Quadratic
     return QuadraticHamiltonian(n, (K + K.T) / 2)
 
 
-def normal_modes(H: QuadraticHamiltonian, block) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Normal modes of the given block: squared frequencies w, mode matrix V, mass matrix M.
+def normal_modes(B: np.ndarray, masses) -> tuple[np.ndarray, np.ndarray]:
+    """Normal modes of H = (1/2) (x^T B x + p^T M^-1 p), M = diag(masses): squared frequencies w and mode matrix V.
 
-    Solves the generalized symmetric eigenproblem B v = w M v, where B is the
-    block's position form and M the inverse of its (positive-definite)
-    momentum form, i.e. the effective mass matrix.  V is M-orthonormal,
-    V^T M V = I, so x = V q and p = M V pi are canonical with
-    H = (1/2) sum_k (pi_k^2 + w_k q_k^2) when the block has no
-    position-momentum terms.  w is sorted ascending; negative entries are
-    unstable directions.  Degenerate frequencies are ordered
-    lexicographically by eigenvector entries after fixing the first nonzero
-    entry of each vector positive.  Raises ConditioningError when the
-    returned V misses V^T M V = I by more than NORMAL_MODE_TOL.
+    Solves the generalized symmetric eigenproblem B v = w M v.  With C = M^-1/2 B M^-1/2, a row and
+    column scaling, it is C u = w u, one numpy eigh, and V = M^-1/2 U is M-orthonormal, V^T M V = I,
+    so x = V q and p = M V pi are canonical with H = (1/2) sum_k (pi_k^2 + w_k q_k^2).  w is sorted
+    ascending; negative entries are unstable directions.  The first entry above 1e-12 in size of
+    each column of V is positive, and degenerate frequencies are ordered lexicographically by the
+    columns' entries.  Raises ConditioningError when U misses U^T U = I, which is
+    (sqrt(M) V)^T (sqrt(M) V) = I, by more than NORMAL_MODE_TOL.
     """
-    block = sorted(set(int(i) for i in block))
-    n = H.n_modes
-    if not block or block[0] < 0 or block[-1] >= n:
-        raise DomainError(f"block indices out of range for {n} modes")
-    idx = np.asarray(block)
-    A = H.momentum_block[np.ix_(idx, idx)]
-    B = H.position_block[np.ix_(idx, idx)]
-    try:
-        L = np.linalg.cholesky(A)
-    except np.linalg.LinAlgError as exc:
-        raise DomainError("kinetic sub-matrix of the block is not positive definite") from exc
-    L_inv = np.linalg.inv(L)
-    eff_mass = L_inv.T @ L_inv
-
-    # with the momentum form A = L L^T = M^-1 and v = L u, B v = w M v becomes (L^T B L) u = w u
-    C = L.T @ B @ L
-    w, U = np.linalg.eigh((C + C.T) / 2)
-    V = L @ U
-    for k in range(V.shape[1]):
-        col = V[:, k]
-        nz = np.nonzero(np.abs(col) > 1e-12)[0]
-        if nz.size and col[nz[0]] < 0:
-            V[:, k] = -col
-    order = _tie_broken_order(w, V)
-    w, V = w[order], V[:, order]
-    residual = float(np.max(np.abs(V.T @ eff_mass @ V - np.eye(len(idx)))))
+    r = np.sqrt(1.0 / np.asarray(masses, dtype=float))
+    w, U = np.linalg.eigh(r[:, None] * B * r)
+    residual = float(np.max(np.abs(U.T @ U - np.eye(len(w)))))
     if residual > NORMAL_MODE_TOL:
         raise ConditioningError(f"normal modes are not mass-orthonormal (residual {residual:.3e})")
-    return w, V, eff_mass
+    V = np.multiply(U, r[:, None], out=U)
+    first = V[np.argmax(np.abs(V) > 1e-12, axis=0), np.arange(len(w))]  # each column's first entry above 1e-12
+    V *= np.where(first < -1e-12, -1.0, 1.0)  # a column with none keeps its sign
+    order = _tie_broken_order(w, V)
+    return w[order], V[:, order]
 
 
 def normal_mode_map(H: QuadraticHamiltonian, block) -> StructureMap:
     """Decouple the given modes: diagonalize their position and momentum blocks jointly.
 
     The returned map acts as the identity outside the block; inside, the new
-    modes are those of normal_modes: unit mass and potential coefficients w
-    (squared frequencies), sorted ascending.
+    modes have unit mass and potential coefficients w (squared frequencies),
+    sorted ascending.  A general momentum block A = L L^T reduces, with
+    v = L u, to normal_modes(L^T B L, ones), whose sign and tie-order
+    conventions then fix U, and V = L U.
     """
     block = sorted(set(int(i) for i in block))
-    _, V, _ = normal_modes(H, block)
     n = H.n_modes
-    idx = np.asarray(block)
+    if not block or block[0] < 0 or block[-1] >= n:
+        raise DomainError(f"block indices out of range for {n} modes")
+    idx = np.ix_(block, block)
+    try:
+        L = np.linalg.cholesky(H.momentum_block[idx])
+    except np.linalg.LinAlgError as exc:
+        raise DomainError("kinetic sub-matrix of the block is not positive definite") from exc
+    _, U = normal_modes(L.T @ H.position_block[idx] @ L, np.ones(len(block)))
     T = np.eye(n)
-    T[np.ix_(idx, idx)] = np.linalg.inv(V)
+    T[idx] = np.linalg.inv(L @ U)
     return StructureMap(T)
 
 

@@ -373,6 +373,26 @@ def test_certification_needs_a_positive_bump(tmp_path, capsys, bump):
     assert not (tmp_path / "oc.csv").exists()
 
 
+UNUSED_KEY_CASES = {
+    # oracle-compare's explicit bath lists leave the Ohmic grid's keys unused; pod reads no [oracle] key
+    "model.n_bath=0": ORACLE_TINY,
+    "model.gamma=-1": ORACLE_TINY,
+    "model.cutoff_freq=-2": ORACLE_TINY,
+    "model.grid=cubic": ORACLE_TINY,
+    "oracle.cutoff=0": MINIMAL_POD,
+    "oracle.bump=-1": MINIMAL_POD,
+}
+
+
+@pytest.mark.parametrize("override", list(UNUSED_KEY_CASES))
+def test_out_of_range_values_of_unused_keys_exit_1(tmp_path, capsys, override):
+    path = _write_config(tmp_path, UNUSED_KEY_CASES[override])
+    assert main([str(path), "--output", str(tmp_path / "x.csv"), "--set", override]) == 1
+    section, key = override.split("=")[0].split(".")
+    assert capsys.readouterr().err.startswith(f"error: [{section}] {key}")
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_unwritable_output_exits_1(tmp_path, capsys):
     path = _write_config(tmp_path, MINIMAL_POD)
     out = tmp_path / "missing" / "dir" / "x.csv"
@@ -453,6 +473,21 @@ def test_openblas_thread_timeout_is_set_before_numpy_loads(caller):
         env["OPENBLAS_THREAD_TIMEOUT"] = caller
     out = subprocess.run([sys.executable, "-c", NUMPY_IMPORT_SPY], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == repr([caller or "26"])
+
+
+@pytest.mark.parametrize("workload", ["marginal-wide", "exclusivity-long"])
+def test_large_bath_runs_in_quadratic_memory(tmp_path, workload):
+    # no benchmark workload has more than 128 bath modes; at 1024 a dense 2n x 2n matrix on the
+    # run path takes the child's peak RSS to about 230 MB, while n x n data stays near 90 MB
+    config = os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads", f"{workload}.ini")
+    argv = [sys.executable, "-m", "qbm_structures.cli", config, "--output", str(tmp_path / "out.csv")]
+    argv += ["--set", "model.n_bath=1024", "--set", "times.n_points=8"]
+    with open(tmp_path / "err.txt", "wb") as err:
+        proc = subprocess.Popen(argv, env=_package_env(), stdout=subprocess.DEVNULL, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0, (tmp_path / "err.txt").read_text()
+    assert usage.ru_maxrss / 1024.0 < 150.0
 
 
 @pytest.mark.parametrize("kind", ["pod", "marginal", "er", "exclusivity"])

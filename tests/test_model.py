@@ -1,3 +1,4 @@
+import sys
 import warnings
 from dataclasses import replace
 
@@ -19,7 +20,10 @@ from qbm_structures import (
     symplectic_form,
     thermal_state,
 )
+import qbm_structures.experiments as ex
+import qbm_structures.model as model
 from qbm_structures.experiments import ScenarioConfig, _prepare
+from qbm_structures.model import position_block
 from helpers import random_model, workload
 
 
@@ -163,19 +167,38 @@ def test_harmonic_and_zero_coupling_models_do_not_warn():
     params = ModelParams(m1=2.0, bath=((1.0, 0.7, 0.0), (1.5, 1.2, 0.0)))
     assert np.linalg.eigvalsh(build_qbm_hamiltonian(params).position_block).min() == 0.0
     world, messages = _indefinite_warnings(lambda: _prepare(ScenarioConfig(params, times=np.array([0.0, 1.0])), None))
-    assert messages == [] and np.diagonal(world.normal.K)[0] == 0.0
+    assert messages == [] and world.sq_freqs[0] == 0.0
+
+
+TINY_PURIFIED = "[scenario]\nkind = pod\n[model]\nn_bath = 3\n[initial]\ntemperature = 1.0\npurified = true\n"
 
 
 def test_prepare_solves_the_model_once(monkeypatch):
+    # one eigh on n x n data: no Cholesky, no inverse and no 2n x 2n Hamiltonian
     calls = []
-    for name in ("eigh", "eigvalsh", "eigvals", "eig"):
+    for name in ("eigh", "eigvalsh", "eigvals", "eig", "cholesky", "inv"):
         solver = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name, lambda *a, _f=solver, _n=name, **k: calls.append(_n) or _f(*a, **k))
+    build = model.build_qbm_hamiltonian
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "qbm_structures"]:
+        for key in [key for key, value in vars(module).items() if value is build]:
+            monkeypatch.setattr(module, key, lambda *a: calls.append("build_qbm_hamiltonian") or build(*a))
     cfg = cli.build_scenario(cli.parse_config("[scenario]\nkind = pod\n"))
-    build_qbm_hamiltonian(cfg.model)
-    assert calls == []
     _prepare(cfg, None)
     assert calls == ["eigh"]
+    for params in (cfg.model, random_model(np.random.default_rng(7), 3, potential="harmonic", sign=-1)):
+        assert np.array_equal(position_block(params), build(params).position_block)
+    assert calls == ["eigh"]  # building the model, either way, solves nothing
+
+    worlds = []
+    monkeypatch.setattr(ex, "_prepare", lambda *a, _f=ex._prepare: worlds.append(_f(*a)) or worlds[-1])
+    tiny = cli.build_scenario(cli.parse_config(TINY_PURIFIED))
+    for run in (ex.run_er_check, ex.run_exclusivity, ex.run_marginal):
+        run(tiny)
+    n = tiny.model.n_modes
+    assert len(worlds) == 3
+    for world in worlds:  # a Hamiltonian counts by its K
+        assert [k for k, v in vars(world).items() if np.shape(getattr(v, "K", v)) == (2 * n, 2 * n)] == []
 
 
 def test_discretize_single_mode_linear():

@@ -19,6 +19,7 @@ SRC = Path(qbm_structures.__file__).resolve().parent
 UNREACHED = {
     "wrapped by perfbench/tracer.TARGETS": {
         ("experiments", "marginal_incompatibility"),
+        ("model", "build_qbm_hamiltonian"),
         ("structure", "collective_mode_map"),
         ("gaussian", "embed_symplectic"),
         ("gaussian", "reduce"),
@@ -38,6 +39,8 @@ UNREACHED = {
         ("fock_oracle", "purity_density"),
     },
     "called only by a function wrapped by perfbench/tracer.TARGETS": {
+        ("model", "QuadraticHamiltonian.position_block"),
+        ("model", "QuadraticHamiltonian.momentum_block"),
         ("structure", "StructureMap.__post_init__"),
         ("structure", "StructureMap.n_modes"),
         ("structure", "StructureMap.T_inv"),

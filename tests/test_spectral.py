@@ -28,6 +28,7 @@ from qbm_structures import (
     cm_relative_map,
     evolve,
     log_negativity,
+    normal_mode_map,
     propagator,
     purity,
     reduce,
@@ -46,6 +47,7 @@ from qbm_structures.experiments import (
     run_marginal,
     run_pod,
 )
+from qbm_structures.model import position_block
 from qbm_structures.structure import normal_modes
 from helpers import (
     default_split,
@@ -91,18 +93,28 @@ def _world(params, temperature=0.0, t_max=6.0, purified=True):
 
 
 @SETTINGS
-@given(models(), st.booleans())
-def test_normal_modes_solve_the_generalized_eigenproblem(params, relative):
-    H = build_qbm_hamiltonian(params)
-    if relative:  # centre of mass + relative coordinates: a non-diagonal momentum block
-        H = transform_hamiltonian(H, cm_relative_map(params.masses))
-    n = H.n_modes
-    w, V, M = normal_modes(H, range(n))
-    B = H.position_block
-    reference = scipy.linalg.eigh(B, np.linalg.inv(H.momentum_block), eigvals_only=True)
+@given(models(), st.sampled_from([1.0, 64.0]), st.booleans())
+def test_normal_modes_solve_the_generalized_eigenproblem(params, mass_scale, relative):
+    # every bath mass times mass_scale at fixed J (kappa_i^2 / m_i unchanged): the collective split depends on it
+    bath = tuple((m * mass_scale, w, k * math.sqrt(mass_scale)) for m, w, k in params.bath)
+    params = dataclasses.replace(params, bath=bath)
+    n = params.n_modes
+    if relative:  # centre of mass + relative coordinates: a non-diagonal momentum block, through normal_mode_map
+        H = transform_hamiltonian(build_qbm_hamiltonian(params), cm_relative_map(params.masses))
+        B = H.position_block
+        reference = scipy.linalg.eigh(B, np.linalg.inv(H.momentum_block), eigvals_only=True)
+        scale = max(1.0, np.max(np.abs(reference)))
+        decoupled = transform_hamiltonian(H, normal_mode_map(H, range(n)))
+        assert np.max(np.abs(decoupled.position_block - np.diag(reference))) <= 1e-10 * scale
+        assert np.max(np.abs(decoupled.momentum_block - np.eye(n))) <= 1e-10
+        assert np.max(np.abs(decoupled.cross_block)) <= 1e-10 * scale
+        return
+    B, masses = position_block(params), params.masses
+    w, V = normal_modes(B, masses)
+    reference = scipy.linalg.eigh(B, np.diag(masses), eigvals_only=True)
     assert np.max(np.abs(w - reference)) <= 1e-12 * max(1.0, np.max(np.abs(reference)))
-    assert np.max(np.abs(B @ V - M @ V * w)) <= 1e-10 * max(1.0, np.max(np.abs(B)))
-    assert np.max(np.abs(V.T @ M @ V - np.eye(n))) <= 1e-10
+    assert np.max(np.abs(B @ V - masses[:, None] * V * w)) <= 1e-10 * max(1.0, np.max(np.abs(B)))
+    assert np.max(np.abs(V.T @ (masses[:, None] * V) - np.eye(n))) <= 1e-10
 
 
 @SETTINGS

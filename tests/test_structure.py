@@ -16,6 +16,7 @@ from qbm_structures import (
     symplectic_form,
     transform_hamiltonian,
 )
+from qbm_structures.model import position_block
 from helpers import random_model
 
 CANONICITY_TOL = 1e-10
@@ -136,13 +137,16 @@ def test_normal_mode_requires_positive_kinetic():
 
 
 def test_normal_modes_reject_modes_that_miss_mass_orthonormality(monkeypatch):
-    H = build_qbm_hamiltonian(random_model(np.random.default_rng(5), n_bath=3, potential="harmonic"))
-    w, V, M = structure.normal_modes(H, range(4))
-    assert np.max(np.abs(V.T @ M @ V - np.eye(4))) < structure.NORMAL_MODE_TOL
+    params = random_model(np.random.default_rng(5), n_bath=3, potential="harmonic")
+    B, masses = position_block(params), params.masses
+    w, V = structure.normal_modes(B, masses)
+    assert np.max(np.abs(V.T @ (masses[:, None] * V) - np.eye(4))) < structure.NORMAL_MODE_TOL
     eigh = structure.np.linalg.eigh
     monkeypatch.setattr(structure.np.linalg, "eigh", lambda a: (eigh(a)[0], eigh(a)[1] * (1 + 1e-6)))
     with pytest.raises(ConditioningError):
-        structure.normal_modes(H, range(4))
+        structure.normal_modes(B, masses)
+    with pytest.raises(ConditioningError):  # the general momentum block reduces to the same solver
+        normal_mode_map(build_qbm_hamiltonian(params), range(4))
 
 
 def test_full_pipeline_reproduces_original_sparsity():
