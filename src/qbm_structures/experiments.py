@@ -7,9 +7,10 @@ very same states, never from a second dynamics.  Thermal baths can be purified
 with ancilla modes so that the global state stays pure; ancillas never evolve
 and count as part of the environment side of every bipartition.
 
-The model is diagonalised once per run (structure.normal_modes), which also
-decides the instability warning; in its normal modes it is decoupled, so every
-mode flows in closed form (gaussian._decoupled_flow), exponentiating nothing.
+The model is diagonalised once per run from its secular equation
+(structure.star_normal_modes), which also decides the instability warning; in
+its normal modes it is decoupled, so every mode flows in closed form
+(gaussian._decoupled_flow), exponentiating nothing.
 A split is the pair (a, b) of its mode-0 observables X = a.x and P = b.p with
 a.b = 1 (a point map T's first row and T^-1's first column): (e_1, e_1) for the
 particle, and (m / M, 1), the centre of mass and total momentum, for the
@@ -49,8 +50,8 @@ from .gaussian import (
     propagator,
     purity,
 )
-from .model import POTENTIAL_HARMONIC, ModelParams, QuadraticHamiltonian, position_block, symplectic_form
-from .structure import CANONICITY_TOL, normal_modes
+from .model import POTENTIAL_HARMONIC, ModelParams, QuadraticHamiltonian, arrowhead, symplectic_form
+from .structure import CANONICITY_TOL, star_normal_modes
 
 ER_PRODUCT_TOL = 1e-8
 ER_WITNESS_THRESHOLD = 1e-3
@@ -303,7 +304,7 @@ def _prepare(cfg: ScenarioConfig, split=None) -> _World:
         raise DomainError(f"a split's X = a.x and P = b.p must be conjugate, a.b = 1; got a.b = {a @ b!r}")
     mw = params.m1 * (params.omega if params.potential == POTENTIAL_HARMONIC else 1.0)
     var_x, var_p = _thermal_widths(masses[1:], np.array(params.bath)[:, 1], cfg.bath_temperature)
-    sq_freqs, V = normal_modes(position_block(params), masses)
+    sq_freqs, V = star_normal_modes(*arrowhead(params), masses)
     if sq_freqs[0] < 0:  # ascending; M^-1/2 B M^-1/2 has the inertia of the position block B (Sylvester)
         warnings.warn(
             "position block of the model Hamiltonian is indefinite "

@@ -57,9 +57,17 @@ class GaussianState:
 
 
 def _check_uncertainty(cov: np.ndarray) -> None:
-    """cov + i Omega / 2 >= 0 for a covariance or a stack; the tolerance grows with the entries (unstable runs)."""
-    least = np.linalg.eigvalsh(cov + 0.5j * symplectic_form(cov.shape[-1] // 2)).min(axis=-1)
-    if np.any(least < -UNCERTAINTY_TOL * np.maximum(1.0, np.max(np.abs(cov), axis=(-2, -1)))):
+    """cov + i Omega / 2 >= 0 for a covariance or a stack; the tolerance grows with the entries (unstable runs).
+
+    One mode takes the closed form: the least eigenvalue of [[a, b + i/2], [b - i/2, d]] is
+    (a + d)/2 - sqrt(((a - d)/2)^2 + b^2 + 1/4), with b read below the diagonal as eigvalsh reads it.
+    """
+    if cov.shape[-1] == 2:
+        a, b, d = cov[..., 0, 0], cov[..., 1, 0], cov[..., 1, 1]
+        least = (0.5 * a + 0.5 * d) - np.hypot(np.hypot(0.5 * a - 0.5 * d, b), 0.5)  # no square overflows
+    else:
+        least = np.linalg.eigvalsh(cov + 0.5j * symplectic_form(cov.shape[-1] // 2)).min(axis=-1)
+    if not np.all(least >= -UNCERTAINTY_TOL * np.maximum(1.0, np.max(np.abs(cov), axis=(-2, -1)))):
         raise DomainError("covariance violates the uncertainty relation")
 
 

@@ -183,6 +183,14 @@ def position_block(params: ModelParams) -> np.ndarray:
     return B
 
 
+def arrowhead(params: ModelParams) -> tuple[float, np.ndarray, np.ndarray]:
+    """C = M^-1/2 B M^-1/2 of position_block(params) as an arrowhead (tip, diagonal, couplings): C_00 = k_1 / m_1
+    (omega^2, or 0 for a free particle), C_ii = omega_i^2 and C_0i = (+/-) kappa_i / sqrt(m_1 m_i)."""
+    bath_m, bath_w, kappa = np.array(params.bath).T
+    tip = params.omega**2 if params.potential == POTENTIAL_HARMONIC else 0.0
+    return tip, bath_w**2, params.coupling_sign * kappa / np.sqrt(params.m1 * bath_m)
+
+
 def build_qbm_hamiltonian(params: ModelParams) -> QuadraticHamiltonian:
     """Assemble the K matrix of the particle + bath model: position_block(params) and the kinetic diag(1/m).
 

@@ -14,6 +14,7 @@ decouples a quadratically coupled block.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,9 @@ from .model import QuadraticHamiltonian
 
 CANONICITY_TOL = 1e-10
 NORMAL_MODE_TOL = 1e-10
+_EPS = float(np.finfo(float).eps)
+_ROOT_BLOCK = 256  # secular roots, and U^T U columns, per stacked step: temporaries stay O(_ROOT_BLOCK N)
+_MAX_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -113,13 +117,162 @@ def normal_modes(B: np.ndarray, masses) -> tuple[np.ndarray, np.ndarray]:
     """
     r = np.sqrt(1.0 / np.asarray(masses, dtype=float))
     w, U = np.linalg.eigh(r[:, None] * B * r)
-    residual = float(np.max(np.abs(U.T @ U - np.eye(len(w)))))
-    if residual > NORMAL_MODE_TOL:
+    return _mass_orthonormal(w, U, r)
+
+
+def star_normal_modes(tip: float, sq_freqs, couplings, masses) -> tuple[np.ndarray, np.ndarray]:
+    """normal_modes of the particle + bath model from its arrowhead C = M^-1/2 B M^-1/2 (model.arrowhead), in O(N^2).
+
+    Zero couplings, and all but one of repeated frequencies after a Givens rotation, deflate; the
+    rest solve the secular equation (_secular_roots, Ullersma, Physica 32, 27 (1966)).
+    """
+    d, z = (np.asarray(v, dtype=float) for v in (sq_freqs, couplings))
+    r = np.sqrt(1.0 / np.asarray(masses, dtype=float))
+    n = d.size + 1
+    order = np.argsort(d, kind="stable")
+    d, z, rows = d[order], z[order], order + 1  # rows: each sorted bath mode's row of U
+    tol = 8 * _EPS * (max(abs(tip), np.max(np.abs(d))) + math.sqrt(z @ z))
+    live = np.abs(z) > tol
+    rotations = []
+    at = np.flatnonzero(live)
+    for a in np.flatnonzero(np.diff(d[at]) <= tol):  # equal frequencies: fold mode i's coupling into mode j's
+        i, j = at[a], at[a + 1]
+        h = math.hypot(z[i], z[j])
+        rotations.append((rows[i], rows[j], z[j] / h, z[i] / h))
+        z[i], z[j], live[i] = 0.0, h, False
+    k = np.count_nonzero(live)
+    U = np.zeros((n, n))
+    w = np.r_[_secular_modes(tip, d[live], z[live], U, np.r_[0, rows[live]]), d[~live]]
+    U[rows[~live], np.arange(k + 1, n)] = 1.0
+    for i, j, c, s in reversed(rotations):  # back to the bath's own coordinates
+        U[[i, j]] = c * U[i] + s * U[j], c * U[j] - s * U[i]
+    return _mass_orthonormal(w, U, r)
+
+
+def _secular_modes(tip: float, d: np.ndarray, z: np.ndarray, U: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the arrowhead (tip, d, z), d ascending and distinct, z nonzero; eigenvectors into U[rows, :k+1].
+
+    U takes the couplings z^ for which the computed roots w_j are exact, z^_i^2 = -prod_j (w_j - d_i) /
+    prod_{l != i} (d_l - d_i) (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 172 (1995)): it is
+    orthonormal to rounding however close two roots lie.
+    """
+    k = d.size
+    if k == 0:
+        U[rows[0], 0] = 1.0
+        return np.array([tip])
+    z2 = z * z
+    spread = math.sqrt(z2.sum())
+    lower = np.r_[min(tip, d[0]) - spread, d]  # root j lies in (lower_j, upper_j)
+    upper = np.r_[d, max(tip, d[-1]) + spread]
+    # the end roots start from the 2 x 2 arrowheads that put every coupling on the nearest pole, which bound them
+    start = np.r_[0.0, 0.5 * (d[:-1] + d[1:]), 0.0]
+    for i, sign in ((0, -1.0), (-1, 1.0)):
+        start[i] = 0.5 * (tip + d[i]) + sign * math.sqrt((0.5 * (tip - d[i])) ** 2 + spread**2)
+    n_blocks = -(-(k + 1) // _ROOT_BLOCK)
+    size = -(-(k + 1) // n_blocks)
+    blocks = [slice(s, min(s + size, k + 1)) for s in range(0, k + 1, size)]
+    roots = [_secular_roots(tip, d, z2, lower[b], upper[b], start[b], b.start) for b in blocks]
+    origin, tau = np.concatenate(roots, axis=1)
+    origin = origin.astype(int)
+
+    def gaps(b: slice) -> np.ndarray:  # w_j - d_i for the block's roots j
+        return tau[b, None] - (d - d[origin[b], None])
+
+    zhat2 = -np.ones(k)
+    for b in blocks:
+        gap = gaps(b)
+        paired = np.arange(b.start, min(b.stop, k))
+        at = np.arange(paired.size), paired
+        span = d[paired, None] - d
+        span[at] = 1.0  # root l's own pole enters as w_l - d_l
+        zhat2 *= np.prod(gap[: paired.size] / span, axis=0)
+        if b.stop > k:
+            zhat2 *= gap[-1]
+    zhat = np.copysign(np.sqrt(zhat2), z)
+    for b in blocks:
+        u = zhat / gaps(b)
+        norm = np.sqrt(1.0 + np.vecdot(u, u))
+        U[rows[0], b] = 1.0 / norm
+        U[rows[1:], b] = (u / norm[:, None]).T
+    return d[origin] + tau
+
+
+def _secular_roots(tip: float, d: np.ndarray, z2: np.ndarray, lower, upper, start, first: int) -> np.ndarray:
+    """Roots first, first + 1, .. of f(w) = w - tip + sum_i z2_i / (d_i - w) as rows (origin pole index, tau).
+
+    Root j lies in (lower_j, upper_j) and is held as tau = w - d_o from its nearer pole d_o.  Each
+    step solves the two-pole rational model of f that matches its value and slope at tau (Bunch,
+    Nielsen & Sorensen, Numer. Math. 31, 31 (1978)), or bisects when that leaves the bracket.
+    """
+    k = d.size
+    j = np.arange(first, first + lower.size)
+    origin = np.maximum(j - 1, 0)
+    delta = d - d[origin, None]
+    tau = start - d[origin]
+    out, todo = np.empty(j.size), np.arange(j.size)
+    terms = np.empty((2, *delta.shape))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # a non-finite model step bisects
+        for step in range(_MAX_STEPS):
+            inv = np.divide(1.0, np.subtract(delta, tau[:, None], out=terms[1]), out=terms[1])
+            inv -= np.minimum(inv, 0.0, out=terms[0])  # the terms of poles below the root, then above it
+            psi, phi = terms @ z2
+            dpsi, dphi = np.square(terms, out=terms) @ z2
+            if step == 0:  # the origin moves to the upper pole when the root lies above the start
+                up = (psi + phi + d[origin] - tip + tau < 0) & (j > 0) & (j < k)
+                origin[up] = j[up]
+                delta[up] = d - d[origin[up], None]
+                base = d[origin]
+                tau, lo, hi, lin0 = start - base, lower - base, upper - base, base - tip
+                g = np.array([lo, hi])  # the model's poles: the interval's ends
+                to_low = np.where(j == 0, 1.0, 0.0)  # which end carries the linear term's slope
+            f = lin0 + tau + psi + phi
+            np.copyto(lo, tau, where=f < 0)
+            np.copyto(hi, tau, where=f > 0)
+            slope = 1.0 + dpsi + dphi
+            g_l, g_u = g - tau
+            s_l = dpsi + to_low  # the model's slopes at its two poles
+            t_l, t_u = s_l * g_l, (slope - s_l) * g_u
+            c = f - t_l - t_u
+            a1 = c * (g_l + g_u) + t_l * g_l + t_u * g_u
+            a0 = g_l * g_u * f
+            # the root inside (g_l, g_u) of c eta^2 - a1 eta + a0; a1 < 0 (rare) loses digits to cancellation
+            step_to = tau + 2.0 * a0 / (a1 + np.sqrt(np.maximum(a1 * a1 - 4.0 * c * a0, 0.0)))
+            # convergence is quadratic: after a step below 1e-8 |tau| the error is below 1e-16 |tau|; a step
+            # lost to rounding lands on tau itself, a bracket end
+            done = np.abs(step_to - tau) <= 1e-8 * np.abs(tau)
+            if step > 8:  # a bracket a few ulps wide is the root too
+                done |= hi - lo <= 4 * _EPS * np.abs(tau)
+            tau = np.where(done | ((step_to > lo) & (step_to < hi)), step_to, 0.5 * (lo + hi))
+            if done.any():
+                out[todo[done]] = tau[done]
+                if done.all():
+                    return np.array([origin, out])
+                keep = ~done
+                todo, tau, lo, hi, lin0 = todo[keep], tau[keep], lo[keep], hi[keep], lin0[keep]
+                delta, g, to_low, terms = delta[keep], g[:, keep], to_low[keep], terms[:, : todo.size]
+    raise ConditioningError(f"the secular equation of the normal modes did not converge in {_MAX_STEPS} steps")
+
+
+def _mass_orthonormal(w: np.ndarray, U: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Check U^T U = I one block of columns at a time, scale to V = r U in place, and fix signs and tie order."""
+    n = len(w)
+    width = max(_ROOT_BLOCK, n // 8)  # wider blocks run GEMM faster; each holds at most n^2 / 8 entries
+    residual = 0.0
+    for s in range(0, n, width):
+        gram = U[:, : s + width].T @ U[:, s : s + width]  # the upper triangle, one block of columns at a time
+        gram[np.arange(s, min(s + width, n)), np.arange(gram.shape[1])] -= 1.0
+        residual = max(residual, float(np.max(np.abs(gram))))
+    if not residual <= NORMAL_MODE_TOL:
         raise ConditioningError(f"normal modes are not mass-orthonormal (residual {residual:.3e})")
     V = np.multiply(U, r[:, None], out=U)
-    first = V[np.argmax(np.abs(V) > 1e-12, axis=0), np.arange(len(w))]  # each column's first entry above 1e-12
-    V *= np.where(first < -1e-12, -1.0, 1.0)  # a column with none keeps its sign
+    first = V[0].copy()  # each column's first entry above 1e-12, which is mostly row 0
+    weak = np.flatnonzero(np.abs(first) <= 1e-12)
+    first[weak] = V[np.argmax(np.abs(V[:, weak]) > 1e-12, axis=0), weak]
+    flip = first < -1e-12  # a column with no such entry keeps its sign
+    V[:, flip] *= -1.0
     order = _tie_broken_order(w, V)
+    if np.array_equal(order, np.arange(n)):
+        return w, V
     return w[order], V[:, order]
 
 
@@ -148,8 +301,11 @@ def normal_mode_map(H: QuadraticHamiltonian, block) -> StructureMap:
 
 
 def _tie_broken_order(w: np.ndarray, V: np.ndarray) -> np.ndarray:
-    order = list(np.argsort(w, kind="stable"))
+    order = np.argsort(w, kind="stable")
     scale = max(np.max(np.abs(w)), 1.0)
+    if np.all(np.diff(w[order]) > 1e-12 * scale):  # no ties
+        return order
+    order = list(order)
     i = 0
     while i < len(order):
         j = i

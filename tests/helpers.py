@@ -26,7 +26,7 @@ from qbm_structures import (
 )
 from qbm_structures.experiments import ScenarioConfig, _prepare
 from qbm_structures.gaussian import NEGATIVITY_FLOOR
-from qbm_structures.structure import collective_mode_map
+from qbm_structures.structure import collective_mode_map, normal_modes
 
 POD_SEED = 42
 DATA_DIR = "data"
@@ -212,6 +212,17 @@ def williamson_purify(state):
 # per-sample references: one dense D(t) and one errstate per grid time, as
 # run_er_check, run_exclusivity and run_marginal computed before they took
 # blocks of the grid at once
+
+
+def dense_star_modes(tip, sq_freqs, couplings, masses):
+    """structure.star_normal_modes by the dense route: the n x n position block and one eigh (normal_modes).
+
+    Patched over experiments.star_normal_modes, it makes _prepare solve the model as it did before the secular
+    solver."""
+    root = np.sqrt(np.asarray(masses, dtype=float))
+    B = np.diag(np.r_[tip, sq_freqs] * root**2)
+    B[0, 1:] = B[1:, 0] = np.asarray(couplings) * root[0] * root[1:]
+    return normal_modes(B, masses)
 
 
 def per_sample(times, sample):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -30,7 +32,7 @@ from qbm_structures import (
     thermal_state,
     williamson,
 )
-from qbm_structures.gaussian import UNCERTAINTY_TOL, _purity_from_cov
+from qbm_structures.gaussian import UNCERTAINTY_TOL, _check_uncertainty, _purity_from_cov
 from helpers import dense_uncertainty_min, random_model
 
 
@@ -461,6 +463,45 @@ def test_grouped_check_matches_dense_eigvalsh(cov):
     except DomainError:
         accepted = False
     assert accepted == (margin > 0)
+
+
+@st.composite
+def near_pure_one_mode_covariances(draw):
+    """A stack of 2 x 2 covariances, entries up to 1e8, with (4 det - 1) / (4 b^2 + 1) within 1e-9 of 0."""
+    out = []
+    for _ in range(draw(st.integers(1, 4))):
+        a = 10 ** draw(st.floats(-4.0, 8.0))
+        b = draw(st.floats(-1.0, 1.0)) * math.sqrt(a * 10 ** draw(st.floats(-4.0, 8.0)))
+        excess = draw(st.floats(-1e-9, 1e-9))
+        d = (b * b + 0.25 * (1.0 + excess * (4 * b * b + 1.0))) / a
+        assume(d <= 1e8)
+        out.append([[a, b], [b, d]])
+    return np.array(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(near_pure_one_mode_covariances())
+def test_one_mode_closed_form_agrees_with_eigvalsh(covs):
+    scale = np.maximum(1.0, np.max(np.abs(covs), axis=(1, 2)))
+    least = np.array([dense_uncertainty_min(cov) for cov in covs])
+    margin = least + UNCERTAINTY_TOL * scale
+    assume(np.all(np.abs(margin) > 1e-14 * scale))
+    for stack, margins in ((covs, margin), (covs[0], margin[:1])):
+        try:
+            _check_uncertainty(stack)
+            accepted = True
+        except DomainError:
+            accepted = False
+        assert accepted == bool(np.all(margins > 0))
+
+
+def test_one_mode_closed_form_rejects_what_eigvalsh_rejects():
+    huge = np.array([[1e8, 1e8 + 1.0], [1e8 + 1.0, 1e8]])  # least eigenvalue -1, below the tolerance of 1e-2 there
+    for cov in (0.1 * np.eye(2), huge, np.array([[1.0, 0.9], [0.9, 1.0]]), np.full((2, 2), np.nan)):
+        assert not dense_uncertainty_min(cov) >= -UNCERTAINTY_TOL * max(1.0, np.max(np.abs(cov)))
+        with pytest.raises(DomainError):
+            _check_uncertainty(cov)
+    _check_uncertainty(np.array([np.diag([1e8, 2.5e-9]), 0.5 * np.eye(2)]))
 
 
 @settings(max_examples=60, deadline=None)

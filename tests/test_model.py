@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -173,22 +174,41 @@ def test_harmonic_and_zero_coupling_models_do_not_warn():
 TINY_PURIFIED = "[scenario]\nkind = pod\n[model]\nn_bath = 3\n[initial]\ntemperature = 1.0\npurified = true\n"
 
 
-def test_prepare_solves_the_model_once(monkeypatch):
-    # one eigh on n x n data: no Cholesky, no inverse and no 2n x 2n Hamiltonian
+SOLVERS = ("eigh", "eigvalsh", "eigvals", "eig", "cholesky", "inv")
+
+
+def _spy_solvers(monkeypatch, names=SOLVERS):
     calls = []
-    for name in ("eigh", "eigvalsh", "eigvals", "eig", "cholesky", "inv"):
+    for name in names:
         solver = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name, lambda *a, _f=solver, _n=name, **k: calls.append(_n) or _f(*a, **k))
-    build = model.build_qbm_hamiltonian
-    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "qbm_structures"]:
-        for key in [key for key, value in vars(module).items() if value is build]:
-            monkeypatch.setattr(module, key, lambda *a: calls.append("build_qbm_hamiltonian") or build(*a))
+    return calls
+
+
+def test_prepare_solves_the_model_once(monkeypatch):
+    # the secular equation on O(N) data: no dense solver, no position block, no n x n array but V and MV
+    calls = _spy_solvers(monkeypatch)
+    for build in (model.build_qbm_hamiltonian, model.position_block):
+        for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "qbm_structures"]:
+            for key in [key for key, value in vars(module).items() if value is build]:
+                monkeypatch.setattr(module, key, lambda *a, _f=build: calls.append(_f.__name__) or _f(*a))
     cfg = cli.build_scenario(cli.parse_config("[scenario]\nkind = pod\n"))
     _prepare(cfg, None)
-    assert calls == ["eigh"]
+    assert calls == []
     for params in (cfg.model, random_model(np.random.default_rng(7), 3, potential="harmonic", sign=-1)):
-        assert np.array_equal(position_block(params), build(params).position_block)
-    assert calls == ["eigh"]  # building the model, either way, solves nothing
+        assert np.array_equal(position_block(params), build_qbm_hamiltonian(params).position_block)
+    assert not set(calls) & set(SOLVERS)  # building the model, either way, solves nothing
+
+    wide = cli.build_scenario(cli.parse_config("[scenario]\nkind = marginal\n[model]\nn_bath = 1023\n"))
+    n = wide.model.n_modes
+    tracemalloc.start()
+    try:
+        world = _prepare(wide, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [k for k, v in vars(world).items() if np.shape(v) == (n, n)] == ["V", "MV"]
+    assert peak <= 2.5 * n * n * 8  # V and MV, and temporaries of O(N) rows: the dense route peaked at 4 n^2
 
     worlds = []
     monkeypatch.setattr(ex, "_prepare", lambda *a, _f=ex._prepare: worlds.append(_f(*a)) or worlds[-1])
@@ -199,6 +219,18 @@ def test_prepare_solves_the_model_once(monkeypatch):
     assert len(worlds) == 3
     for world in worlds:  # a Hamiltonian counts by its K
         assert [k for k, v in vars(world).items() if np.shape(getattr(v, "K", v)) == (2 * n, 2 * n)] == []
+
+
+def test_gaussian_scenarios_call_no_eigensolver(monkeypatch):
+    calls = _spy_solvers(monkeypatch, ("eigh", "eigvalsh", "eigvals"))
+    runs = {"pod": ex.run_pod, "er": ex.run_er_check, "exclusivity": ex.run_exclusivity, "marginal": ex.run_marginal}
+    for kind, run in runs.items():
+        run(cli.build_scenario(cli.parse_config(TINY_PURIFIED.replace("kind = pod", f"kind = {kind}"))))
+        assert calls == [], kind
+    # mixed pod keeps one eigvals of (Omega + R) sigma0 per split and sample
+    mixed = cli.build_scenario(cli.parse_config(TINY_PURIFIED.replace("purified = true", "purified = false")))
+    ex.run_pod(mixed)
+    assert calls == ["eigvals"] * 2 * len(mixed.times)
 
 
 def test_discretize_single_mode_linear():

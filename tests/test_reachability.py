@@ -39,6 +39,7 @@ UNREACHED = {
         ("fock_oracle", "purity_density"),
     },
     "called only by a function wrapped by perfbench/tracer.TARGETS": {
+        ("model", "position_block"),
         ("model", "QuadraticHamiltonian.position_block"),
         ("model", "QuadraticHamiltonian.momentum_block"),
         ("structure", "StructureMap.__post_init__"),
@@ -46,6 +47,7 @@ UNREACHED = {
         ("structure", "StructureMap.T_inv"),
         ("structure", "cm_relative_map"),
         ("structure", "normal_mode_map"),
+        ("structure", "normal_modes"),
         ("structure", "transform_hamiltonian"),
         ("fock_oracle", "DenseEvolver.propagate.<locals>.apply"),
         ("fock_oracle", "_matricize"),

@@ -52,6 +52,7 @@ from qbm_structures.structure import normal_modes
 from helpers import (
     default_split,
     dense_exclusivity,
+    dense_star_modes,
     evolved_state,
     exclusivity_scenario,
     lift_total,
@@ -402,6 +403,28 @@ def test_cli_models_grid_equals_per_sample_loop(text):
     _assert_grid_matches_per_sample(cfg)
     split = map_split(default_split(cfg.model))
     _assert_grid_matches_per_sample(ScenarioConfig(cfg.model, cfg.times[:2], 1.0, 0.3), split)
+
+
+def test_degenerate_bath_runs_equal_the_dense_references(monkeypatch):
+    # three bath modes at one frequency, one uncoupled: the secular solver deflates two normal modes
+    text = "[scenario]\nkind = pod\n[model]\nbath_omegas = 1.2 1.2 1.2\nbath_kappas = 0.1 0.1 0\n"
+    cfg = build_scenario(parse_config(f"{text}[times]\nn_points = {_BLOCK + 1}\n"))
+    pod = run_pod(cfg)
+    grid = [(run(cfg), fields) for run, _, fields in GRID_RUNS]
+    monkeypatch.setattr(ex, "star_normal_modes", dense_star_modes)  # from here on _prepare solves with eigh
+    world = _prepare(cfg, None)
+    smap = default_split(cfg.model)
+    for i, t in enumerate(cfg.times):
+        state = evolved_state(world, t)
+        alt = evolve(state, lift_total(state, smap))
+        assert pod.purity_1[i] == pytest.approx(purity(reduce(state, [0])), abs=1e-10)
+        assert pod.purity_sp[i] == pytest.approx(purity(reduce(alt, [0])), abs=1e-10)
+        assert pod.neg_12[i] == pytest.approx(log_negativity(state, [0]), abs=1e-9)
+        assert pod.neg_spep[i] == pytest.approx(log_negativity(alt, [0]), abs=1e-9)
+    for (report, fields), (_, reference, _) in zip(grid, GRID_RUNS):
+        expected = reference(cfg).reshape(len(cfg.times), -1)
+        got = np.column_stack([getattr(report, name) for name in fields])
+        assert np.max(np.abs(got - expected) / np.maximum(1.0, np.abs(expected))) <= 1e-12, reference.__name__
 
 
 def test_grid_runs_take_stacked_calls_per_block(monkeypatch):

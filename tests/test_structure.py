@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +19,9 @@ from qbm_structures import (
     symplectic_form,
     transform_hamiltonian,
 )
-from qbm_structures.model import position_block
+from qbm_structures import BathSpec, ModelParams, discretize_bath
+from qbm_structures.experiments import ScenarioConfig, _prepare
+from qbm_structures.model import arrowhead, position_block
 from helpers import random_model
 
 CANONICITY_TOL = 1e-10
@@ -225,3 +230,97 @@ def test_every_accepted_map_has_a_symplectic_lift(seed, n, log_cond):
     except DomainError:
         return
     assert symplectic_defect(m) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the star model's secular solver against the dense eigh
+
+STAR_CASES = ("ohmic", "zero gamma", "one zero kappa", "repeated", "crowded")
+
+
+@st.composite
+def star_models(draw):
+    """Ohmic baths of up to 256 modes, shuffled, with zero couplings, repeated or 1e-9-apart frequencies, a free
+    (so unstable) or harmonic particle, and every bath mass scaled by 1 or 64 at fixed J."""
+    case = draw(st.sampled_from(STAR_CASES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_bath = draw(st.integers(1, 256))
+    gamma = 0.0 if case == "zero gamma" else draw(st.floats(0.01, 0.5))
+    spec = BathSpec(n_bath, gamma, draw(st.floats(1.0, 10.0)), draw(st.sampled_from(["linear", "log"])))
+    m, w, k = (np.array(column) for column in zip(*discretize_bath(spec)))
+    if case == "one zero kappa":
+        k[rng.integers(n_bath)] = 0.0
+    if case == "repeated":
+        w[rng.integers(n_bath, size=1 + n_bath // 3)] = w[rng.integers(n_bath)]
+    if case == "crowded" and n_bath > 1:
+        at = rng.integers(n_bath - 1, size=1 + n_bath // 4)
+        w[at + 1] = w[at] * (1 + 1e-9)
+    scale = draw(st.sampled_from([1.0, 64.0]))
+    order = rng.permutation(n_bath)
+    potential = draw(st.sampled_from(["free", "harmonic"]))
+    return ModelParams(
+        m1=draw(st.floats(0.6, 1.6)),
+        bath=tuple(zip(scale * m[order], w[order], math.sqrt(scale) * k[order])),
+        potential=potential,
+        omega=draw(st.floats(0.2, 2.0)) if potential == "harmonic" else None,
+        coupling_sign=draw(st.sampled_from([1, -1])),
+    )
+
+
+def _tie_groups(w):
+    """Index groups of w (ascending) within 1e-12 of the largest |w|, the convention's ties."""
+    cut = np.flatnonzero(np.diff(w) > 1e-12 * max(1.0, np.max(np.abs(w)))) + 1
+    return np.split(np.arange(len(w)), cut)
+
+
+@settings(max_examples=40, deadline=None)
+@given(star_models())
+def test_secular_solver_equals_the_dense_reference(params):
+    tip, d, z = arrowhead(params)
+    masses = params.masses
+    C = np.diag(np.r_[tip, d])
+    C[0, 1:] = C[1:, 0] = z
+    w, V = structure.star_normal_modes(tip, d, z, masses)
+    reference = np.linalg.eigh(C)[0]
+    scale = np.max(np.abs(reference))
+    assert np.max(np.abs(w - reference)) <= 1e-12 * scale
+    U = np.sqrt(masses)[:, None] * V
+    assert np.max(np.abs(C @ U - U * w)) <= 1e-14 * max(1.0, np.max(np.abs(C)))
+    assert np.max(np.abs(U.T @ U - np.eye(len(w)))) <= 1e-13
+
+    w_dense, V_dense = structure.normal_modes(position_block(params), masses)
+    for group in _tie_groups(w):
+        block = V[:, group]
+        first = block[np.argmax(np.abs(block) > 1e-12, axis=0), np.arange(len(group))]
+        assert np.all(first > 1e-12)
+        keys = [tuple(np.round(column, 9)) for column in block.T]
+        assert keys == sorted(keys)
+        if len(group) > 1:  # a degenerate eigenspace has no preferred basis: compare its projectors
+            dense = V_dense[:, group]
+            projector = (block * masses[:, None]) @ block.T
+            assert np.max(np.abs(projector - (dense * masses[:, None]) @ dense.T)) <= 1e-8
+            continue
+        others = np.delete(w, group)
+        gap = np.min(np.abs(others - w[group[0]])) / scale if others.size else 1.0
+        # each route's column is within rounding / gap of the exact one: signs, order and all
+        assert np.max(np.abs(U[:, group] - np.sqrt(masses)[:, None] * V_dense[:, group])) <= 1e-13 / gap
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _prepare(ScenarioConfig(params, times=np.array([0.0, 1.0])), None)
+    warned = any(str(item.message).startswith("position block") for item in caught)
+    assert warned == (reference[0] < 0)
+    if params.potential == "free" and np.any(z != 0):
+        assert np.count_nonzero(w < 0) == 1  # coupled beyond confinement: one unstable mode
+
+
+def test_secular_solver_deflates_zero_couplings_and_repeated_frequencies():
+    # three bath modes at one frequency, one uncoupled: two of its eigenvectors live in the bath alone
+    bath = ((1.0, 1.2, 0.1), (1.0, 1.2, 0.1), (1.0, 1.2, 0.0))
+    params = ModelParams(m1=1.0, bath=bath, potential="harmonic", omega=1.0)
+    w, V = structure.star_normal_modes(*arrowhead(params), params.masses)
+    w_dense, V_dense = structure.normal_modes(position_block(params), params.masses)
+    assert np.max(np.abs(w - w_dense)) <= 1e-14
+    assert np.count_nonzero(np.abs(w - 1.44) <= 1e-14) == 2
+    assert np.all(V[0, np.abs(w - 1.44) <= 1e-14] == 0.0)
+    assert np.max(np.abs(V.T @ (params.masses[:, None] * V) - np.eye(4))) <= 1e-14
