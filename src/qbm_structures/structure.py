@@ -121,10 +121,15 @@ def normal_modes(B: np.ndarray, masses) -> tuple[np.ndarray, np.ndarray]:
 
 
 def star_normal_modes(tip: float, sq_freqs, couplings, masses) -> tuple[np.ndarray, np.ndarray]:
-    """normal_modes of the particle + bath model from its arrowhead C = M^-1/2 B M^-1/2 (model.arrowhead), in O(N^2).
+    """normal_modes of the particle + bath model from O(N) data, in O(N^2) plus the one U^T U check.
 
-    Zero couplings, and all but one of repeated frequencies after a Givens rotation, deflate; the
-    rest solve the secular equation (_secular_roots, Ullersma, Physica 32, 27 (1966)).
+    Its C = M^-1/2 B M^-1/2 is an arrowhead (model.arrowhead): the tip C_00 = k_1 / m_1, the squared
+    bath frequencies d_i on the diagonal and the couplings z_i in row and column 0.  A zero coupling
+    deflates (d_i, e_i), and equal frequencies deflate after a Givens rotation folds one coupling into
+    the other.  With every remaining z_i nonzero and the d_i distinct, C u = w u reads
+    u_i = z_i u_0 / (w - d_i), and w solves the secular equation f(w) = w - tip + sum_i z_i^2 / (d_i - w)
+    = 0 (Ullersma, Physica 32, 27 (1966)): f increases between its poles, so one root lies below d_1,
+    one between each pair of neighbours and one above d_N.  Same conventions and check as normal_modes.
     """
     d, z = (np.asarray(v, dtype=float) for v in (sq_freqs, couplings))
     r = np.sqrt(1.0 / np.asarray(masses, dtype=float))
@@ -137,9 +142,12 @@ def star_normal_modes(tip: float, sq_freqs, couplings, masses) -> tuple[np.ndarr
     at = np.flatnonzero(live)
     for a in np.flatnonzero(np.diff(d[at]) <= tol):  # equal frequencies: fold mode i's coupling into mode j's
         i, j = at[a], at[a + 1]
-        h = math.hypot(z[i], z[j])
-        rotations.append((rows[i], rows[j], z[j] / h, z[i] / h))
-        z[i], z[j], live[i] = 0.0, h, False
+        if abs(d[j] - d[i]) <= tol:  # d[i] holds the coupling of the chain so far, and moves with it
+            h = math.hypot(z[i], z[j])
+            c, s = z[j] / h, z[i] / h  # the rotated pair drops its off-diagonal c s (d_i - d_j) only
+            rotations.append((rows[i], rows[j], c, s))
+            d[i], d[j] = c * c * d[i] + s * s * d[j], s * s * d[i] + c * c * d[j]
+            z[i], z[j], live[i] = 0.0, h, False
     k = np.count_nonzero(live)
     U = np.zeros((n, n))
     w = np.r_[_secular_modes(tip, d[live], z[live], U, np.r_[0, rows[live]]), d[~live]]
@@ -164,10 +172,12 @@ def _secular_modes(tip: float, d: np.ndarray, z: np.ndarray, U: np.ndarray, rows
     spread = math.sqrt(z2.sum())
     lower = np.r_[min(tip, d[0]) - spread, d]  # root j lies in (lower_j, upper_j)
     upper = np.r_[d, max(tip, d[-1]) + spread]
-    # the end roots start from the 2 x 2 arrowheads that put every coupling on the nearest pole, which bound them
-    start = np.r_[0.0, 0.5 * (d[:-1] + d[1:]), 0.0]
+    # the end roots start from the 2 x 2 arrowheads that put every coupling on the nearest pole, which bound them,
+    # unless that bound rounds onto the pole
+    start = 0.5 * (lower + upper)
     for i, sign in ((0, -1.0), (-1, 1.0)):
-        start[i] = 0.5 * (tip + d[i]) + sign * math.sqrt((0.5 * (tip - d[i])) ** 2 + spread**2)
+        bound = 0.5 * (tip + d[i]) + sign * math.sqrt((0.5 * (tip - d[i])) ** 2 + spread**2)
+        start[i] = bound if lower[i] < bound < upper[i] else start[i]
     n_blocks = -(-(k + 1) // _ROOT_BLOCK)
     size = -(-(k + 1) // n_blocks)
     blocks = [slice(s, min(s + size, k + 1)) for s in range(0, k + 1, size)]
@@ -237,11 +247,11 @@ def _secular_roots(tip: float, d: np.ndarray, z2: np.ndarray, lower, upper, star
             a0 = g_l * g_u * f
             # the root inside (g_l, g_u) of c eta^2 - a1 eta + a0; a1 < 0 (rare) loses digits to cancellation
             step_to = tau + 2.0 * a0 / (a1 + np.sqrt(np.maximum(a1 * a1 - 4.0 * c * a0, 0.0)))
-            # convergence is quadratic: after a step below 1e-8 |tau| the error is below 1e-16 |tau|; a step
-            # lost to rounding lands on tau itself, a bracket end
-            done = np.abs(step_to - tau) <= 1e-8 * np.abs(tau)
-            if step > 8:  # a bracket a few ulps wide is the root too
-                done |= hi - lo <= 4 * _EPS * np.abs(tau)
+            if step > 8:  # a bracket a few ulps wide holds the root: stay
+                step_to = np.where(hi - lo <= 4 * _EPS * np.abs(tau), tau, step_to)
+            # convergence is quadratic: a step eta leaves an error of about eta^2 over the distance to the model's
+            # nearer pole, g, so eta^2 <= 1e-16 |tau| g leaves 1e-16 |tau|; a step lost to rounding lands on tau
+            done = np.abs(step_to - tau) <= 1e-8 * np.sqrt(np.abs(tau) * np.minimum(-g_l, g_u))
             tau = np.where(done | ((step_to > lo) & (step_to < hi)), step_to, 0.5 * (lo + hi))
             if done.any():
                 out[todo[done]] = tau[done]

@@ -235,13 +235,13 @@ def test_every_accepted_map_has_a_symplectic_lift(seed, n, log_cond):
 # ---------------------------------------------------------------------------
 # the star model's secular solver against the dense eigh
 
-STAR_CASES = ("ohmic", "zero gamma", "one zero kappa", "repeated", "crowded")
+STAR_CASES = ("ohmic", "zero gamma", "one zero kappa", "repeated", "crowded", "stiff")
 
 
 @st.composite
 def star_models(draw):
     """Ohmic baths of up to 256 modes, shuffled, with zero couplings, repeated or 1e-9-apart frequencies, a free
-    (so unstable) or harmonic particle, and every bath mass scaled by 1 or 64 at fixed J."""
+    (so unstable) or harmonic particle, stiff (omega = 100) or not, and every bath mass scaled by 1 or 64 at fixed J."""
     case = draw(st.sampled_from(STAR_CASES))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_bath = draw(st.integers(1, 256))
@@ -262,7 +262,7 @@ def star_models(draw):
         m1=draw(st.floats(0.6, 1.6)),
         bath=tuple(zip(scale * m[order], w[order], math.sqrt(scale) * k[order])),
         potential=potential,
-        omega=draw(st.floats(0.2, 2.0)) if potential == "harmonic" else None,
+        omega=(100.0 if case == "stiff" else draw(st.floats(0.2, 2.0))) if potential == "harmonic" else None,
         coupling_sign=draw(st.sampled_from([1, -1])),
     )
 
@@ -283,7 +283,7 @@ def test_secular_solver_equals_the_dense_reference(params):
     w, V = structure.star_normal_modes(tip, d, z, masses)
     reference = np.linalg.eigh(C)[0]
     scale = np.max(np.abs(reference))
-    assert np.max(np.abs(w - reference)) <= 1e-12 * scale
+    assert np.max(np.abs(np.sort(w) - reference)) <= 1e-12 * scale  # the tie order may swap w within 1e-12
     U = np.sqrt(masses)[:, None] * V
     assert np.max(np.abs(C @ U - U * w)) <= 1e-14 * max(1.0, np.max(np.abs(C)))
     assert np.max(np.abs(U.T @ U - np.eye(len(w)))) <= 1e-13
@@ -309,9 +309,25 @@ def test_secular_solver_equals_the_dense_reference(params):
         warnings.simplefilter("always")
         _prepare(ScenarioConfig(params, times=np.array([0.0, 1.0])), None)
     warned = any(str(item.message).startswith("position block") for item in caught)
-    assert warned == (reference[0] < 0)
-    if params.potential == "free" and np.any(z != 0):
-        assert np.count_nonzero(w < 0) == 1  # coupled beyond confinement: one unstable mode
+    if abs(reference[0]) > 1e-12 * scale:  # a smaller w has no sign either route resolves
+        assert warned == (reference[0] < 0)
+        if params.potential == "free":
+            assert np.count_nonzero(w < 0) == 1  # coupled beyond confinement: one unstable mode
+
+
+@pytest.mark.parametrize("gamma", [1e-26, 1e-20, 1e-14])
+@pytest.mark.parametrize("potential, omega", [("free", None), ("harmonic", 1.0), ("harmonic", 100.0)])
+def test_secular_solver_takes_couplings_near_the_deflation_tolerance(gamma, potential, omega):
+    # roots within 1e-20 of their poles, and end roots whose 2 x 2 bound rounds onto the pole
+    params = ModelParams(m1=1.0, bath=discretize_bath(BathSpec(64, gamma, 10.0)), potential=potential, omega=omega)
+    tip, d, z = arrowhead(params)
+    C = np.diag(np.r_[tip, d])
+    C[0, 1:] = C[1:, 0] = z
+    w, V = structure.star_normal_modes(tip, d, z, params.masses)
+    reference = np.linalg.eigh(C)[0]
+    assert np.max(np.abs(np.sort(w) - reference)) <= 1e-12 * np.max(np.abs(reference))
+    assert np.max(np.abs(C @ V - V * w)) <= 1e-14 * np.max(np.abs(C))  # unit masses: U = V
+    assert np.max(np.abs(V.T @ V - np.eye(len(w)))) <= 1e-13
 
 
 def test_secular_solver_deflates_zero_couplings_and_repeated_frequencies():
