@@ -171,24 +171,28 @@ def discretize_bath(spec: BathSpec, mass: float = 1.0) -> tuple[tuple[float, flo
     return tuple((mass, float(w), float(k)) for w, k in zip(omegas, kappas))
 
 
-def position_block(params: ModelParams) -> np.ndarray:
-    """B, the n x n position block of K: potentials m w^2 on the diagonal, couplings (+/-) kappa_i at [0, i] and [i, 0].
-
-    The particle's potential m1 omega^2 enters only when it is harmonic.
-    """
+def _star_entries(params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The model's masses, its potentials m w^2 (the particle's m1 omega^2 only when it is harmonic, else 0) and
+    its signed couplings (+/-) kappa_i: the entries position_block and arrowhead are built from."""
     bath_m, bath_w, kappa = np.array(params.bath).T
     particle = params.m1 * params.omega**2 if params.potential == POTENTIAL_HARMONIC else 0.0
-    B = np.diag(np.r_[particle, bath_m * bath_w**2])
-    B[0, 1:] = B[1:, 0] = params.coupling_sign * kappa
+    return np.r_[params.m1, bath_m], np.r_[particle, bath_m * bath_w**2], params.coupling_sign * kappa
+
+
+def position_block(params: ModelParams) -> np.ndarray:
+    """B, the n x n position block of K: potentials m w^2 on the diagonal, couplings (+/-) kappa_i at [0, i] and [i, 0]."""
+    _, potentials, couplings = _star_entries(params)
+    B = np.diag(potentials)
+    B[0, 1:] = B[1:, 0] = couplings
     return B
 
 
 def arrowhead(params: ModelParams) -> tuple[float, np.ndarray, np.ndarray]:
     """C = M^-1/2 B M^-1/2 of position_block(params) as an arrowhead (tip, diagonal, couplings): C_00 = k_1 / m_1
-    (omega^2, or 0 for a free particle), C_ii = omega_i^2 and C_0i = (+/-) kappa_i / sqrt(m_1 m_i)."""
-    bath_m, bath_w, kappa = np.array(params.bath).T
-    tip = params.omega**2 if params.potential == POTENTIAL_HARMONIC else 0.0
-    return tip, bath_w**2, params.coupling_sign * kappa / np.sqrt(params.m1 * bath_m)
+    (0 for a free particle), C_ii = omega_i^2 and C_0i = (+/-) kappa_i / sqrt(m_1 m_i)."""
+    masses, potentials, couplings = _star_entries(params)
+    scaled = potentials / masses
+    return float(scaled[0]), scaled[1:], couplings / np.sqrt(masses[0] * masses[1:])
 
 
 def build_qbm_hamiltonian(params: ModelParams) -> QuadraticHamiltonian:

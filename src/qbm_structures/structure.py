@@ -140,17 +140,21 @@ def star_normal_modes(tip: float, sq_freqs, couplings, masses) -> tuple[np.ndarr
     live = np.abs(z) > tol
     rotations = []
     at = np.flatnonzero(live)
-    for a in np.flatnonzero(np.diff(d[at]) <= tol):  # equal frequencies: fold mode i's coupling into mode j's
+    # equal frequencies: a Givens rotation folds mode i's coupling into mode j's.  Along a chain of them, mode j
+    # carries the folded coupling, and its rotated d, on to the next pair, so each pair is compared again
+    for a in np.flatnonzero(np.diff(d[at]) <= tol):
         i, j = at[a], at[a + 1]
-        if abs(d[j] - d[i]) <= tol:  # d[i] holds the coupling of the chain so far, and moves with it
+        if abs(d[j] - d[i]) <= tol:
             h = math.hypot(z[i], z[j])
-            c, s = z[j] / h, z[i] / h  # the rotated pair drops its off-diagonal c s (d_i - d_j) only
+            c, s = z[j] / h, z[i] / h  # the rotated pair drops only its off-diagonal c s (d_i - d_j)
             rotations.append((rows[i], rows[j], c, s))
             d[i], d[j] = c * c * d[i] + s * s * d[j], s * s * d[i] + c * c * d[j]
             z[i], z[j], live[i] = 0.0, h, False
     k = np.count_nonzero(live)
     U = np.zeros((n, n))
-    w = np.r_[_secular_modes(tip, d[live], z[live], U, np.r_[0, rows[live]]), d[~live]]
+    w = np.empty(n)
+    w[: k + 1] = _secular_modes(tip, d[live], z[live], U, np.concatenate(([0], rows[live])))
+    w[k + 1 :] = d[~live]
     U[rows[~live], np.arange(k + 1, n)] = 1.0
     for i, j, c, s in reversed(rotations):  # back to the bath's own coordinates
         U[[i, j]] = c * U[i] + s * U[j], c * U[j] - s * U[i]
@@ -170,8 +174,8 @@ def _secular_modes(tip: float, d: np.ndarray, z: np.ndarray, U: np.ndarray, rows
         return np.array([tip])
     z2 = z * z
     spread = math.sqrt(z2.sum())
-    lower = np.r_[min(tip, d[0]) - spread, d]  # root j lies in (lower_j, upper_j)
-    upper = np.r_[d, max(tip, d[-1]) + spread]
+    lower = np.concatenate(([min(tip, d[0]) - spread], d))  # root j lies in (lower_j, upper_j)
+    upper = np.append(d, max(tip, d[-1]) + spread)
     # the end roots start from the 2 x 2 arrowheads that put every coupling on the nearest pole, which bound them,
     # unless that bound rounds onto the pole
     start = 0.5 * (lower + upper)
@@ -200,8 +204,8 @@ def _secular_modes(tip: float, d: np.ndarray, z: np.ndarray, U: np.ndarray, rows
             zhat2 *= gap[-1]
     zhat = np.copysign(np.sqrt(zhat2), z)
     for b in blocks:
-        u = zhat / gaps(b)
-        norm = np.sqrt(1.0 + np.vecdot(u, u))
+        u = zhat / (gap if len(blocks) == 1 else gaps(b))  # one block keeps its gaps
+        norm = np.sqrt(1.0 + np.einsum("ij,ij->i", u, u))
         U[rows[0], b] = 1.0 / norm
         U[rows[1:], b] = (u / norm[:, None]).T
     return d[origin] + tau
@@ -234,24 +238,24 @@ def _secular_roots(tip: float, d: np.ndarray, z2: np.ndarray, lower, upper, star
                 base = d[origin]
                 tau, lo, hi, lin0 = start - base, lower - base, upper - base, base - tip
                 g = np.array([lo, hi])  # the model's poles: the interval's ends
-                to_low = np.where(j == 0, 1.0, 0.0)  # which end carries the linear term's slope
+                to_low = np.where(j == 0, 1.0, 0.0)  # which end carries the linear term's slope 1
+                to_up = 1.0 - to_low
             f = lin0 + tau + psi + phi
             np.copyto(lo, tau, where=f < 0)
             np.copyto(hi, tau, where=f > 0)
-            slope = 1.0 + dpsi + dphi
             g_l, g_u = g - tau
-            s_l = dpsi + to_low  # the model's slopes at its two poles
-            t_l, t_u = s_l * g_l, (slope - s_l) * g_u
+            t_l, t_u = (dpsi + to_low) * g_l, (dphi + to_up) * g_u  # the model's slopes at its poles, times g
             c = f - t_l - t_u
             a1 = c * (g_l + g_u) + t_l * g_l + t_u * g_u
             a0 = g_l * g_u * f
             # the root inside (g_l, g_u) of c eta^2 - a1 eta + a0; a1 < 0 (rare) loses digits to cancellation
-            step_to = tau + 2.0 * a0 / (a1 + np.sqrt(np.maximum(a1 * a1 - 4.0 * c * a0, 0.0)))
+            eta = 2.0 * a0 / (a1 + np.sqrt(np.maximum(a1 * a1 - 4.0 * c * a0, 0.0)))
             if step > 8:  # a bracket a few ulps wide holds the root: stay
-                step_to = np.where(hi - lo <= 4 * _EPS * np.abs(tau), tau, step_to)
+                eta[hi - lo <= 4 * _EPS * np.abs(tau)] = 0.0
             # convergence is quadratic: a step eta leaves an error of about eta^2 over the distance to the model's
-            # nearer pole, g, so eta^2 <= 1e-16 |tau| g leaves 1e-16 |tau|; a step lost to rounding lands on tau
-            done = np.abs(step_to - tau) <= 1e-8 * np.sqrt(np.abs(tau) * np.minimum(-g_l, g_u))
+            # nearer pole, g, so eta^2 <= 1e-16 |tau| g leaves 1e-16 |tau|
+            done = eta * eta <= 1e-16 * np.abs(tau) * np.minimum(-g_l, g_u)
+            step_to = tau + eta
             tau = np.where(done | ((step_to > lo) & (step_to < hi)), step_to, 0.5 * (lo + hi))
             if done.any():
                 out[todo[done]] = tau[done]
@@ -259,7 +263,8 @@ def _secular_roots(tip: float, d: np.ndarray, z2: np.ndarray, lower, upper, star
                     return np.array([origin, out])
                 keep = ~done
                 todo, tau, lo, hi, lin0 = todo[keep], tau[keep], lo[keep], hi[keep], lin0[keep]
-                delta, g, to_low, terms = delta[keep], g[:, keep], to_low[keep], terms[:, : todo.size]
+                delta, g, to_low, to_up = delta[keep], g[:, keep], to_low[keep], to_up[keep]
+                terms = terms[:, : todo.size]
     raise ConditioningError(f"the secular equation of the normal modes did not converge in {_MAX_STEPS} steps")
 
 

@@ -214,15 +214,20 @@ def williamson_purify(state):
 # blocks of the grid at once
 
 
+def arrowhead_matrix(tip, sq_freqs, couplings):
+    """The dense n x n arrowhead C with C_00 = tip, diagonal sq_freqs and couplings in row and column 0."""
+    C = np.diag(np.r_[tip, sq_freqs])
+    C[0, 1:] = C[1:, 0] = couplings
+    return C
+
+
 def dense_star_modes(tip, sq_freqs, couplings, masses):
-    """structure.star_normal_modes by the dense route: the n x n position block and one eigh (normal_modes).
+    """structure.star_normal_modes by the dense route: B = M^1/2 C M^1/2 and one eigh (normal_modes).
 
     Patched over experiments.star_normal_modes, it makes _prepare solve the model as it did before the secular
     solver."""
     root = np.sqrt(np.asarray(masses, dtype=float))
-    B = np.diag(np.r_[tip, sq_freqs] * root**2)
-    B[0, 1:] = B[1:, 0] = np.asarray(couplings) * root[0] * root[1:]
-    return normal_modes(B, masses)
+    return normal_modes(root[:, None] * arrowhead_matrix(tip, sq_freqs, couplings) * root, masses)
 
 
 def per_sample(times, sample):

@@ -22,7 +22,7 @@ from qbm_structures import (
 from qbm_structures import BathSpec, ModelParams, discretize_bath
 from qbm_structures.experiments import ScenarioConfig, _prepare
 from qbm_structures.model import arrowhead, position_block
-from helpers import random_model
+from helpers import arrowhead_matrix, random_model
 
 CANONICITY_TOL = 1e-10
 
@@ -278,8 +278,7 @@ def _tie_groups(w):
 def test_secular_solver_equals_the_dense_reference(params):
     tip, d, z = arrowhead(params)
     masses = params.masses
-    C = np.diag(np.r_[tip, d])
-    C[0, 1:] = C[1:, 0] = z
+    C = arrowhead_matrix(tip, d, z)
     w, V = structure.star_normal_modes(tip, d, z, masses)
     reference = np.linalg.eigh(C)[0]
     scale = np.max(np.abs(reference))
@@ -321,8 +320,7 @@ def test_secular_solver_takes_couplings_near_the_deflation_tolerance(gamma, pote
     # roots within 1e-20 of their poles, and end roots whose 2 x 2 bound rounds onto the pole
     params = ModelParams(m1=1.0, bath=discretize_bath(BathSpec(64, gamma, 10.0)), potential=potential, omega=omega)
     tip, d, z = arrowhead(params)
-    C = np.diag(np.r_[tip, d])
-    C[0, 1:] = C[1:, 0] = z
+    C = arrowhead_matrix(tip, d, z)
     w, V = structure.star_normal_modes(tip, d, z, params.masses)
     reference = np.linalg.eigh(C)[0]
     assert np.max(np.abs(np.sort(w) - reference)) <= 1e-12 * np.max(np.abs(reference))
