@@ -19,7 +19,6 @@ from .gaussian import (
     decoherence_factor,
     embed_symplectic,
     evolve,
-    is_pure,
     log_negativity,
     product_state,
     propagator,

@@ -16,12 +16,10 @@ a.b = 1 (a point map T's first row and T^-1's first column): (e_1, e_1) for the
 particle, and (m / M, 1), the centre of mass and total momentum, for the
 collective split.  Two maps that share the pair differ by I (+) D, local on the
 rest, which changes no mode-0 diagnostic, so every diagnostic uses only mode-0
-rows of the flow; only the cat state of run_oracle_compare (at most three
-modes) forms the dense flow.
-er, exclusivity and marginal evaluate blocks of the time grid at once
-(_World.split_rows); pod and oracle-compare's Gaussian rows build D(t) once
-per sample, and oracle-compare's number-basis rows come per block of up to
-fock_oracle.GRID_SPAN times (fock_oracle.branch_diagnostics).
+rows of the flow (and oracle-compare's decoherence factor the bath's rows).
+All but pod evaluate blocks of the time grid at once (_World.flow_rows); pod
+builds D(t) once per sample.  oracle-compare's number-basis rows come per block
+of up to fock_oracle.GRID_SPAN times (fock_oracle.branch_diagnostics).
 """
 
 from __future__ import annotations
@@ -43,12 +41,10 @@ from .gaussian import (
     _ancilla_nus,
     _check_uncertainty,
     _decoupled_flow,
+    _purity_from_cov,
     _thermal_widths,
-    cat_state,
-    decoherence_factor,
-    evolve,
+    evolve,  # unused: held for perfbench/test_perfbench.py's rebinding check until ROADMAP item 1
     propagator,
-    purity,
 )
 from .model import POTENTIAL_HARMONIC, ModelParams, QuadraticHamiltonian, arrowhead, symplectic_form
 from .structure import CANONICITY_TOL, star_normal_modes
@@ -158,19 +154,31 @@ def _check_conjugate(rows: np.ndarray) -> None:
         raise ConditioningError(f"mode-0 rows lost canonicity (g_x^T Omega g_p = {np.ravel(product)[bad][0]!r})")
 
 
+def _norms(rows: np.ndarray) -> np.ndarray:
+    return np.sqrt(_rowdot(rows, rows))
+
+
+def _project_off(h: np.ndarray, span: np.ndarray) -> np.ndarray:
+    """h, (..., 2, L), less its part in the span of span's two rows, from Gram-Schmidt with one reorthogonalisation:
+    as orthogonal as Householder QR (Giraud, Langou & Rozloznik, Comput. Math. Appl. 50, 1069 (2005))."""
+    s1, s2 = np.moveaxis(span, -2, 0)
+    q1 = s1 / _norms(s1)[..., None]
+    v = s2 - q1 * _rowdot(q1, s2)[..., None]
+    v -= q1 * _rowdot(q1, v)[..., None]
+    basis = np.stack([q1, v / _norms(v)[..., None]], axis=-2)
+    return h - (h @ basis.swapaxes(-1, -2)) @ basis
+
+
 @dataclass(frozen=True)
 class _World:
     """Everything a scenario needs: the initial state per mode, the model's normal modes and two splits.
 
-    The initial state is a product over the physical modes, of mean `mean`
-    and covariance diag(`var`): the particle's packet (`width`), then thermal
-    bath modes.  The model is held as n-vectors and n x n blocks: the squared normal-mode
-    frequencies `sq_freqs` and, with V^T M V = I, x = V q and p = MV pi, so S(t) = P^-1 D(t) P
-    with P = diag(MV^T, V^T).  `splits` holds the particle's and the alternate split's (a, b)
-    (`pair`) as normal-mode coefficients [[a V, 0], [0, b MV]], (2, 2, 2n); `split_rows` turns
-    them into mode-0 rows of the flow on a block of times, `rows` from a dense D(t): pod and
-    oracle-compare's `mode_flow`, the one user of the 2n x 2n `normal`, which the perfbench
-    tracer test pins at a propagator call per pod sample.
+    The initial state is a product over the physical modes, of mean `mean` and covariance diag(`var`): the
+    particle's packet (`width`), then thermal bath modes.  The model is the squared normal-mode frequencies
+    `sq_freqs` and, with V^T M V = I, x = V q and p = MV pi.  `splits` holds the particle's and the alternate
+    split's (a, b) (`pair`) as normal-mode coefficients [[a V, 0], [0, b MV]], (2, 2, 2n); `flow_rows` turns
+    coefficients into rows of S(t) on a block of times, `rows` from pod's dense D(t) (`mode_flow`, which the
+    perfbench tracer test pins at a propagator call per pod sample).
     """
 
     config: ScenarioConfig
@@ -200,27 +208,27 @@ class _World:
         n = self.n_phys
         return np.concatenate([coefficients[..., :n] @ self.MV.T, coefficients[..., n:] @ self.V.T], axis=-1)
 
-    def flow(self, D: np.ndarray) -> np.ndarray:
-        """Dense S(t) on the physical modes; O(N^3), for the oracle's cat state."""
-        return self._physical(np.vstack([self.V @ D[: self.n_phys], self.MV @ D[self.n_phys :]]))
-
     def rows(self, D: np.ndarray) -> np.ndarray:
         """Both splits' mode-0 x and p rows of the flow over the physical (x.., p..) coordinates, (2, 2, 2n)."""
         rows = self._physical(self.splits @ D)
         _check_conjugate(rows)
         return rows
 
-    def split_rows(self, times: np.ndarray) -> np.ndarray:
-        """`rows` at every time: one (n_t, 2, 2, 2n) stack.
+    def flow_rows(self, coefficients: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """Rows of S(t) over the physical (x.., p..), (n_t, k, 2n), for k rows of normal-mode coefficients.
 
-        D(t) is 2 x 2 per normal mode: the splits' coefficients times the closed-form (n_t, N) c and s,
-        then one product per x/p block, stacked per time so that no product mixes two times.
+        D(t) is 2 x 2 per normal mode: the coefficients times the closed-form (n_t, N) c and s, then one
+        product per x/p block, stacked per time so that no product mixes two times.
         """
-        n, w = self.n_phys, self.sq_freqs
-        c, s = (f[:, None] for f in _decoupled_flow(w, np.ones(n), times))
-        q, pi = np.hsplit(self.splits.reshape(4, 2 * n), 2)
-        rows = self._physical(np.concatenate([q * c - pi * (w * s), q * s + pi * c], axis=-1))
-        rows = rows.reshape(len(times), 2, 2, 2 * n)
+        w = self.sq_freqs
+        c, s = (f[:, None] for f in _decoupled_flow(w, np.ones(self.n_phys), times))
+        q, pi = np.hsplit(coefficients, 2)
+        return self._physical(np.concatenate([q * c - pi * (w * s), q * s + pi * c], axis=-1))
+
+    def split_rows(self, times: np.ndarray) -> np.ndarray:
+        """`rows` at every time: one (n_t, 2, 2, 2n) stack."""
+        n = self.n_phys
+        rows = self.flow_rows(self.splits.reshape(4, 2 * n), times).reshape(len(times), 2, 2, 2 * n)
         _check_conjugate(rows)
         return rows
 
@@ -243,9 +251,11 @@ class _World:
         """
         return (rows.reshape(*rows.shape[:-1], 2, 1, self.n_phys) * self._squeeze).reshape(*rows.shape[:-1], -1)
 
-    def reduced(self, rows: np.ndarray) -> GaussianState:
-        """Mode-0 state of the split whose rows are given."""
-        return GaussianState(rows @ self.mean, (rows * self.var) @ rows.T)
+    def moments(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Means and covariances of the modes whose x and p rows (axis -2) are given, uncertainty-checked."""
+        cov = (rows * self.var) @ rows.swapaxes(-1, -2)
+        _check_uncertainty(cov)
+        return rows @ self.mean, cov
 
     def pure_log_negativity(self, rows: np.ndarray) -> np.ndarray:
         """1|rest log-negativity from the split's rows (axis -2); pure global states only.
@@ -281,10 +291,8 @@ class _World:
 
     def marginal(self, times: np.ndarray) -> np.ndarray:
         """Per time: mean and variance of mode-0 x in each split, then their L1 distance."""
-        rows = self.split_rows(times)
-        cov = (rows * self.var) @ rows.swapaxes(-1, -2)
-        _check_uncertainty(cov)
-        (mean_1, mean_sp), (var_1, var_sp) = (rows @ self.mean)[..., 0].T, cov[..., 0, 0].T
+        mean, cov = self.moments(self.split_rows(times))
+        (mean_1, mean_sp), (var_1, var_sp) = mean[..., 0].T, cov[..., 0, 0].T
         return np.column_stack([mean_1, var_1, mean_sp, var_sp, gaussian_l1_distance(mean_1, var_1, mean_sp, var_sp)])
 
     def pure_global(self) -> bool:
@@ -391,7 +399,7 @@ def run_pod(cfg: ScenarioConfig, split=None) -> PODReport:
 
     def sample(t: float):
         rows = world.rows(world.mode_flow(t))
-        return [purity(world.reduced(r)) for r in rows] + [negativity(r) for r in rows]
+        return [*_purity_from_cov(world.moments(rows)[1]), *(negativity(r) for r in rows)]
 
     p1, psp, n12, nsp = _sampled(cfg.times, lambda block: [sample(t) for t in block]).T
     return PODReport(
@@ -427,21 +435,19 @@ def run_er_check(cfg: ScenarioConfig, split=None) -> ERReport:
 def run_exclusivity(cfg: ScenarioConfig, split=None) -> ExclusivityReport:
     """Entanglement of the instantaneous product-form branch under the alternate split.
 
-    At each grid time the evolved global state sigma = G G^T / 2, G = S(t) S0,
-    is collapsed to its particle (x) environment product form: the coherent
-    state W = world.width at the particle's mean, times the rest conditioned
-    on that coherent projection.  The report carries the alternate-split
-    negativity of that branch and the fraction of instants where it exceeds
-    1e-3, i.e. where the branch of one decomposition is inconsistent with a
-    product branch of the other.
+    At each grid time the evolved global state sigma = G G^T / 2, G = S(t) S0, is collapsed to its particle
+    (x) environment product form: the coherent state W = world.width at the particle's mean, times the rest
+    conditioned on that coherent projection.  The report carries the alternate-split negativity of that branch
+    and the fraction of instants where it exceeds 1e-3, i.e. where the branch of one decomposition is
+    inconsistent with a product branch of the other.
 
-    The branch is pure, so E_N = asinh(sqrt(4 det red - 1)) / ln 2 from its
-    mode-0 block red in the alternate split.  With r_A = diag(a_0, b_0) the particle
-    columns of the split's rows, r_B the rest, g_a = G_A and g_b = r_B G,
-    red = r_A W r_A^T + g_b g_b^T / 2 - c (g_a g_a^T / 2 + W)^-1 c^T,
-    c = g_b g_a^T / 2.  Its last two terms are h h^T / 2, h = [g_b, 0]
-    projected off the rows of [g_a, sqrt(2 W)]; the orthonormal projection
+    The branch is pure, so E_N = asinh(sqrt(4 det red - 1)) / ln 2 from its mode-0 block red in the alternate
+    split.  With r_A = diag(a_0, b_0) the particle columns of the split's rows, r_B the rest, g_a = G_A and
+    g_b = r_B G, red = r_A W r_A^T + g_b g_b^T / 2 - c (g_a g_a^T / 2 + W)^-1 c^T, c = g_b g_a^T / 2.  Its last
+    two terms are h h^T / 2, h = [g_b, 0] projected off the rows of [g_a, sqrt(2 W)] (_project_off), which
     does not cancel as g_a grows (an unstable particle).  O(N^2) per sample, stacked over grid blocks.
+    4 det red - 1 within its roundoff bound (first order in eps (|g_b| + |r_A| |g_a|) |h|) is 0; a bound that reaches
+    the y2 of EXCLUSIVITY_THRESHOLD could hide a flag and raises ConditioningError after the grid (overflows first).
     """
     world = _prepare(cfg, split)
     if not world.pure_global():
@@ -449,25 +455,28 @@ def run_exclusivity(cfg: ScenarioConfig, split=None) -> ExclusivityReport:
     W = world.width
     r_a = np.diag(world.pair[:, 0])
     base = r_a @ W @ r_a.T
+    eps = np.finfo(float).eps
 
     def branch_negativity(times: np.ndarray) -> np.ndarray:
         rows_1, rows_sp = world.split_rows(times).swapaxes(0, 1)
-        g_b = world.lift(rows_sp - r_a @ rows_1)
-        span = np.concatenate([world.lift(rows_1), np.broadcast_to(np.sqrt(2 * W), (len(times), 2, 2))], axis=-1)
-        basis = np.linalg.qr(span.swapaxes(-1, -2))[0]
-        h = np.concatenate([g_b, np.zeros((len(times), 2, 2))], axis=-1)
-        h -= (h @ basis) @ basis.swapaxes(-1, -2)
+        g_a, g_b = world.lift(rows_1), world.lift(rows_sp - r_a @ rows_1)
+        span = np.concatenate([g_a, np.broadcast_to(np.sqrt(2 * W), (len(times), 2, 2))], axis=-1)
+        h = _project_off(np.concatenate([g_b, np.zeros((len(times), 2, 2))], axis=-1), span)
         red = base + 0.5 * h @ h.swapaxes(-1, -2)
         y2 = 4.0 * (red[:, 0, 0] * red[:, 1, 1] - red[:, 0, 1] * red[:, 1, 0]) - 1.0
-        # red sums h.size/2-term products of size up to `size`: y2 within that roundoff is 0
-        size = np.max(np.abs(base) + 0.5 * np.abs(g_b) @ np.abs(g_b).swapaxes(-1, -2), axis=(1, 2))
-        bound = 4 * h[0].size * np.finfo(float).eps * size * np.max(np.abs(red), axis=(1, 2))
+        # twice the first-order bound: h_i is off by err_i, so 4 det red - 1 by 4 err^T adj|red| |h| + det's own
+        err, adj = eps * (_norms(g_b) + np.abs(world.pair[:, 0]) * _norms(g_a)), np.abs(red[:, ::-1, ::-1])
+        bound = 8 * (np.einsum("ti,tij,tj->t", err, adj, _norms(h)) + eps * np.sum(adj * np.abs(red), axis=(1, 2)) / 2)
         if np.any(y2 < -bound):
             bad = y2[y2 < -bound][0]
             raise ConditioningError(f"branch block violates the uncertainty relation (4 det - 1 = {bad!r})")
-        return np.arcsinh(np.sqrt(np.where(y2 > bound, y2, 0.0))) / np.log(2.0)
+        return np.column_stack([np.arcsinh(np.sqrt(np.where(y2 > bound, y2, 0.0))) / np.log(2.0), bound])
 
-    neg = _sampled(cfg.times, branch_negativity)
+    neg, bound = _sampled(cfg.times, branch_negativity).T
+    hidden = np.flatnonzero(bound >= np.sinh(EXCLUSIVITY_THRESHOLD * np.log(2.0)) ** 2)
+    if hidden.size:
+        t, b = cfg.times[hidden[0]], bound[hidden[0]]
+        raise ConditioningError(f"roundoff can hide an excluding branch at t = {t:.6g} (4 det - 1 within {b:.3g})")
     excluding = neg > EXCLUSIVITY_THRESHOLD
     return ExclusivityReport(
         times=cfg.times,
@@ -544,16 +553,13 @@ def run_oracle_compare(
 ) -> OracleCompareReport:
     """Compare the covariance-route results against the number-basis route (fock_oracle).
 
-    Valid for one or two bath modes with a zero-temperature bath.  Each
-    route gives one row per grid time: particle purity, particle mean
-    (x, p) and 2 x 2 covariance, and the two-branch decoherence factor for
-    branches displaced to +/- x0.  The Gaussian particle moments come from
-    the mode-0 rows that pod and marginal use; the two Fock branches move
-    together along the grid in fock_oracle.ChebyshevEvolver, and
-    fock_oracle.branch_diagnostics reads their rows per block of grid
-    times.  With certify=True the number-basis route is repeated with every
-    cutoff raised by `bump` (at least 1) and the worst drift is reported
-    (convergence certification).
+    Valid for one or two bath modes with a zero-temperature bath.  Each route gives one row per grid time:
+    particle purity, particle mean (x, p) and 2 x 2 covariance, and the two-branch decoherence factor for
+    branches displaced to +/- x0.  The Gaussian columns come from rows of the flow per grid block, the particle's
+    mode-0 rows and the bath's; the two Fock branches move together along the grid in fock_oracle.ChebyshevEvolver,
+    and fock_oracle.branch_diagnostics reads their rows per block of grid times.  With certify=True the
+    number-basis route is repeated with every cutoff raised by `bump` (at least 1) and the worst drift is
+    reported (convergence certification).
     """
     params = cfg.model
     if len(params.bath) > 2:
@@ -565,19 +571,18 @@ def run_oracle_compare(
     from . import fock_oracle as fo  # only this scenario loads the number-basis route
 
     world = _prepare(cfg, None)
+    n, cov0, mu_plus = world.n_phys, np.diag(world.var), world.mean
+    mu_minus = mu_plus * np.r_[-1.0, np.ones(2 * n - 1)]
+    env = np.zeros((2 * n - 2, 2 * n))  # normal-mode coefficients of the bath's x_i = V_i q and p_i = (MV)_i pi
+    env[: n - 1, :n], env[n - 1 :, n:] = world.V[1:], world.MV[1:]
 
-    cov0 = np.diag(world.var)
-    mu_plus = world.mean
-    mu_minus = mu_plus.copy()
-    mu_minus[0] = -mu_plus[0]
-    cat0 = cat_state([1 / np.sqrt(2), 1 / np.sqrt(2)], [mu_plus, mu_minus], cov0)
-    env = list(range(1, world.n_phys))
-
-    def gaussian_row(t: float) -> list[float]:
-        D = world.mode_flow(t)
-        red = world.reduced(world.rows(D)[0])
-        r = decoherence_factor(evolve(cat0, world.flow(D)), env)
-        return [purity(red), *red.mean, *red.cov.ravel(), r]
+    def gaussian_rows(times: np.ndarray) -> np.ndarray:
+        mean, cov = world.moments(world.split_rows(times)[:, 0])
+        # gaussian.decoherence_factor: r = exp(-|G^T w|^2 / 2), G = S_E diag(sqrt(var)), w = Omega_E S_E (mu_- - mu_+)
+        s_env = world.flow_rows(env, times)
+        w = -2.0 * cfg.x0 * np.concatenate([s_env[:, n - 1 :, 0], -s_env[:, : n - 1, 0]], axis=-1)
+        g = w[:, None] @ (s_env * np.sqrt(world.var))
+        return np.column_stack([_purity_from_cov(cov), mean, cov.reshape(-1, 4), np.exp(-0.5 * _rowdot(g, g))])
 
     def fock_table(space: fo.FockSpace) -> np.ndarray:
         branches = [fo.gaussian_to_fock(GaussianState(mu, cov0), space) for mu in (mu_plus, mu_minus)]
@@ -589,7 +594,7 @@ def run_oracle_compare(
 
     space = fo.FockSpace.for_model(params, cutoffs)
     fock = fock_table(space)
-    delta = np.abs(_sampled(cfg.times, lambda block: [gaussian_row(t) for t in block]) - fock)
+    delta = np.abs(_sampled(cfg.times, gaussian_rows) - fock)
     drift = float(np.max(np.abs(fock - fock_table(space.bumped(bump))))) if certify else None
     return OracleCompareReport(
         times=cfg.times,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError, DomainError
-from .gaussian import GaussianState, is_pure
+from .gaussian import PURITY_TOL, GaussianState
 from .model import POTENTIAL_HARMONIC, ModelParams
 
 DEFAULT_DIM_CAP = 20_000
@@ -495,23 +495,26 @@ def gaussian_to_fock(state: GaussianState, space: FockSpace) -> FockState:
 
     Supports states whose covariance is block-diagonal over modes (each mode
     a displaced, possibly squeezed/rotated single-mode pure Gaussian); raises
-    DomainError on cross-mode correlations.  Construction per mode: the
-    centered state is the ground vector of the quadratic form with matrix
-    sigma^{-1}, then a dense Weyl displacement is applied.  Amplitudes are
-    computed at an enlarged cutoff; if the mass left above this space's
-    cutoff exceeds 1e-8 a ConditioningError is raised, otherwise the
-    truncation is renormalized.
+    DomainError on cross-mode correlations, then on a mode whose symplectic
+    eigenvalue nu = sqrt(det sigma_i) is not 1/2 within PURITY_TOL.
+    Construction per mode: the centered state is the ground vector of the
+    quadratic form with matrix sigma_i^{-1}, adj(sigma_i) / det sigma_i, then a
+    dense Weyl displacement is applied.  Amplitudes are computed at an enlarged
+    cutoff; if the mass left above this space's cutoff exceeds 1e-8 a
+    ConditioningError is raised, otherwise the truncation is renormalized.
     """
     if space.n_modes != state.n_modes:
         raise DomainError("space mode count does not match the state")
-    if not is_pure(state):
-        raise DomainError("only pure states have a wavefunction expansion")
     n = state.n_modes
     for i in range(n):
         for j in range(i + 1, n):
             block = state.cov[np.ix_([i, n + i], [j, n + j])]
             if np.max(np.abs(block)) > 1e-12:
                 raise DomainError("cross-mode correlations are not supported by this bridge")
+    sigmas = [state.cov[np.ix_([i, n + i], [i, n + i])] for i in range(n)]
+    dets = np.array([a * d - b * c for (a, b), (c, d) in sigmas])
+    if not np.all(np.abs(np.sqrt(dets) - 0.5) <= PURITY_TOL):
+        raise DomainError("only pure states have a wavefunction expansion")
 
     margin = 8
     vectors = []
@@ -520,11 +523,11 @@ def gaussian_to_fock(state: GaussianState, space: FockSpace) -> FockState:
         d = space.cutoffs[i]
         big = d + margin
         m, w = space.masses[i], space.frequencies[i]
-        sigma = state.cov[np.ix_([i, n + i], [i, n + i])]
-        K = np.linalg.inv(sigma)
+        (s_xx, s_xp), (_, s_pp) = sigmas[i]
+        k_xx, k_pp, k_xp = np.array([s_pp, s_xx, -s_xp]) / dets[i]  # sigma_i^-1 = adj(sigma_i) / det sigma_i
         x = _x_matrix(big, m, w)
         b = _b_matrix(big, m, w)
-        h = 0.5 * (K[0, 0] * (x @ x) - K[1, 1] * (b @ b)) + 0.5j * K[0, 1] * (x @ b + b @ x)
+        h = 0.5 * (k_xx * (x @ x) - k_pp * (b @ b)) + 0.5j * k_xp * (x @ b + b @ x)
         h = (h + h.conj().T) / 2
         _, vecs = np.linalg.eigh(h)
         ground = vecs[:, 0]

@@ -61,12 +61,17 @@ def _check_uncertainty(cov: np.ndarray) -> None:
 
     One mode takes the closed form: the least eigenvalue of [[a, b + i/2], [b - i/2, d]] is
     (a + d)/2 - sqrt(((a - d)/2)^2 + b^2 + 1/4), with b read below the diagonal as eigvalsh reads it.
+    A covariance with no entry between two modes takes it per mode, and the least of those is its own.
     """
-    if cov.shape[-1] == 2:
-        a, b, d = cov[..., 0, 0], cov[..., 1, 0], cov[..., 1, 1]
+    n = cov.shape[-1] // 2
+    blocks = cov.reshape(*cov.shape[:-2], 2, n, 2, n)
+    if n == 1 or (cov.ndim == 2 and not np.any(blocks * (1.0 - np.eye(n))[:, None, :])):
+        blocks = np.einsum("...piqi->...ipq", blocks)  # mode i's 2 x 2 block, (..., n, 2, 2)
+        a, b, d = blocks[..., 0, 0], blocks[..., 1, 0], blocks[..., 1, 1]
         least = (0.5 * a + 0.5 * d) - np.hypot(np.hypot(0.5 * a - 0.5 * d, b), 0.5)  # no square overflows
+        least = least.min(axis=-1)
     else:
-        least = np.linalg.eigvalsh(cov + 0.5j * symplectic_form(cov.shape[-1] // 2)).min(axis=-1)
+        least = np.linalg.eigvalsh(cov + 0.5j * symplectic_form(n)).min(axis=-1)
     if not np.all(least >= -UNCERTAINTY_TOL * np.maximum(1.0, np.max(np.abs(cov), axis=(-2, -1)))):
         raise DomainError("covariance violates the uncertainty relation")
 
@@ -224,17 +229,21 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     return np.sort(ev)[::2]
 
 
-def is_pure(state: GaussianState) -> bool:
-    nu = symplectic_eigenvalues(state.cov)
-    return bool(np.max(np.abs(nu - 0.5)) <= PURITY_TOL)
-
-
 def purity(state: GaussianState) -> float:
     """1 / (2^n sqrt(det sigma)); 1 exactly on pure states."""
-    return _purity_from_cov(state.cov)
+    return float(_purity_from_cov(state.cov))
 
 
-def _purity_from_cov(cov: np.ndarray) -> float:
+def _purity_from_cov(cov: np.ndarray) -> float | np.ndarray:
+    """1 / (2^n sqrt(det cov)); ConditioningError where det is below DET_FLOOR or NaN.
+
+    One mode, or a stack of one-mode covariances, takes 0.5 / sqrt(ad - bc); more modes take slogdet.
+    """
+    if cov.shape[-1] == 2:
+        det = cov[..., 0, 0] * cov[..., 1, 1] - cov[..., 0, 1] * cov[..., 1, 0]
+        if not np.all(det >= DET_FLOOR):  # NaN fails too
+            raise ConditioningError("covariance is numerically degenerate")
+        return 0.5 / np.sqrt(det)
     n = cov.shape[0] // 2
     sign, logdet = np.linalg.slogdet(cov)
     if sign <= 0 or logdet < np.log(DET_FLOOR):

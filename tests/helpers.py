@@ -20,12 +20,13 @@ from qbm_structures import (
     log_negativity,
     product_state,
     purify,
+    symplectic_eigenvalues,
     symplectic_form,
     thermal_state,
     williamson,
 )
-from qbm_structures.experiments import ScenarioConfig, _prepare
-from qbm_structures.gaussian import NEGATIVITY_FLOOR
+from qbm_structures.experiments import EXCLUSIVITY_THRESHOLD, ScenarioConfig, _prepare
+from qbm_structures.gaussian import NEGATIVITY_FLOOR, PURITY_TOL
 from qbm_structures.structure import collective_mode_map, normal_modes
 
 POD_SEED = 42
@@ -142,10 +143,28 @@ def lift_total(state, smap):
     return embed_symplectic(smap.lift, state.n_modes, range(smap.n_modes))
 
 
+def dense_flow(world, D):
+    """Dense S(t) on the physical modes from the normal-mode flow D(t) = world.mode_flow(t); O(N^3)."""
+    n = world.n_phys
+    return world._physical(np.vstack([world.V @ D[:n], world.MV @ D[n:]]))
+
+
 def evolved_state(world, t, purify=purify):
     """The dense global state at time t."""
     initial = dense_initial(world.config, purify)
-    return evolve(initial, embed_symplectic(world.flow(world.mode_flow(t)), initial.n_modes, range(world.n_phys)))
+    S = dense_flow(world, world.mode_flow(t))
+    return evolve(initial, embed_symplectic(S, initial.n_modes, range(world.n_phys)))
+
+
+def is_pure(state):
+    """Every symplectic eigenvalue within PURITY_TOL of 1/2, from one dense eigvals."""
+    return bool(np.max(np.abs(symplectic_eigenvalues(state.cov) - 0.5)) <= PURITY_TOL)
+
+
+def qr_projection(h, span):
+    """experiments._project_off by Householder QR: h minus its part in the span of span's two rows."""
+    basis = np.linalg.qr(np.swapaxes(span, -1, -2))[0]
+    return h - (h @ basis) @ np.swapaxes(basis, -1, -2)
 
 
 def branch_proxy(state, width):
@@ -261,27 +280,31 @@ def per_sample_er(cfg, split=None):
 
 
 def per_sample_exclusivity(cfg, split=None):
-    """run_exclusivity's neg_spep column."""
+    """run_exclusivity's neg_spep column: the QR projection, and the same roundoff bound and threshold check."""
     world = _prepare(cfg, split)
     W = world.width
     r_a = np.diag(world.pair[:, 0])
     base = r_a @ W @ r_a.T
+    eps = np.finfo(float).eps
 
     def sample(t):
         rows_1, rows_sp = world.rows(world.mode_flow(t))
-        g_b = world.lift(rows_sp - r_a @ rows_1)
-        basis = np.linalg.qr(np.hstack([world.lift(rows_1), np.sqrt(2 * W)]).T)[0]
-        h = np.hstack([g_b, np.zeros((2, 2))])
-        h -= (h @ basis) @ basis.T
+        g_a, g_b = world.lift(rows_1), world.lift(rows_sp - r_a @ rows_1)
+        h = qr_projection(np.hstack([g_b, np.zeros((2, 2))]), np.hstack([g_a, np.sqrt(2 * W)]))
         red = base + 0.5 * h @ h.T
         y2 = 4.0 * (red[0, 0] * red[1, 1] - red[0, 1] * red[1, 0]) - 1.0
-        size = np.max(np.abs(base) + 0.5 * np.abs(g_b) @ np.abs(g_b).T)
-        bound = 4 * h.size * np.finfo(float).eps * size * np.max(np.abs(red))
+        err = eps * (np.linalg.norm(g_b, axis=1) + np.abs(world.pair[:, 0]) * np.linalg.norm(g_a, axis=1))
+        adj = np.abs(red[::-1, ::-1])
+        bound = 8.0 * (err @ adj @ np.linalg.norm(h, axis=1) + eps * np.sum(adj * np.abs(red)) / 2)
         if y2 < -bound:
             raise ConditioningError(f"branch block violates the uncertainty relation (4 det - 1 = {y2!r})")
-        return 0.0 if y2 <= bound else float(np.arcsinh(np.sqrt(y2)) / np.log(2.0))
+        return [0.0 if y2 <= bound else float(np.arcsinh(np.sqrt(y2)) / np.log(2.0)), bound]
 
-    return per_sample(cfg.times, sample)
+    neg, bound = per_sample(cfg.times, sample).T
+    hidden = bound >= np.sinh(EXCLUSIVITY_THRESHOLD * np.log(2.0)) ** 2
+    if np.any(hidden):
+        raise ConditioningError(f"roundoff can hide an excluding branch at t = {cfg.times[np.argmax(hidden)]:.6g}")
+    return neg
 
 
 def per_sample_marginal(cfg, split=None):
@@ -289,7 +312,7 @@ def per_sample_marginal(cfg, split=None):
     world = _prepare(cfg, split)
 
     def sample(t):
-        red1, redsp = (world.reduced(rows) for rows in world.rows(world.mode_flow(t)))
+        red1, redsp = (GaussianState(r @ world.mean, (r * world.var) @ r.T) for r in world.rows(world.mode_flow(t)))
         moments = [red1.mean[0], red1.cov[0, 0], redsp.mean[0], redsp.cov[0, 0]]
         return moments + [l1_distance_per_pair(*moments)]
 

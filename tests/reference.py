@@ -11,8 +11,9 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 import qbm_structures.fock_oracle as fo
-from qbm_structures import ConditioningError, DomainError, symplectic_form
+from qbm_structures import ConditioningError, DomainError, symplectic_eigenvalues, symplectic_form
 from qbm_structures.fock_oracle import FockState
+from qbm_structures.gaussian import PURITY_TOL
 
 
 def _check_party(party_a, k: int) -> list[int]:
@@ -102,3 +103,30 @@ def mode_transform(psi: FockState, S: np.ndarray) -> FockState:
     if abs(norm - 1.0) > 1e-10:
         raise ConditioningError("mode transform failed to preserve the norm")
     return FockState(amp / norm, psi.space)
+
+
+def gaussian_to_fock_by_inverse(state, space: fo.FockSpace) -> FockState:
+    """fo.gaussian_to_fock as it checked purity and inverted each mode's covariance before its closed forms.
+
+    Purity first, from the symplectic spectrum (one eigvals of Omega sigma over every mode), then the
+    cross-mode blocks, then each mode's ground vector of the quadratic form np.linalg.inv(sigma_i),
+    displaced by weyl_operator, at cutoff + 8 and cut back.
+    """
+    if np.max(np.abs(symplectic_eigenvalues(state.cov) - 0.5)) > PURITY_TOL:
+        raise DomainError("only pure states have a wavefunction expansion")
+    n = state.n_modes
+    if any(np.max(np.abs(state.cov[np.ix_([i, n + i], [j, n + j])])) > 1e-12 for i in range(n) for j in range(i)):
+        raise DomainError("cross-mode correlations are not supported by this bridge")
+    full, deficit = np.ones(1), 0.0
+    for i, (d, m, w) in enumerate(zip(space.cutoffs, space.masses, space.frequencies)):
+        K = np.linalg.inv(state.cov[np.ix_([i, n + i], [i, n + i])])
+        x, b = fo._x_matrix(d + 8, m, w), fo._b_matrix(d + 8, m, w)
+        h = 0.5 * (K[0, 0] * (x @ x) - K[1, 1] * (b @ b)) + 0.5j * K[0, 1] * (x @ b + b @ x)
+        ground = np.linalg.eigh((h + h.conj().T) / 2)[1][:, 0]
+        ground = ground * np.exp(-1j * np.angle(ground[np.argmax(np.abs(ground))]))
+        amp = fo.weyl_operator(fo.FockSpace((d + 8,), (m,), (w,)), state.mean[[i, n + i]]) @ ground
+        deficit += float(np.sum(np.abs(amp[d:]) ** 2))
+        full = np.kron(full, amp[:d])
+    if deficit > fo.TRUNCATION_TOL:
+        raise ConditioningError(f"truncated norm deficit {deficit:.2e} exceeds {fo.TRUNCATION_TOL}; raise the cutoffs")
+    return FockState(full / np.linalg.norm(full), space)

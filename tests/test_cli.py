@@ -505,12 +505,25 @@ def test_overflowed_flow_exits_2(tmp_path, capsys, kind):
             assert "the flow overflowed or went non-finite at t = " in err
 
 
+def test_exclusivity_exits_2_where_roundoff_can_hide_the_branch(tmp_path, capsys):
+    # the unstable free particle of test_experiments._free_particle: accurate to t = 25, not at t = 30
+    text = "[scenario]\nkind = exclusivity\n[model]\nn_bath = 3\n[initial]\nx = 2.0\n[times]\nn_points = 2\n"
+    out = tmp_path / "out.csv"
+    assert main([str(_write_config(tmp_path, text)), "--output", str(out), "--set", "times.t_max=25"]) == 0
+    neg, excluding = out.read_text().splitlines()[-1].split(",")[1:]
+    assert abs(float(neg) - 0.869126689892) < 1e-7 and excluding == "1"  # test_experiments._mp_reference at t = 25
+    assert main([str(_write_config(tmp_path, text)), "--output", str(out), "--set", "times.t_max=30"]) == 2
+    assert "roundoff can hide an excluding branch at t = 30 (" in capsys.readouterr().err
+
+
 # first bad time of each run on the default free particle (50 points to
-# t_max), as the per-sample loop named it before the grid route
+# t_max), as the per-sample loop named it before the grid route; exclusivity
+# at 1000 overflows in its roundoff-dominated branch block, whose size is set
+# by how its projection and roundoff bound are computed (first-order bound)
 FIRST_OVERFLOW = {
     ("marginal", 1000): "489.796",
     ("er", 1000): "489.796",
-    ("exclusivity", 1000): "285.714",
+    ("exclusivity", 1000): "306.122",
     ("marginal", 1e6): "20408.2",
     ("er", 1e6): "20408.2",
     ("exclusivity", 1e6): "20408.2",

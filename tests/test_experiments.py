@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import qbm_structures.fock_oracle as fo
 from qbm_structures import (
     BathSpec,
+    ConditioningError,
     DomainError,
     GaussianState,
     ModelParams,
@@ -458,6 +459,21 @@ def test_exclusivity_matches_50_digit_reference():
     assert np.max(np.abs(run_exclusivity(cfg).neg_spep - ref[:, 2])) < 1e-6
 
 
+def test_exclusivity_reports_the_unstable_branch_until_its_roundoff_bound_reaches_the_threshold():
+    # the old bound grew as |g_b|^2 and floored these accurate values to 0 from t = 21 on; the first-order one
+    # stays below y2 = sinh(1e-3 ln 2)^2 of EXCLUSIVITY_THRESHOLD until t = 25
+    cfg = dataclasses.replace(_free_particle(0.0), times=np.array([0.0, 19.0, 21.0, 22.0, 25.0]))
+    with mp.workdps(50):
+        ref = _mp_reference(cfg)[:, 2]
+    rep = run_exclusivity(cfg)
+    assert np.max(np.abs(rep.neg_spep - ref)) < 1e-7
+    assert rep.excluding.all() and np.min(ref) > 0.8
+    e_1 = np.eye(1, cfg.model.n_modes)[0]
+    assert np.all(run_exclusivity(cfg, (e_1, e_1)).neg_spep == 0.0)  # the split that fixes mode 0
+    with pytest.raises(ConditioningError, match=r"roundoff can hide an excluding branch at t = 30 \("):
+        run_exclusivity(dataclasses.replace(cfg, times=np.array([0.0, 25.0, 30.0, 35.0])))
+
+
 # ---------------------------------------------------------------------------
 # oracle comparison harness
 
@@ -575,7 +591,8 @@ def test_lift_is_a_symplectic_factor_of_the_initial_state(temperature, purified)
     assert np.max(np.abs(G @ omega @ G.T - symplectic_form(n))) <= 1e-12 * scale
 
 
-def test_wide_runs_build_only_single_mode_states(monkeypatch):
+def test_wide_runs_build_no_gaussian_state(monkeypatch):
+    # every diagnostic reads its one-mode covariances off the rows (_World.moments): not even a one-mode state
     cfg = wide_scenario()
     sizes = []
     real = GaussianState.__post_init__
@@ -587,4 +604,6 @@ def test_wide_runs_build_only_single_mode_states(monkeypatch):
     monkeypatch.setattr(GaussianState, "__post_init__", spy)
     for run in (run_pod, run_er_check, run_exclusivity, run_marginal):
         run(cfg)
-    assert sizes and set(sizes) == {1}
+    assert sizes == []
+    GaussianState(np.zeros(2), 0.5 * np.eye(2))
+    assert sizes == [1]  # the spy sees a state built

@@ -37,8 +37,14 @@ from qbm_structures.fock_oracle import (
     weyl_operator,
 )
 from qbm_structures.structure import collective_mode_map
-from helpers import workload
-from reference import log_negativity_density, mode_transform, pure_log_negativity, quadratic_operator
+from helpers import is_pure, workload
+from reference import (
+    gaussian_to_fock_by_inverse,
+    log_negativity_density,
+    mode_transform,
+    pure_log_negativity,
+    quadratic_operator,
+)
 
 
 def basis_state(space, occupations):
@@ -535,6 +541,45 @@ def test_gaussian_to_fock_rejects_correlations_and_mixed():
     space1 = FockSpace((8,), (1.0,), (1.0,))
     with pytest.raises(DomainError):
         gaussian_to_fock(thermal_state([(1.0, 1.0)], 1.0), space1)
+
+
+@st.composite
+def mode_product_states(draw):
+    """One or two modes, each a displaced, squeezed and rotated single-mode Gaussian, pure or mixed (nu > 1/2).
+
+    With `correlated`, a two-mode squeezer couples the two modes.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 2))
+    cov = np.zeros((2 * n, 2 * n))
+    for i in range(n):
+        theta = rng.uniform(0.0, np.pi)
+        c, s = np.cos(theta), np.sin(theta)
+        S = np.array([[c, -s], [s, c]]) @ np.diag(np.exp(np.array([-1.0, 1.0]) * rng.uniform(-0.6, 0.6)))
+        nu = 0.5 if draw(st.booleans()) else 0.5 + 10 ** rng.uniform(-6.0, 0.0)
+        cov[np.ix_([i, n + i], [i, n + i])] = nu * S @ S.T
+    if n == 2 and draw(st.booleans()):  # a two-mode squeezer: cross-mode blocks
+        r = rng.uniform(0.1, 0.4)
+        T = np.array([[np.cosh(r), np.sinh(r), 0, 0], [np.sinh(r), np.cosh(r), 0, 0]])
+        T = np.vstack([T, [[0, 0, np.cosh(r), -np.sinh(r)], [0, 0, -np.sinh(r), np.cosh(r)]]])
+        cov = T @ cov @ T.T
+    return GaussianState(rng.uniform(-1.0, 1.0, 2 * n), (cov + cov.T) / 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mode_product_states())
+def test_closed_form_bridge_equals_the_inverse_route(state):
+    # sqrt(det sigma_i) per mode and adj(sigma_i) / det sigma_i against eigvals of Omega sigma and np.linalg.inv
+    n = state.n_modes
+    space = FockSpace((30,) if n == 1 else (22, 22), (1.0,) * n, (1.0,) * n)
+    try:
+        expected = gaussian_to_fock_by_inverse(state, space)
+    except (DomainError, ConditioningError) as exc:
+        with pytest.raises(type(exc)):
+            gaussian_to_fock(state, space)
+        return
+    assert is_pure(state)
+    assert np.max(np.abs(gaussian_to_fock(state, space).amplitudes - expected.amplitudes)) <= 1e-12
 
 
 def test_weyl_operator_displaces_moments():

@@ -20,7 +20,6 @@ from qbm_structures import (
     decoherence_factor,
     embed_symplectic,
     evolve,
-    is_pure,
     log_negativity,
     product_state,
     propagator,
@@ -32,8 +31,8 @@ from qbm_structures import (
     thermal_state,
     williamson,
 )
-from qbm_structures.gaussian import UNCERTAINTY_TOL, _check_uncertainty, _purity_from_cov
-from helpers import dense_uncertainty_min, random_model
+from qbm_structures.gaussian import DET_FLOOR, UNCERTAINTY_TOL, _check_uncertainty, _purity_from_cov
+from helpers import dense_uncertainty_min, is_pure, random_model
 
 
 def tms_covariance(r):
@@ -134,6 +133,47 @@ def test_purity_product_rule():
 def test_purity_conditioning_guard():
     with pytest.raises(ConditioningError):
         _purity_from_cov(np.diag([1e-200, 1e-200]))
+    for cov in (np.ones((2, 2)), np.array([[2.0, 3.0], [3.0, 2.0]])):  # det 0 and det < 0, as slogdet's sign says
+        with pytest.raises(ConditioningError):
+            _slogdet_purity(cov)
+        with pytest.raises(ConditioningError):
+            _purity_from_cov(cov)
+    with pytest.raises(ConditioningError):  # slogdet returns nan here; the closed form checks det >= DET_FLOOR
+        _purity_from_cov(np.array([[np.nan, 0.0], [0.0, 0.5]]))
+
+
+def _slogdet_purity(cov):
+    """The one-mode purity as the general route takes it: one slogdet."""
+    sign, logdet = np.linalg.slogdet(cov)
+    if sign <= 0 or logdet < np.log(DET_FLOOR):
+        raise ConditioningError("covariance is numerically degenerate")
+    return float(np.exp(-np.log(2.0) - 0.5 * logdet))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(-140.0, 140.0),
+    st.floats(-140.0, 140.0),
+    st.one_of(st.floats(-0.999999, 0.999999), st.sampled_from([-1.5, 0.0, 1.5])),
+)
+def test_one_mode_purity_equals_the_slogdet_route(log_a, log_d, rho):
+    # [[a, b], [b, d]] with b = rho sqrt(a d): det = a d (1 - rho^2), negative for |rho| > 1
+    a, d = 10.0**log_a, 10.0**log_d
+    cov = np.array([[a, rho * math.sqrt(a * d)], [rho * math.sqrt(a * d), d]])
+    det = a * d * (1.0 - rho * rho)
+    assume(not 1e-301 < det < 1e-299)  # both routes compare det with DET_FLOOR, each with its own rounding
+    try:
+        expected = _slogdet_purity(cov)
+    except ConditioningError:
+        with pytest.raises(ConditioningError):
+            _purity_from_cov(cov)
+        return
+    # relative to 1e-14 times what each route's rounding scales with: a d - b^2 and the LU's pivots with the
+    # cancellation (a d + b^2) / det, and slogdet's sum of the pivots' logs with their sizes, |ln a| + |ln d| + |ln det|
+    got = _purity_from_cov(cov)
+    logs = abs(math.log(a)) + abs(math.log(d)) + abs(math.log(det))
+    assert abs(got - expected) <= 1e-14 * expected * ((a * d + cov[0, 1] ** 2) / det + logs)
+    assert np.array_equal(_purity_from_cov(np.array([cov, 0.5 * np.eye(2)])), [got, 1.0])
 
 
 def test_williamson_reconstructs_and_is_symplectic():

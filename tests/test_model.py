@@ -221,8 +221,25 @@ def test_prepare_solves_the_model_once(monkeypatch):
         assert [k for k, v in vars(world).items() if np.shape(getattr(v, "K", v)) == (2 * n, 2 * n)] == []
 
 
+# every numpy.linalg function: the LAPACK solvers and the rest (norm, multi_dot, matrix_power, ...)
+LINALG = [name for name, f in vars(np.linalg).items() if callable(f) and name.islower() and name[0] != "_"]
+LINALG.remove("test")  # numpy's own test runner
+TINY_ORACLE = (
+    "[scenario]\nkind = oracle-compare\n[model]\nn_bath = 2\npotential = harmonic\nomega = 1.0\n"
+    "[initial]\nx = 0.5\n[times]\nn_points = 3\n[oracle]\ncutoff = 8\n"
+)
+
+
 def test_gaussian_scenarios_call_no_eigensolver(monkeypatch):
-    calls = _spy_solvers(monkeypatch, ("eigh", "eigvalsh", "eigvals"))
+    # the diagnostics are one-mode closed forms: no numpy.linalg call outside the Fock oracle's Hermitian solves
+    assert {"slogdet", "qr", "solve", "inv", "eigh", "eigvals", "norm"} <= set(LINALG)
+    calls = []  # (function, the module that called it)
+
+    def spy(name, solver):
+        return lambda *a, **k: calls.append((name, sys._getframe(1).f_globals["__name__"])) or solver(*a, **k)
+
+    for name in LINALG:
+        monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
     runs = {"pod": ex.run_pod, "er": ex.run_er_check, "exclusivity": ex.run_exclusivity, "marginal": ex.run_marginal}
     for kind, run in runs.items():
         run(cli.build_scenario(cli.parse_config(TINY_PURIFIED.replace("kind = pod", f"kind = {kind}"))))
@@ -230,7 +247,12 @@ def test_gaussian_scenarios_call_no_eigensolver(monkeypatch):
     # mixed pod keeps one eigvals of (Omega + R) sigma0 per split and sample
     mixed = cli.build_scenario(cli.parse_config(TINY_PURIFIED.replace("purified = true", "purified = false")))
     ex.run_pod(mixed)
-    assert calls == ["eigvals"] * 2 * len(mixed.times)
+    assert calls == [("eigvals", "qbm_structures.experiments")] * 2 * len(mixed.times)
+    calls.clear()
+    oracle = cli.parse_config(TINY_ORACLE)
+    ex.run_oracle_compare(cli.build_scenario(oracle), oracle.cutoff, certify=True, bump=1)
+    assert calls and {module for _, module in calls} == {"qbm_structures.fock_oracle"}
+    assert {name for name, _ in calls} == {"eigh", "eigvalsh", "norm"}  # norm of the Fock amplitudes calls no LAPACK
 
 
 def test_discretize_single_mode_linear():

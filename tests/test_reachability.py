@@ -30,6 +30,11 @@ UNREACHED = {
         ("gaussian", "product_state"),
         ("gaussian", "coherent_state"),
         ("gaussian", "condition_on_coherent"),
+        ("gaussian", "evolve"),
+        ("gaussian", "purity"),
+        ("gaussian", "symplectic_eigenvalues"),
+        ("gaussian", "cat_state"),
+        ("gaussian", "decoherence_factor"),
         ("fock_oracle", "build_fock_hamiltonian"),
         ("fock_oracle", "DenseEvolver.__init__"),
         ("fock_oracle", "DenseEvolver.propagate"),
@@ -49,6 +54,10 @@ UNREACHED = {
         ("structure", "normal_mode_map"),
         ("structure", "normal_modes"),
         ("structure", "transform_hamiltonian"),
+        ("gaussian", "CatState.__post_init__"),
+        ("gaussian", "CatState.n_modes"),
+        ("gaussian", "CatState.norm"),
+        ("gaussian", "_displaced_overlap"),
         ("fock_oracle", "DenseEvolver.propagate.<locals>.apply"),
         ("fock_oracle", "_matricize"),
     },

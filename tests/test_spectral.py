@@ -52,6 +52,7 @@ from qbm_structures.structure import normal_modes
 from helpers import (
     default_split,
     dense_exclusivity,
+    dense_flow,
     dense_star_modes,
     evolved_state,
     exclusivity_scenario,
@@ -60,6 +61,7 @@ from helpers import (
     per_sample_er,
     per_sample_exclusivity,
     per_sample_marginal,
+    qr_projection,
     random_model,
     williamson_purify,
 )
@@ -122,7 +124,7 @@ def test_normal_modes_solve_the_generalized_eigenproblem(params, mass_scale, rel
 @given(models(), st.floats(0.0, 8.0))
 def test_normal_mode_flow_equals_pade_propagator(params, t):
     _, world = _world(params)
-    spectral = world.flow(world.mode_flow(t))
+    spectral = dense_flow(world, world.mode_flow(t))
     H = build_qbm_hamiltonian(params)
     pade = scipy.linalg.expm(symplectic_form(H.n_modes) @ H.K * t)
     assert np.linalg.norm(spectral - pade) <= 1e-10 * max(1.0, np.linalg.norm(pade))
@@ -144,7 +146,7 @@ def test_decoupled_propagator_equals_pade(seed, n, t):
 @given(models(), st.floats(0.0, 4.0), st.floats(0.0, 4.0))
 def test_normal_mode_flow_is_symplectic_group(params, t1, t2):
     _, world = _world(params, temperature=1.0)
-    S1, S2, S12 = (world.flow(world.mode_flow(t)) for t in (t1, t2, t1 + t2))
+    S1, S2, S12 = (dense_flow(world, world.mode_flow(t)) for t in (t1, t2, t1 + t2))
     scale = max(1.0, np.linalg.norm(S12))
     assert np.linalg.norm(S2 @ S1 - S12) <= 1e-10 * scale**2
     omega = symplectic_form(world.n_phys)
@@ -345,6 +347,36 @@ def test_rows_that_lose_canonicity_raise():
         _check_conjugate(rows * (1.0 + 1e-8))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(3, 40), st.sampled_from([1.0, 1e-3, 1e-6, 1e-9]), st.booleans())
+def test_cgs2_projection_equals_the_qr_projection(seed, size, angle, inside):
+    # two backward-stable projections differ by eps |h| times the span's condition 1 / sin(angle between its rows)
+    rng = np.random.default_rng(seed)
+    s1 = rng.standard_normal(size) * 10 ** rng.uniform(-3.0, 3.0)
+    s2 = s1 * rng.uniform(-2.0, 2.0) + angle * np.linalg.norm(s1) * rng.standard_normal(size)
+    span = np.array([s1, s2])
+    h = rng.standard_normal((2, size)) * 10 ** rng.uniform(-3.0, 3.0)
+    if inside:  # mostly in the span, as g_b is on an unstable run: the projection cancels
+        h += rng.standard_normal((2, 2)) @ span * 10 ** rng.uniform(0.0, 8.0)
+    sin = np.linalg.norm(s2 - s1 * (s1 @ s2) / (s1 @ s1)) / np.linalg.norm(s2)
+    gap = np.max(np.abs(ex._project_off(h, span) - qr_projection(h, span)))
+    assert gap <= 1e-13 * np.max(np.abs(h)) / sin
+
+
+def test_cgs2_projection_equals_the_qr_projection_on_late_unstable_rows():
+    # the branch projection of run_exclusivity on the free particle until its roundoff bound reaches the threshold
+    cfg = dataclasses.replace(exclusivity_scenario(), times=np.linspace(0.0, 25.0, 51))
+    cfg = dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, potential="free", omega=None))
+    world = _prepare(cfg, None)
+    r_a = np.diag(world.pair[:, 0])
+    rows_1, rows_sp = world.split_rows(cfg.times).swapaxes(0, 1)
+    h = np.concatenate([world.lift(rows_sp - r_a @ rows_1), np.zeros((len(cfg.times), 2, 2))], axis=-1)
+    span = np.concatenate([world.lift(rows_1), np.broadcast_to(np.sqrt(2 * world.width), (len(cfg.times), 2, 2))], -1)
+    assert np.max(np.abs(h)) > 1e6  # the rows have grown by six orders
+    gap = np.abs(ex._project_off(h, span) - qr_projection(h, span))
+    assert np.all(np.max(gap, axis=(1, 2)) <= 1e-13 * np.max(np.abs(h), axis=(1, 2)))
+
+
 # ---------------------------------------------------------------------------
 # the grid route against the per-sample loop it replaced
 
@@ -441,14 +473,15 @@ def test_grid_runs_take_stacked_calls_per_block(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
 
-    spied = [(ex, "propagator"), (ex, "_decoupled_flow"), (ex, "_check_conjugate"), (ex._World, "lift"), (np.linalg, "qr")]
-    for owner, name in spied:
+    for owner, name in [(ex, "propagator"), (ex, "_decoupled_flow"), (ex, "_check_conjugate"), (ex._World, "lift")]:
         spy(owner, name)
-    for run, most in [(run_er_check, {"lift": 1}), (run_exclusivity, {"lift": 2, "qr": 1}), (run_marginal, {})]:
+    spy(ex, "_project_off")  # exclusivity's branch projection, one per block
+    most_per_block = {run_er_check: {"lift": 1}, run_exclusivity: {"lift": 2, "_project_off": 1}, run_marginal: {}}
+    for run, most in most_per_block.items():
         calls.clear()
         run(cfg)
         assert calls["propagator"] == 0, run.__name__
         assert calls["_decoupled_flow"] == blocks, run.__name__
         assert calls["_check_conjugate"] <= 3 * blocks + 1, run.__name__
-        for name in ("lift", "qr"):
+        for name in ("lift", "_project_off"):
             assert calls[name] == most.get(name, 0) * blocks, (run.__name__, name)
