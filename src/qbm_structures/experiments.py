@@ -52,6 +52,7 @@ from .structure import CANONICITY_TOL, star_normal_modes
 ER_PRODUCT_TOL = 1e-8
 ER_WITNESS_THRESHOLD = 1e-3
 EXCLUSIVITY_THRESHOLD = 1e-3
+ORACLE_DRIFT_TOL = 1e-6
 _BLOCK = 16  # grid times per stacked evaluation: per-block arrays stay O(_BLOCK N)
 
 PARTICLE_STATE_COHERENT = "coherent"
@@ -559,7 +560,7 @@ def run_oracle_compare(
     mode-0 rows and the bath's; the two Fock branches move together along the grid in fock_oracle.ChebyshevEvolver,
     and fock_oracle.branch_diagnostics reads their rows per block of grid times.  With certify=True the
     number-basis route is repeated with every cutoff raised by `bump` (at least 1) and the worst drift is
-    reported (convergence certification).
+    reported (convergence certification); a drift above ORACLE_DRIFT_TOL raises ConditioningError.
     """
     params = cfg.model
     if len(params.bath) > 2:
@@ -596,6 +597,9 @@ def run_oracle_compare(
     fock = fock_table(space)
     delta = np.abs(_sampled(cfg.times, gaussian_rows) - fock)
     drift = float(np.max(np.abs(fock - fock_table(space.bumped(bump))))) if certify else None
+    if certify and drift > ORACLE_DRIFT_TOL:
+        cuts = f"{space.cutoffs} and {space.bumped(bump).cutoffs} (bump {bump})"
+        raise ConditioningError(f"certification drift {drift:.3e} exceeds {ORACLE_DRIFT_TOL:g} between cutoffs {cuts}")
     return OracleCompareReport(
         times=cfg.times,
         delta_purity=delta[:, 0],

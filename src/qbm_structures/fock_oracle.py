@@ -5,15 +5,20 @@ operators, so results are independent of the covariance-matrix machinery
 they certify.  The model's H is h_0 (x) I + I (x) B + x_0 (x) Y over
 (mode 0) x (bath), built from single-mode factors (_factors).
 ChebyshevEvolver applies it in that factored form to propagate states along
-a time grid by one Chebyshev expansion over the grid, with no dense H and no
-eigh beyond the single-mode ones.  branch_diagnostics reads oracle-compare's
-columns for a block of grid times off stacked single-mode reduced densities.
+a time grid by one Chebyshev expansion over the grid, with no dense H; its
+interval comes from the diagonals of the single-mode h_i, and only an h_i
+that is not diagonal in its basis (a free particle's h_0) takes an eigvalsh.
+gaussian_to_fock takes each mode's amplitudes from the three-term recurrence
+of the state's annihilator.  branch_diagnostics reads oracle-compare's
+columns for a block of grid times off stacked single-mode reduced densities,
+with its Weyl factors summed as Chebyshev series (_weyl_factors).  So a
+harmonic oracle-compare run calls no eigensolver.
 build_fock_hamiltonian and DenseEvolver, which takes one eigh per
 excitation-parity sector of the dense H, are the reference the evolver is
 tested against; the per-state state_moments (single-mode factors along tensor
 axes, _apply), mode_means, reduced_density, purity_density and weyl_operator
-are the reference for branch_diagnostics.  For a few modes at cutoffs of a few
-tens.
+(one eigh per mode) are the reference for branch_diagnostics.  For a few
+modes at cutoffs of a few tens.
 
 Each mode's basis is the eigenbasis of a reference oscillator with the
 mode's mass and a basis frequency; x and p matrices carry those widths.
@@ -21,6 +26,7 @@ mode's mass and a basis frequency; x and p matrices carry those widths.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -279,21 +285,27 @@ class ChebyshevEvolver:
     imaginary parts of one real array (Tal-Ezer & Kosloff, J. Chem. Phys. 81,
     3967 (1984)).  The spectrum lies in the sum of the single-mode spectra
     widened by sum_i |kappa_i| |x_0| |x_i| (Weyl's inequality), which fixes the
-    expansion's interval.
+    expansion's interval: a diagonal h_i's spectrum is its diagonal, any other
+    takes an eigvalsh, and |x_i| is bounded by its largest absolute row sum.
     """
 
     def __init__(self, params: ModelParams, space: FockSpace):
         hs, xs, B, Y = _factors(params, space)
-        ends = np.array([np.linalg.eigvalsh(h)[[0, -1]] for h in hs]).sum(axis=0)
-        norms = [np.abs(np.linalg.eigvalsh(x)).max() for x in xs]
+        splits = [_split_diagonal(h) for h in hs]
+        # a diagonal h_i's ends are its diagonal's; an off-diagonal part of rounding size moves them by
+        # at most d_i 16 eps max|h_i|, which the relative 1e-12 below absorbs with the rounding of eigvalsh
+        ends = np.zeros(2)
+        for h, (diag, off) in zip(hs, splits):
+            ends += (diag.min(), diag.max()) if off is None else np.linalg.eigvalsh(h)[[0, -1]]
+        norms = [np.abs(x).sum(axis=1).max() for x in xs]  # the largest row sum bounds |x_i|
         coupling = sum(abs(kappa) * norms[0] * norm for (_, _, kappa), norm in zip(params.bath, norms[1:]))
         self.space = space
         self._center = (ends[0] + ends[1]) / 2
-        # a relative 1e-12 absorbs the rounding of the eigvalsh ends; a one-level space has H = center
+        # a one-level space has H = center
         self._half = ((ends[1] - ends[0]) / 2 + coupling) * (1 + 1e-12) or 1.0
         # 2 (H - center) / half = h (x) I + I (x) B' + x_0 (x) Y', the operator of the recurrence
         scale = 2 / self._half
-        (h_diag, h_off), (b_diag, b_off) = _split_diagonal(hs[0]), _split_diagonal(B)
+        (h_diag, h_off), (b_diag, b_off) = splits[0], _split_diagonal(B)
         self._diag = (h_diag[:, None] + b_diag - self._center) * scale
         self._h_off = None if h_off is None else h_off * scale
         self._b_off = None if b_off is None else b_off * scale
@@ -437,9 +449,10 @@ def branch_diagnostics(amps: np.ndarray, space: FockSpace) -> np.ndarray:
     block.  The mode-0 columns are psi_+'s, from its rho_0 and the truncated
     x_0, p_0, x_0^2, p_0^2 and (x_0 p_0 + p_0 x_0)/2, as state_moments takes
     them.  r = |<psi_+| I (x) W_1 (x) W_2 .. |psi_+>|, where W_i shifts mode
-    i's means from psi_+'s to psi_-'s (weyl_operator's factor, from one
-    stacked eigh per mode) and acts along mode i's axis.  O(times dim d), with
-    no operator beyond one mode.
+    i's means from psi_+'s to psi_-'s (weyl_operator's factor, summed as a
+    Chebyshev series for the whole block by _weyl_factors) and acts along mode
+    i's axis.  O(times dim d), with no operator beyond one mode and no
+    eigensolver.
     """
     n_t, cut = len(amps), space.cutoffs
     if amps.shape != (n_t, 2, *cut):
@@ -463,11 +476,31 @@ def branch_diagnostics(amps: np.ndarray, space: FockSpace) -> np.ndarray:
     shifted = plus
     for i in range(1, space.n_modes):
         means = expect(i, [xs[i], ps[i]])[1]
-        dx, dp = means[..., 1] - means[..., 0]
-        w, U = np.linalg.eigh(dp[:, None, None] * xs[i] - dx[:, None, None] * ps[i])
-        W = (U * np.exp(1j * w)[:, None, :]) @ U.conj().swapaxes(-1, -2)
+        W = _weyl_factors(xs[i], ps[i], *(means[..., 1] - means[..., 0]))
         shifted = (W[:, None] @ shifted.reshape(n_t, int(np.prod(cut[:i])), cut[i], -1)).reshape(n_t, -1)
     return np.column_stack(columns + [np.abs(np.sum(plus.conj() * shifted, axis=1))])
+
+
+def _weyl_factors(x: np.ndarray, p: np.ndarray, dx: np.ndarray, dp: np.ndarray) -> np.ndarray:
+    """The single-mode Weyl factors exp(i h), h = dp x - dx p, of a stack of shifts, shaped (shifts, d, d).
+
+    By the Jacobi-Anger series exp(i r y) = J_0(r) + 2 sum_k i^k J_k(r) T_k(y)
+    on y = h / r, with r each h's largest absolute row sum, which bounds its
+    spectrum; the J_k come from _bessel_series.  A zero shift has the row
+    1, 0, 0 .. there, so it gives W = I exactly.
+    """
+    h = dp[:, None, None] * x - dx[:, None, None] * p
+    r = np.abs(h).sum(axis=-1).max(axis=-1)
+    coeffs = _bessel_series(r)
+    coeffs = coeffs * (2 * np.array([1, 1j, -1, -1j]))[np.arange(coeffs.shape[1]) % 4]
+    y = h / np.where(r > 0, r, 1.0)[:, None, None]
+    prev, cheb = np.eye(len(x)), y
+    W = coeffs[:, 0, None, None] / 2 * prev
+    for k in range(1, coeffs.shape[1]):
+        if k > 1:
+            prev, cheb = cheb, 2 * y @ cheb - prev
+        W += coeffs[:, k, None, None] * cheb
+    return W
 
 
 def weyl_operator(space: FockSpace, delta: np.ndarray) -> np.ndarray:
@@ -497,11 +530,17 @@ def gaussian_to_fock(state: GaussianState, space: FockSpace) -> FockState:
     a displaced, possibly squeezed/rotated single-mode pure Gaussian); raises
     DomainError on cross-mode correlations, then on a mode whose symplectic
     eigenvalue nu = sqrt(det sigma_i) is not 1/2 within PURITY_TOL.
-    Construction per mode: the centered state is the ground vector of the
-    quadratic form with matrix sigma_i^{-1}, adj(sigma_i) / det sigma_i, then a
-    dense Weyl displacement is applied.  Amplitudes are computed at an enlarged
-    cutoff; if the mass left above this space's cutoff exceeds 1e-8 a
-    ConditioningError is raised, otherwise the truncation is renormalized.
+    Each mode's amplitudes c_n follow from its annihilator: the state
+    exp(-i xm pm / 2) exp(i pm x) psi_0(x - xm), psi_0 = exp(-A x^2 / 2) with
+    A = (1 - 2i sigma_xp) / (2 sigma_xx), is killed by p - iA x - beta,
+    beta = pm - iA xm.  With the basis annihilator a = e x + i p / (2e),
+    e = sqrt(m w / 2), that is the three-term recurrence
+    mu sqrt(n+1) c_(n+1) = beta c_n - nu sqrt(n) c_(n-1), mu = -i(e + A/(2e)),
+    nu = i(e - A/(2e)), started from the overlap c_0 with the basis vacuum,
+    whose phase makes the centred state's vacuum amplitude real and positive.
+    The weight left above the cutoff is then 1 - sum_n |c_n|^2, summed over
+    the modes; above 1e-8 it raises ConditioningError, otherwise the
+    truncation is renormalized.
     """
     if space.n_modes != state.n_modes:
         raise DomainError("space mode count does not match the state")
@@ -516,28 +555,22 @@ def gaussian_to_fock(state: GaussianState, space: FockSpace) -> FockState:
     if not np.all(np.abs(np.sqrt(dets) - 0.5) <= PURITY_TOL):
         raise DomainError("only pure states have a wavefunction expansion")
 
-    margin = 8
     vectors = []
     deficit = 0.0
-    for i in range(n):
-        d = space.cutoffs[i]
-        big = d + margin
-        m, w = space.masses[i], space.frequencies[i]
-        (s_xx, s_xp), (_, s_pp) = sigmas[i]
-        k_xx, k_pp, k_xp = np.array([s_pp, s_xx, -s_xp]) / dets[i]  # sigma_i^-1 = adj(sigma_i) / det sigma_i
-        x = _x_matrix(big, m, w)
-        b = _b_matrix(big, m, w)
-        h = 0.5 * (k_xx * (x @ x) - k_pp * (b @ b)) + 0.5j * k_xp * (x @ b + b @ x)
-        h = (h + h.conj().T) / 2
-        _, vecs = np.linalg.eigh(h)
-        ground = vecs[:, 0]
-        pivot = np.argmax(np.abs(ground))
-        ground = ground * np.exp(-1j * np.angle(ground[pivot]))
-        mini = FockSpace((big,), (m,), (w,))
-        shift = weyl_operator(mini, np.array([state.mean[i], state.mean[n + i]]))
-        amp = shift @ ground
-        deficit += float(np.sum(np.abs(amp[d:]) ** 2))
-        vectors.append(amp[:d])
+    for i, d in enumerate(space.cutoffs):
+        mw = space.masses[i] * space.frequencies[i]
+        xm, pm, s_xx, s_xp = (float(v) for v in (state.mean[i], state.mean[n + i], *sigmas[i][0]))
+        A = complex(1.0, -2.0 * s_xp) / (2.0 * s_xx)
+        e = math.sqrt(mw / 2)
+        mu, nu, beta = -1j * (e + A / (2 * e)), 1j * (e - A / (2 * e)), pm - 1j * A * xm
+        c0 = math.sqrt(2 * math.sqrt(mw * A.real) / abs(mw + A))
+        c0 *= cmath.exp(-0.5j * xm * pm + (1j * pm + A * xm) ** 2 / (2 * (mw + A)) - A * xm * xm / 2)
+        amp = [c0, beta * c0 / mu][:d]
+        for k in range(1, d - 1):
+            amp.append((beta * amp[k] - nu * math.sqrt(k) * amp[k - 1]) / (mu * math.sqrt(k + 1)))
+        amp = np.array(amp)
+        deficit += 1.0 - float(np.vdot(amp, amp).real)
+        vectors.append(amp)
     if deficit > TRUNCATION_TOL:
         raise ConditioningError(
             f"truncated norm deficit {deficit:.2e} exceeds {TRUNCATION_TOL}; raise the cutoffs"

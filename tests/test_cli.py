@@ -373,6 +373,23 @@ def test_certification_needs_a_positive_bump(tmp_path, capsys, bump):
     assert not (tmp_path / "oc.csv").exists()
 
 
+# the Ohmic bath's two modes at cutoff 8 are far from converged: the Fock columns move by 8.9e-2 at cutoff 9
+TINY_ORACLE = (
+    "[scenario]\nkind = oracle-compare\n[model]\nn_bath = 2\npotential = harmonic\nomega = 1.0\n"
+    "[initial]\nx = 0.5\n[times]\nn_points = 3\n[oracle]\ncutoff = 8\n"
+)
+
+
+def test_unconverged_certification_exits_2(tmp_path, capsys):
+    path = _write_config(tmp_path, TINY_ORACLE)
+    args = [str(path), "--output", str(tmp_path / "oc.csv"), "--set", "oracle.certify=true", "--set", "oracle.bump=1"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"drift 8\.9\d\de-02 exceeds 1e-06 between cutoffs \(8, 8, 8\) and \(9, 9, 9\) \(bump 1\)", err)
+    assert not (tmp_path / "oc.csv").exists()
+    assert main(args[:3]) == 0  # uncertified, the same run reports its deltas
+
+
 UNUSED_KEY_CASES = {
     # oracle-compare's explicit bath lists leave the Ohmic grid's keys unused; pod reads no [oracle] key
     "model.n_bath=0": ORACLE_TINY,
@@ -475,19 +492,29 @@ def test_openblas_thread_timeout_is_set_before_numpy_loads(caller):
     assert out.stdout.strip() == repr([caller or "26"])
 
 
+# spawns the command in its arguments and prints its exit status and peak RSS in kB.  A child's
+# ru_maxrss starts from its parent's RSS at the fork (or its high-water mark, under vfork), so
+# the command is started from this small process and never from the test runner itself.
+PEAK_RSS_LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
 @pytest.mark.parametrize("workload", ["marginal-wide", "exclusivity-long"])
 def test_large_bath_runs_in_quadratic_memory(tmp_path, workload):
     # no benchmark workload has more than 128 bath modes; at 1024 a dense 2n x 2n matrix on the
-    # run path takes the child's peak RSS to about 230 MB, while n x n data stays near 90 MB
+    # run path takes the CLI's peak RSS to about 230 MB, while n x n data stays near 60 MB
     config = os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads", f"{workload}.ini")
     argv = [sys.executable, "-m", "qbm_structures.cli", config, "--output", str(tmp_path / "out.csv")]
     argv += ["--set", "model.n_bath=1024", "--set", "times.n_points=8"]
-    with open(tmp_path / "err.txt", "wb") as err:
-        proc = subprocess.Popen(argv, env=_package_env(), stdout=subprocess.DEVNULL, stderr=err)
-        _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    assert proc.returncode == 0, (tmp_path / "err.txt").read_text()
-    assert usage.ru_maxrss / 1024.0 < 150.0
+    launcher = [sys.executable, "-c", PEAK_RSS_LAUNCHER, *argv]
+    out = subprocess.run(launcher, env=_package_env(), capture_output=True, text=True, check=True)
+    status, peak_kb = (int(v) for v in out.stdout.split())
+    assert status == 0, out.stderr
+    assert peak_kb / 1024.0 < 150.0
 
 
 @pytest.mark.parametrize("kind", ["pod", "marginal", "er", "exclusivity"])

@@ -39,7 +39,7 @@ from qbm_structures.fock_oracle import (
 from qbm_structures.structure import collective_mode_map
 from helpers import is_pure, workload
 from reference import (
-    gaussian_to_fock_by_inverse,
+    gaussian_to_fock_by_quadrature,
     log_negativity_density,
     mode_transform,
     pure_log_negativity,
@@ -568,18 +568,35 @@ def mode_product_states(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(mode_product_states())
-def test_closed_form_bridge_equals_the_inverse_route(state):
-    # sqrt(det sigma_i) per mode and adj(sigma_i) / det sigma_i against eigvals of Omega sigma and np.linalg.inv
+def test_recurrence_bridge_equals_the_quadrature_reference(state):
+    # the ladder recurrence and its closed-form c_0 against 40-digit overlaps with the Hermite functions,
+    # and purity and correlations checked per mode against the symplectic spectrum and the cross-mode blocks
     n = state.n_modes
     space = FockSpace((30,) if n == 1 else (22, 22), (1.0,) * n, (1.0,) * n)
     try:
-        expected = gaussian_to_fock_by_inverse(state, space)
+        expected = gaussian_to_fock_by_quadrature(state, space)
     except (DomainError, ConditioningError) as exc:
         with pytest.raises(type(exc)):
             gaussian_to_fock(state, space)
         return
     assert is_pure(state)
     assert np.max(np.abs(gaussian_to_fock(state, space).amplitudes - expected.amplitudes)) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 20), st.floats(0.3, 3.0), st.floats(0.3, 3.0), st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=8)
+)
+@example(1, 1.0, 1.0, [0.7, -0.4])  # a one-level mode: x = p = 0, so W = 1
+@example(12, 1.3, 0.8, [0.0, 0.0, 2.5, -1.5])  # a zero shift next to a large one
+def test_weyl_series_equals_the_eigh_factor(d, m, w, shifts):
+    space = FockSpace((d,), (m,), (w,))
+    (x,), (p,) = fo._mode_quadratures(space)
+    dx, dp = np.reshape(shifts[: len(shifts) // 2 * 2], (-1, 2)).T
+    for factor, delta in zip(fo._weyl_factors(x, p, dx, dp), zip(dx, dp)):
+        if delta == (0.0, 0.0):
+            assert np.array_equal(factor, np.eye(d))
+        assert np.abs(factor - weyl_operator(space, np.array(delta))).max() < 1e-13
 
 
 def test_weyl_operator_displaces_moments():

@@ -26,6 +26,7 @@ import qbm_structures.model as model
 from qbm_structures.experiments import ScenarioConfig, _prepare
 from qbm_structures.model import position_block
 from helpers import random_model, workload
+from test_reachability import ORACLE
 
 
 def test_zero_coupling_minimal_entries():
@@ -224,14 +225,10 @@ def test_prepare_solves_the_model_once(monkeypatch):
 # every numpy.linalg function: the LAPACK solvers and the rest (norm, multi_dot, matrix_power, ...)
 LINALG = [name for name, f in vars(np.linalg).items() if callable(f) and name.islower() and name[0] != "_"]
 LINALG.remove("test")  # numpy's own test runner
-TINY_ORACLE = (
-    "[scenario]\nkind = oracle-compare\n[model]\nn_bath = 2\npotential = harmonic\nomega = 1.0\n"
-    "[initial]\nx = 0.5\n[times]\nn_points = 3\n[oracle]\ncutoff = 8\n"
-)
 
 
 def test_gaussian_scenarios_call_no_eigensolver(monkeypatch):
-    # the diagnostics are one-mode closed forms: no numpy.linalg call outside the Fock oracle's Hermitian solves
+    # the diagnostics are one-mode closed forms, and the Fock oracle solves only a free particle's h_0
     assert {"slogdet", "qr", "solve", "inv", "eigh", "eigvals", "norm"} <= set(LINALG)
     calls = []  # (function, the module that called it)
 
@@ -249,10 +246,15 @@ def test_gaussian_scenarios_call_no_eigensolver(monkeypatch):
     ex.run_pod(mixed)
     assert calls == [("eigvals", "qbm_structures.experiments")] * 2 * len(mixed.times)
     calls.clear()
-    oracle = cli.parse_config(TINY_ORACLE)
-    ex.run_oracle_compare(cli.build_scenario(oracle), oracle.cutoff, certify=True, bump=1)
-    assert calls and {module for _, module in calls} == {"qbm_structures.fock_oracle"}
-    assert {name for name, _ in calls} == {"eigh", "eigvalsh", "norm"}  # norm of the Fock amplitudes calls no LAPACK
+    oracle = cli.parse_config(ORACLE)  # a harmonic particle, converged at its cutoff
+    rep = ex.run_oracle_compare(cli.build_scenario(oracle), oracle.cutoff, certify=True, bump=1)
+    assert rep.certification_delta < 1e-9
+    assert calls and set(calls) == {("norm", "qbm_structures.fock_oracle")}  # the norm of Fock amplitudes, no LAPACK
+    # a free particle's h_0 is not diagonal in its basis: one eigvalsh of it per evolver
+    calls.clear()
+    free = cli.build_scenario(cli.apply_overrides(oracle, ["model.potential=free"]))
+    ex.run_oracle_compare(free, oracle.cutoff)
+    assert [call for call in calls if call[0] != "norm"] == [("eigvalsh", "qbm_structures.fock_oracle")]
 
 
 def test_discretize_single_mode_linear():

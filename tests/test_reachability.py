@@ -42,6 +42,7 @@ UNREACHED = {
         ("fock_oracle", "reduced_density"),
         ("fock_oracle", "mode_means"),
         ("fock_oracle", "purity_density"),
+        ("fock_oracle", "weyl_operator"),
     },
     "called only by a function wrapped by perfbench/tracer.TARGETS": {
         ("model", "position_block"),
