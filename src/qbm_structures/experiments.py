@@ -19,12 +19,11 @@ rest, which changes no mode-0 diagnostic, so every diagnostic uses only mode-0
 rows of the flow (and oracle-compare's decoherence factor the bath's rows).
 All but pod evaluate blocks of the time grid at once (_World.flow_rows); pod
 builds D(t) once per sample.  oracle-compare's number-basis rows come per block
-of up to fock_oracle.GRID_SPAN times (fock_oracle.branch_diagnostics).
+of grid times, as the Fock evolver yields them (fock_oracle.branch_diagnostics).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -558,7 +557,7 @@ def run_oracle_compare(
     particle purity, particle mean (x, p) and 2 x 2 covariance, and the two-branch decoherence factor for
     branches displaced to +/- x0.  The Gaussian columns come from rows of the flow per grid block, the particle's
     mode-0 rows and the bath's; the two Fock branches move together along the grid in fock_oracle.ChebyshevEvolver,
-    and fock_oracle.branch_diagnostics reads their rows per block of grid times.  With certify=True the
+    and fock_oracle.branch_diagnostics reads their rows off each block the evolver yields.  With certify=True the
     number-basis route is repeated with every cutoff raised by `bump` (at least 1) and the worst drift is
     reported (convergence certification); a drift above ORACLE_DRIFT_TOL raises ConditioningError.
     """
@@ -587,11 +586,8 @@ def run_oracle_compare(
 
     def fock_table(space: fo.FockSpace) -> np.ndarray:
         branches = [fo.gaussian_to_fock(GaussianState(mu, cov0), space) for mu in (mu_plus, mu_minus)]
-        walk = fo.ChebyshevEvolver(params, space).propagate(branches, cfg.times)
-        out = []
-        while block := [[psi.amplitudes for psi in states] for states in itertools.islice(walk, fo.GRID_SPAN)]:
-            out.append(fo.branch_diagnostics(np.reshape(block, (len(block), 2, *space.cutoffs)), space))
-        return np.concatenate(out)
+        blocks = fo.ChebyshevEvolver(params, space).propagate(branches, cfg.times)
+        return np.concatenate([fo.branch_diagnostics(block, space) for block in blocks])
 
     space = fo.FockSpace.for_model(params, cutoffs)
     fock = fock_table(space)

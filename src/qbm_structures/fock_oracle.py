@@ -2,23 +2,19 @@
 
 Everything here works in a truncated number basis built from ladder
 operators, so results are independent of the covariance-matrix machinery
-they certify.  The model's H is h_0 (x) I + I (x) B + x_0 (x) Y over
-(mode 0) x (bath), built from single-mode factors (_factors).
-ChebyshevEvolver applies it in that factored form to propagate states along
-a time grid by one Chebyshev expansion over the grid, with no dense H; its
-interval comes from the diagonals of the single-mode h_i, and only an h_i
-that is not diagonal in its basis (a free particle's h_0) takes an eigvalsh.
-gaussian_to_fock takes each mode's amplitudes from the three-term recurrence
-of the state's annihilator.  branch_diagnostics reads oracle-compare's
-columns for a block of grid times off stacked single-mode reduced densities,
-with its Weyl factors summed as Chebyshev series (_weyl_factors).  So a
-harmonic oracle-compare run calls no eigensolver.
-build_fock_hamiltonian and DenseEvolver, which takes one eigh per
-excitation-parity sector of the dense H, are the reference the evolver is
-tested against; the per-state state_moments (single-mode factors along tensor
-axes, _apply), mode_means, reduced_density, purity_density and weyl_operator
-(one eigh per mode) are the reference for branch_diagnostics.  For a few
-modes at cutoffs of a few tens.
+they certify.  H is held as its single-mode factors (_factors), and
+ChebyshevEvolver applies each along its own mode's axis, so no operator on
+the run path spans more than one mode; it yields one block of amplitudes per
+Chebyshev expansion along the time grid.  gaussian_to_fock takes each mode's
+amplitudes from the recurrence of the state's annihilator, and
+branch_diagnostics reads oracle-compare's columns for a block off stacked
+single-mode reduced densities (Weyl factors by _weyl_factors), so a harmonic
+oracle-compare run calls no eigensolver.  build_fock_hamiltonian (the
+factors placed over the full space by _kron) and DenseEvolver (one eigh per
+parity sector) are the reference the evolver is tested against;
+state_moments (_apply), mode_means, reduced_density, purity_density and
+weyl_operator are the reference for branch_diagnostics.  For a few modes at
+cutoffs of a few tens.
 
 Each mode's basis is the eigenbasis of a reference oscillator with the
 mode's mass and a basis frequency; x and p matrices carry those widths.
@@ -27,6 +23,7 @@ mode's mass and a basis frequency; x and p matrices carry those widths.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,7 +36,7 @@ from .model import POTENTIAL_HARMONIC, ModelParams
 DEFAULT_DIM_CAP = 20_000
 TRUNCATION_TOL = 1e-8
 ROUNDING = 16 * np.finfo(float).eps  # relative size below which an off-diagonal part is rounding
-ORDER_BLOCK = 8  # Chebyshev orders summed into the grid times by one GEMM
+ORDER_BLOCK = 4  # Chebyshev orders summed into the grid times by one GEMM
 GRID_SPAN = 64  # grid times one Chebyshev expansion covers, which bounds its memory
 
 
@@ -92,14 +89,6 @@ class FockSpace:
         """Same basis with every per-mode cutoff increased by delta (cap still applies)."""
         return FockSpace(tuple(c + delta for c in self.cutoffs), self.masses, self.frequencies)
 
-    def subspace(self, modes) -> "FockSpace":
-        modes = sorted(set(int(i) for i in modes))
-        return FockSpace(
-            tuple(self.cutoffs[i] for i in modes),
-            tuple(self.masses[i] for i in modes),
-            tuple(self.frequencies[i] for i in modes),
-        )
-
 
 @dataclass(frozen=True)
 class FockState:
@@ -146,10 +135,10 @@ def _kron(space: FockSpace, factors: dict[int, np.ndarray], kron=np.kron):
 
 
 def _apply(space: FockSpace, amps: np.ndarray, factors: dict[int, np.ndarray]) -> np.ndarray:
-    """_kron(space, factors) @ amps, one tensordot per factor along its mode's axis, O(dim d)."""
+    """_kron(space, factors) @ amps, each factor applied along its mode's axis (_along), O(dim d)."""
     tensor = amps.reshape(space.cutoffs)
     for i, f in factors.items():
-        tensor = np.moveaxis(np.tensordot(f, tensor, axes=(1, i)), 0, i)
+        tensor = _along(f, tensor, i)
     return tensor.reshape(-1)
 
 
@@ -160,11 +149,7 @@ def _mode_quadratures(space: FockSpace) -> tuple[list[np.ndarray], list[np.ndarr
 
 
 def _factors(params: ModelParams, space: FockSpace):
-    """H = h_0 (x) I + I (x) B + x_0 (x) Y over (mode 0) x (bath), with the single-mode factors.
-
-    h_i = p^2/2m_i + k_i x^2/2 and x_i are at mode i's cutoff; B = sum_i h_i and
-    Y = sum_i s kappa_i x_i are dense on the bath space.
-    """
+    """The factors of H = sum_i h_i + x_0 sum_i s kappa_i x_i: h_i = p^2/2m_i + k_i x^2/2, x_i, s kappa_i."""
     if space.n_modes != params.n_modes:
         raise DomainError("space mode count does not match the model")
     stiffness = (params.m1 * params.omega**2 if params.potential == POTENTIAL_HARMONIC else 0.0,)
@@ -172,17 +157,14 @@ def _factors(params: ModelParams, space: FockSpace):
     xs, ps = _mode_quadratures(space)
     hs = [(p @ p).real / (2 * m) + 0.5 * k * (x @ x) for x, p, m, k in zip(xs, ps, params.masses, stiffness)]
     hs = [(h + h.T) / 2 for h in hs]
-    bath = space.subspace(range(1, space.n_modes))
-    B = sum(_kron(bath, {i: h}) for i, h in enumerate(hs[1:]))
-    kappas = [params.coupling_sign * kappa for _, _, kappa in params.bath]
-    Y = sum(k * _kron(bath, {i: x}) for i, (x, k) in enumerate(zip(xs[1:], kappas)))
-    return hs, xs, B, Y
+    return hs, xs, [params.coupling_sign * kappa for _, _, kappa in params.bath]
 
 
 def build_fock_hamiltonian(params: ModelParams, space: FockSpace) -> np.ndarray:
-    """Dense real-symmetric Hamiltonian of the particle + bath model, kron(h_0, I) + kron(I, B) + kron(x_0, Y)."""
-    hs, xs, B, Y = _factors(params, space)
-    return np.kron(hs[0], np.eye(len(B))) + np.kron(np.eye(len(hs[0])), B) + np.kron(xs[0], Y)
+    """Dense real-symmetric Hamiltonian of the particle + bath model, each factor placed over the full space."""
+    hs, xs, kappas = _factors(params, space)
+    H = sum(_kron(space, {i: h}) for i, h in enumerate(hs))
+    return H + sum(k * _kron(space, {0: xs[0], i: x}) for i, (x, k) in enumerate(zip(xs[1:], kappas), 1))
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +248,13 @@ def _bessel_series(zs) -> np.ndarray:
     return table
 
 
+def _along(f: np.ndarray, v: np.ndarray, axis: int) -> np.ndarray:
+    """The matrix f applied along one axis of v: one GEMM on the last axis, else one per index before it."""
+    if axis == v.ndim - 1:
+        return (v.reshape(-1, v.shape[-1]) @ f.T).reshape(v.shape)
+    return (f @ v.reshape(math.prod(v.shape[:axis]), v.shape[axis], -1)).reshape(v.shape)
+
+
 def _split_diagonal(m: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """The diagonal of m, and its off-diagonal part, or None when that part is at rounding level."""
     diag = np.diag(m).copy()
@@ -274,23 +263,22 @@ def _split_diagonal(m: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
 
 
 class ChebyshevEvolver:
-    """Propagate states along a time grid by one Chebyshev expansion of exp(-i H t), with no dense H.
+    """Propagate states along a time grid by Chebyshev expansions of exp(-i H t), with no dense H.
 
-    H = h_0 (x) I + I (x) B + x_0 (x) Y (see _factors) acts on amplitudes shaped
-    (mode 0) x (bath).  In the basis FockSpace.for_model gives, B and a harmonic
-    particle's h_0 are diagonal up to rounding, so H v is  E * v + x_0 @ (v @ Y)
-    with E their diagonals summed; an off-diagonal part above rounding level (a
-    free particle's h_0, a basis that does not match the model) is applied as
-    a product of its own.  The states of a block move together as the real and
-    imaginary parts of one real array (Tal-Ezer & Kosloff, J. Chem. Phys. 81,
-    3967 (1984)).  The spectrum lies in the sum of the single-mode spectra
-    widened by sum_i |kappa_i| |x_0| |x_i| (Weyl's inequality), which fixes the
-    expansion's interval: a diagonal h_i's spectrum is its diagonal, any other
-    takes an eigvalsh, and |x_i| is bounded by its largest absolute row sum.
+    H v = E * v + (each h_i's off-diagonal part along mode i) + x_0 along mode 0
+    of sum_i (s kappa_i x_i along mode i) (see _factors), on amplitudes shaped
+    (*cutoffs), with E the outer sum of the h_i's diagonals.  In
+    FockSpace.for_model's basis every bath h_i and a harmonic h_0 are diagonal
+    up to rounding; only an off-diagonal part above that is applied.  The
+    states move together as the real and imaginary parts of one real array
+    (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).  The interval is the
+    sum of the single-mode spectral ends (a diagonal h_i's from its diagonal,
+    any other's by eigvalsh) widened by sum_i |kappa_i| |x_0| |x_i| (Weyl's
+    inequality), with |x_i| bounded by its largest absolute row sum.
     """
 
     def __init__(self, params: ModelParams, space: FockSpace):
-        hs, xs, B, Y = _factors(params, space)
+        hs, xs, kappas = _factors(params, space)
         splits = [_split_diagonal(h) for h in hs]
         # a diagonal h_i's ends are its diagonal's; an off-diagonal part of rounding size moves them by
         # at most d_i 16 eps max|h_i|, which the relative 1e-12 below absorbs with the rounding of eigvalsh
@@ -298,36 +286,37 @@ class ChebyshevEvolver:
         for h, (diag, off) in zip(hs, splits):
             ends += (diag.min(), diag.max()) if off is None else np.linalg.eigvalsh(h)[[0, -1]]
         norms = [np.abs(x).sum(axis=1).max() for x in xs]  # the largest row sum bounds |x_i|
-        coupling = sum(abs(kappa) * norms[0] * norm for (_, _, kappa), norm in zip(params.bath, norms[1:]))
+        coupling = sum(abs(kappa) * norms[0] * norm for kappa, norm in zip(kappas, norms[1:]))
         self.space = space
         self._center = (ends[0] + ends[1]) / 2
         # a one-level space has H = center
         self._half = ((ends[1] - ends[0]) / 2 + coupling) * (1 + 1e-12) or 1.0
-        # 2 (H - center) / half = h (x) I + I (x) B' + x_0 (x) Y', the operator of the recurrence
+        # 2 (H - center) / half, the recurrence's operator; mode i is axis i + 1 of (states, *cutoffs)
         scale = 2 / self._half
-        (h_diag, h_off), (b_diag, b_off) = splits[0], _split_diagonal(B)
-        self._diag = (h_diag[:, None] + b_diag - self._center) * scale
-        self._h_off = None if h_off is None else h_off * scale
-        self._b_off = None if b_off is None else b_off * scale
-        self._x0, self._y = xs[0], Y * scale
+        self._diag = (functools.reduce(np.add.outer, [diag for diag, _ in splits]) - self._center) * scale
+        self._offs = [(i + 1, off * scale) for i, (_, off) in enumerate(splits) if off is not None]
+        self._x0 = xs[0]
+        self._bath = [(i + 1, kappa * scale * x) for i, (x, kappa) in enumerate(zip(xs[1:], kappas), 1)]
 
     def _twice_scaled(self, v: np.ndarray) -> np.ndarray:
-        """2 (H - center) / half applied to a (states, d_0, bath) real array."""
-        out = self._diag * v + self._x0 @ (v.reshape(-1, len(self._y)) @ self._y).reshape(v.shape)
-        if self._h_off is not None:
-            out += self._h_off @ v
-        if self._b_off is not None:
-            out += v @ self._b_off
+        """2 (H - center) / half applied to a (states, *cutoffs) real array."""
+        out = self._diag * v
+        for axis, off in self._offs:
+            out += _along(off, v, axis)
+        bath = functools.reduce(np.add, (_along(x, v, axis) for axis, x in self._bath))
+        out += _along(self._x0, bath, 1)
         return out
 
     def propagate(self, states, times):
-        """Iterator over the tuple of evolved states at each time of a non-decreasing grid of t >= 0."""
+        """Iterator over the evolved states along a non-decreasing grid of t >= 0, one block per expansion.
+
+        A block is a complex array (times, states, *cutoffs) of normalised states, at most GRID_SPAN times."""
         if any(psi.space != self.space for psi in states):
             raise DomainError("state and Hamiltonian live in different Fock spaces")
         times = np.asarray(times, dtype=float)
         if times.size and (times[0] < 0 or np.any(np.diff(times) < 0)):
             raise DomainError("times must be non-negative and non-decreasing")
-        amps = np.array([psi.amplitudes for psi in states]).reshape(len(states), self.space.cutoffs[0], -1)
+        amps = np.array([psi.amplitudes for psi in states]).reshape(len(states), *self.space.cutoffs)
         return self._walk(np.concatenate([amps.real, amps.imag]), times)
 
     def _walk(self, v: np.ndarray, times: np.ndarray):
@@ -335,20 +324,23 @@ class ChebyshevEvolver:
         now = 0.0
         for first in range(0, times.size, GRID_SPAN):
             span = times[first : first + GRID_SPAN]
-            re, im = self._expand(v, span - now)
-            for r, i in zip(re, im):
-                amps = r + 1j * i
-                norms = np.linalg.norm(amps, axis=1)
-                if np.any(np.abs(norms - 1.0) > 1e-10):
-                    raise ConditioningError("unitary evolution failed to preserve the norm")
-                yield tuple(FockState(a / norm, self.space) for a, norm in zip(amps, norms))
-            v = np.concatenate([re[-1], im[-1]]).reshape(v.shape) / np.concatenate([norms, norms])[:, None, None]
+            sums = self._expand(v, span - now)
+            flat = sums.reshape(2, *sums.shape[1:3], -1)
+            norms = np.sqrt(np.einsum("rtsd,rtsd->ts", flat, flat))[..., None]
+            if np.any(np.abs(norms - 1.0) > 1e-10):
+                raise ConditioningError("unitary evolution failed to preserve the norm")
+            flat /= norms
+            v = np.concatenate(sums[:, -1])
+            block = np.empty(sums.shape[1:], dtype=complex)
+            block.real, block.imag = sums
+            del sums, flat  # not held while the block is read
             now = span[-1]
+            yield block
 
     def _expand(self, v: np.ndarray, dts: np.ndarray) -> np.ndarray:
         """exp(-i H dt) on the complex states v[:n] + i v[n:] for every dt.
 
-        Returns the real and the imaginary parts, each (dts, n, d_0 * bath).
+        Returns the real and the imaginary parts, each (dts, n, *cutoffs).
         Runs T_k(H') v once, up to the order the largest dt needs, and adds
         each dt's w_k = (2 - delta_k0) (-i)^k J_k(half dt) exp(-i center dt)
         in by one GEMM per ORDER_BLOCK orders: w_k T_k (re + i im) is
@@ -374,7 +366,7 @@ class ChebyshevEvolver:
                 np.subtract(self._twice_scaled(ring[slot - 1]), ring[slot - 2], out=ring[slot])
             if slot == len(ring) - 1 or k == orders - 1:
                 sums += weights[:, 2 * (k - slot) : 2 * (k + 1)] @ ring[: slot + 1].reshape(2 * (slot + 1), -1)
-        return sums.reshape(2, dts.size, v.shape[0] // 2, -1)
+        return sums.reshape(2, dts.size, v.shape[0] // 2, *v.shape[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +485,8 @@ def _weyl_factors(x: np.ndarray, p: np.ndarray, dx: np.ndarray, dp: np.ndarray) 
     r = np.abs(h).sum(axis=-1).max(axis=-1)
     coeffs = _bessel_series(r)
     coeffs = coeffs * (2 * np.array([1, 1j, -1, -1j]))[np.arange(coeffs.shape[1]) % 4]
-    y = h / np.where(r > 0, r, 1.0)[:, None, None]
+    # as real pairs: a complex division takes 1/r, inf at a subnormal r
+    y = (h.view(float) / np.where(r > 0, r, 1.0)[:, None, None]).view(complex)
     prev, cheb = np.eye(len(x)), y
     W = coeffs[:, 0, None, None] / 2 * prev
     for k in range(1, coeffs.shape[1]):

@@ -4,9 +4,11 @@
 
 Runs each perfbench/workloads/*.ini at seeds 0-2 through `python -m qbm_structures.cli`, once with
 PARENT_TREE/src and once with this tree's src, and prints per workload the largest absolute and relative
-difference over every CSV value and whether the printed summary differs.  Exits 1 when a value differs by
-more than 1e-12 times max(1, |parent value|), when a summary, a header or an exit status differs, and 0
-otherwise.  The CSVs go to a temporary directory; perfbench/ is only read.
+difference over every CSV value and whether the printed summary differs.  oracle-compare also runs
+certified and with a free particle (VARIANTS): the larger space and the off-diagonal h_0 take Fock
+products that the plain run does not.  Exits 1 when a value differs by more than 1e-12 times
+max(1, |parent value|), when a summary, a header or an exit status differs, and 0 otherwise.  The CSVs
+go to a temporary directory; perfbench/ is only read.
 """
 
 from __future__ import annotations
@@ -22,12 +24,18 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (0, 1, 2)
 TOL = 1e-12
+# extra --set overrides per workload, each run as a workload of its own
+VARIANTS = {"oracle-compare": (["oracle.certify=true"], ["model.potential=free"])}
 
 
-def run(tree: Path, config: Path, seed: int, output: Path) -> tuple[int, str, list[str], np.ndarray]:
+def run(
+    tree: Path, config: Path, overrides: list[str], seed: int, output: Path
+) -> tuple[int, str, list[str], np.ndarray]:
     """Exit status, stdout, CSV header and CSV values of one CLI run against tree/src."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     argv = [sys.executable, "-m", "qbm_structures.cli", str(config), "--seed", str(seed), "--output", str(output)]
+    for item in overrides:
+        argv += ["--set", item]
     proc = subprocess.run(argv, env=env, capture_output=True, text=True, cwd=output.parent)
     if proc.returncode != 0 or not output.exists():
         return proc.returncode, proc.stdout + proc.stderr, [], np.zeros((0, 0))
@@ -43,7 +51,9 @@ def main(argv: list[str]) -> int:
     parent = Path(argv[0]).resolve()
     failed = False
     with tempfile.TemporaryDirectory() as tmp:
-        for config in sorted((ROOT / "perfbench" / "workloads").glob("*.ini")):
+        configs = sorted((ROOT / "perfbench" / "workloads").glob("*.ini"))
+        for config, overrides in [(c, o) for c in configs for o in ([], *VARIANTS.get(c.stem, ()))]:
+            name = " ".join([config.stem] + [f"--set {item}" for item in overrides])
             worst_abs = worst_rel = 0.0
             stdout_differs = mismatch = False
             for seed in SEEDS:
@@ -51,7 +61,7 @@ def main(argv: list[str]) -> int:
                 for label, tree in (("parent", parent), ("this", ROOT)):
                     out = Path(tmp) / label / f"{config.stem}-{seed}.csv"
                     out.parent.mkdir(exist_ok=True)
-                    runs.append(run(tree, config, seed, out))
+                    runs.append(run(tree, config, overrides, seed, out))
                 (status_a, stdout_a, head_a, old), (status_b, stdout_b, head_b, new) = runs
                 stdout_differs |= stdout_a != stdout_b
                 if status_a != status_b or head_a != head_b or old.shape != new.shape:
@@ -64,7 +74,7 @@ def main(argv: list[str]) -> int:
                 mismatch |= bool(np.any(~(gap <= TOL * np.maximum(1.0, np.abs(old)))))
             failed |= mismatch or stdout_differs
             print(
-                f"{config.stem}: max abs {worst_abs:.3g}, max rel {worst_rel:.3g}, "
+                f"{name}: max abs {worst_abs:.3g}, max rel {worst_rel:.3g}, "
                 f"stdout {'differs' if stdout_differs else 'same'}" + (", FAIL" if mismatch else "")
             )
     return 1 if failed else 0

@@ -1,6 +1,7 @@
 """Number-basis reference routes that only the tests use: negativities of Fock
-states, the state-level mode transform U psi of a symplectic S, and Fock
-amplitudes of Gaussian states by quadrature.
+states, the state-level mode transform U psi of a symplectic S, Fock
+amplitudes of Gaussian states by quadrature, and the space of a subset of
+modes.
 
 They build on the single-mode factors of qbm_structures.fock_oracle and load
 scipy, which no CLI scenario does.
@@ -37,6 +38,16 @@ def log_negativity_density(rho: np.ndarray, party_a, dims) -> float:
     d = int(np.prod(dims))
     pt = tensor.reshape(d, d)
     return float(np.log2(np.sum(np.abs(np.linalg.eigvalsh(pt)))))
+
+
+def subspace(space: fo.FockSpace, modes) -> fo.FockSpace:
+    """The number basis of the listed modes alone, in increasing mode order."""
+    modes = sorted(set(int(i) for i in modes))
+    return fo.FockSpace(
+        tuple(space.cutoffs[i] for i in modes),
+        tuple(space.masses[i] for i in modes),
+        tuple(space.frequencies[i] for i in modes),
+    )
 
 
 def pure_log_negativity(psi: FockState, party_a) -> float:

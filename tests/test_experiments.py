@@ -405,8 +405,20 @@ def _mp_reference(cfg):
     Independent of the package's numerics: mpmath's expm of Omega K, the
     dense state S sigma0 S^T, partial transposition by a momentum flip, the
     full centre-of-mass lift, and conditioning on the coherent projection
-    of the particle by a Schur complement.
+    of the particle by a Schur complement.  The unstable flow cancels many
+    digits, so the last time is evaluated again at 30 more digits, and a
+    disagreement above 1e-12 fails rather than return a value short of digits.
     """
+    out = _mp_rows(cfg, cfg.times)
+    with mp.workdps(mp.mp.dps + 30):
+        check = _mp_rows(cfg, cfg.times[-1:])
+    gap = np.abs(check - out[-1:]).max()
+    assert gap <= 1e-12, f"the {mp.mp.dps}-digit reference is off by {gap:.3g} at t = {cfg.times[-1]}"
+    return out
+
+
+def _mp_rows(cfg, times):
+    """_mp_reference's rows at the given times, at the working precision."""
     generator, sigma0 = model_matrices(cfg)
     n = cfg.model.n_modes
     masses = [mp.mpf(m) for m in cfg.model.masses]
@@ -429,7 +441,7 @@ def _mp_reference(cfg):
     width = mp.diag([1 / (2 * masses[0]), masses[0] / 2])  # free particle: unit width frequency
     a, b = [0, n], [i for i in range(2 * n) if i not in (0, n)]
     out = []
-    for t in cfg.times:
+    for t in times:
         S = mp.expm(generator * mp.mpf(t))
         sigma = S * mp.diag(sigma0) * S.T
         branch = mp.zeros(2 * n, 2 * n)
@@ -520,8 +532,9 @@ def test_oracle_compare_is_the_same_on_blocks_of_the_grid(monkeypatch):
 
 
 def test_oracle_compare_forms_no_dense_hamiltonian(monkeypatch):
-    # on the benchmark's oracle-compare model (dimension 1000) the Fock route builds
-    # no dense H and diagonalises nothing: the bridge, the interval and the Weyl factors are series
+    # on the benchmark's oracle-compare model (dimension 1000), plain and certified, the Fock route places no
+    # factor over more than its own mode and diagonalises nothing: the bridge, the interval and the Weyl factors
+    # are series
     run_cfg, scenario = workload("oracle-compare")
     sizes = []
     for name in ("eigh", "eigvalsh"):
@@ -535,9 +548,10 @@ def test_oracle_compare_forms_no_dense_hamiltonian(monkeypatch):
     def dense_route(*args, **kwargs):
         raise AssertionError("the dense Fock route was called")
 
-    monkeypatch.setattr(fo, "build_fock_hamiltonian", dense_route)
-    monkeypatch.setattr(fo, "DenseEvolver", dense_route)
-    run_oracle_compare(scenario, run_cfg.cutoff)
+    for name in ("build_fock_hamiltonian", "DenseEvolver", "_kron"):
+        monkeypatch.setattr(fo, name, dense_route)
+    for certify in (False, True):
+        run_oracle_compare(scenario, run_cfg.cutoff, certify=certify, bump=2)
     assert fo.FockSpace.for_model(scenario.model, run_cfg.cutoff).dim == 1000
     assert sizes == []
 

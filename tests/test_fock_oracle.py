@@ -44,6 +44,7 @@ from reference import (
     mode_transform,
     pure_log_negativity,
     quadratic_operator,
+    subspace,
 )
 
 
@@ -262,10 +263,13 @@ def time_grid(kind, rng):
 def assert_matches_dense(params, space, times, seed):
     dense = DenseEvolver(build_fock_hamiltonian(params, space), space)
     states = (random_state(space, seed), random_state(space, seed + 1))
-    steps = ChebyshevEvolver(params, space).propagate(states, times)
-    for t, evolved in zip(times, steps, strict=True):
+    blocks = list(ChebyshevEvolver(params, space).propagate(states, times))
+    # one block per GRID_SPAN grid times, shaped (times, states, *cutoffs)
+    spans = [len(times[i : i + fo.GRID_SPAN]) for i in range(0, len(times), fo.GRID_SPAN)]
+    assert [block.shape for block in blocks] == [(n, 2, *space.cutoffs) for n in spans]
+    for t, evolved in zip(times, np.concatenate(blocks), strict=True):
         for psi, out in zip(states, evolved, strict=True):
-            assert np.abs(out.amplitudes - dense.propagate(psi, t).amplitudes).max() < 1e-12
+            assert np.abs(out.ravel() - dense.propagate(psi, t).amplitudes).max() < 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -298,18 +302,37 @@ def test_chebyshev_evolver_continues_across_grid_spans(monkeypatch):
     assert_matches_dense(params, FockSpace.for_model(params, FACTOR_CUTOFFS), times, 6)
 
 
-@pytest.mark.parametrize("case", ["model basis", "free particle", "bath basis off the model"])
-def test_chebyshev_product_matches_the_dense_hamiltonian(case):
-    # a diagonal h_0 and B enter H v as E * v; an off-diagonal part above rounding keeps its own product
-    params = FACTOR_PARAMS[1 if case == "free particle" else 0]
-    space = FockSpace.for_model(params, FACTOR_CUTOFFS)
-    if case == "bath basis off the model":
-        space = FockSpace(space.cutoffs, space.masses, (space.frequencies[0], 1.2, 1.1))
+FOUR_MODES = ModelParams(
+    m1=0.9, bath=((1.1, 0.8, 0.2), (0.7, 1.3, -0.15), (1.4, 1.1, 0.1)), potential="harmonic", omega=1.2
+)
+
+
+@pytest.mark.parametrize(
+    "params, cutoffs, bath_basis, off_axes",
+    [
+        (FACTOR_PARAMS[0], FACTOR_CUTOFFS, None, []),
+        (FACTOR_PARAMS[1], FACTOR_CUTOFFS, None, [1]),
+        (FACTOR_PARAMS[0], FACTOR_CUTOFFS, (1.2, 1.1), [2, 3]),
+        (FACTOR_PARAMS[1], FACTOR_CUTOFFS, (1.2, 1.1), [1, 2, 3]),
+        (FOUR_MODES, (4, 3, 5, 2), (0.8, 1.7, 1.1), [3]),
+    ],
+    ids=[
+        "model basis",
+        "free particle",
+        "bath basis off the model",
+        "free particle, bath basis off the model",
+        "four modes, one bath mode off the model",
+    ],
+)
+def test_chebyshev_product_matches_the_dense_hamiltonian(params, cutoffs, bath_basis, off_axes):
+    # a diagonal h_i enters H v as E * v; an off-diagonal part above rounding is applied along its own mode's axis
+    space = FockSpace.for_model(params, cutoffs)
+    if bath_basis is not None:  # bath basis frequencies, some of them not the model's
+        space = FockSpace(space.cutoffs, space.masses, space.frequencies[:1] + bath_basis)
     evolver = ChebyshevEvolver(params, space)
-    assert (evolver._h_off is None) == (case != "free particle")
-    assert (evolver._b_off is None) == (case != "bath basis off the model")
+    assert [axis for axis, _ in evolver._offs] == off_axes
     H = build_fock_hamiltonian(params, space)
-    v = np.random.default_rng(5).normal(size=(4, space.cutoffs[0], space.dim // space.cutoffs[0]))
+    v = np.random.default_rng(5).normal(size=(4, *space.cutoffs))
     expected = (H - evolver._center * np.eye(space.dim)) @ v.reshape(4, -1).T * (2 / evolver._half)
     assert np.abs(evolver._twice_scaled(v).reshape(4, -1) - expected.T).max() < 1e-12
 
@@ -349,10 +372,10 @@ def test_four_mode_dynamics_match_the_gaussian_route():
     )
     H = build_qbm_hamiltonian(params)
     times = np.linspace(0.0, 6.0, 5)
-    steps = ChebyshevEvolver(params, space).propagate([gaussian_to_fock(g0, space)], times)
-    for t, (psi,) in zip(times, steps, strict=True):
+    blocks = ChebyshevEvolver(params, space).propagate([gaussian_to_fock(g0, space)], times)
+    for t, (amps,) in zip(times, np.concatenate(list(blocks)), strict=True):
         expected = evolve(g0, propagator(H, t))
-        mean, cov = state_moments(psi)
+        mean, cov = state_moments(FockState(amps.ravel(), space))
         assert np.abs(mean - expected.mean).max() < 1e-6
         assert np.abs(cov - expected.cov).max() < 1e-5
 
@@ -383,8 +406,9 @@ def test_chebyshev_evolver_checks_its_inputs():
     space = FockSpace.for_model(params, FACTOR_CUTOFFS)
     evolver = ChebyshevEvolver(params, space)
     psi = random_state(space, 0)
-    (at_zero,) = next(evolver.propagate([psi], [0.0]))
-    assert np.abs(at_zero.amplitudes - psi.amplitudes).max() < 1e-15  # t = 0 only renormalises
+    (block,) = evolver.propagate([psi], [0.0])
+    assert block.shape == (1, 1, *space.cutoffs)
+    assert np.abs(block.ravel() - psi.amplitudes).max() < 1e-15  # t = 0 only renormalises
     with pytest.raises(DomainError):
         evolver.propagate([random_state(FockSpace.for_model(params, (4, 3, 5)), 0)], [1.0])
     for times in ([0.0, 2.0, 1.0], [-1.0, 0.0]):
@@ -589,6 +613,7 @@ def test_recurrence_bridge_equals_the_quadrature_reference(state):
 )
 @example(1, 1.0, 1.0, [0.7, -0.4])  # a one-level mode: x = p = 0, so W = 1
 @example(12, 1.3, 0.8, [0.0, 0.0, 2.5, -1.5])  # a zero shift next to a large one
+@example(2, 1.0, 1.0, [0.0, 5e-324])  # a subnormal shift: the series' division must not overflow
 def test_weyl_series_equals_the_eigh_factor(d, m, w, shifts):
     space = FockSpace((d,), (m,), (w,))
     (x,), (p,) = fo._mode_quadratures(space)
@@ -645,7 +670,7 @@ def per_state_diagnostics(plus, minus):
     mode0, env = [0, n], list(range(1, n))
     mean, cov = state_moments(plus)
     shift = (mode_means(minus) - mean)[env + [n + i for i in env]]
-    r = abs(np.trace(reduced_density(plus, env) @ weyl_operator(plus.space.subspace(env), shift)))
+    r = abs(np.trace(reduced_density(plus, env) @ weyl_operator(subspace(plus.space, env), shift)))
     purity_0 = purity_density(reduced_density(plus, [0]))
     return [purity_0, *mean[mode0], *cov[np.ix_(mode0, mode0)].ravel(), r]
 
@@ -723,7 +748,7 @@ def test_mode_transform_unitary_matches_gaussian_route():
     fa = mode_transform(ft, comp.lift)
     rho_sp = reduced_density(fa, [0])
     assert purity_density(rho_sp) == pytest.approx(purity(reduce(alt, [0])), abs=1e-8)
-    mean_sp, cov_sp = quadrature_moments(rho_sp, space.subspace([0]))
+    mean_sp, cov_sp = quadrature_moments(rho_sp, subspace(space, [0]))
     red = reduce(alt, [0])
     assert mean_sp == pytest.approx(red.mean, abs=1e-6)
     assert np.abs(cov_sp - red.cov).max() < 1e-6
