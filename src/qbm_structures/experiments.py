@@ -143,8 +143,8 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _check_conjugate(rows: np.ndarray) -> None:
-    """Rows g_x, g_p (axis -2) of a symplectic matrix must satisfy g_x^T Omega g_p = 1."""
+def _check_conjugate(rows: np.ndarray) -> np.ndarray:
+    """Rows g_x, g_p (axis -2) of a symplectic matrix must satisfy g_x^T Omega g_p = 1; returns the rows."""
     n = rows.shape[-1] // 2
     g_x, g_p = np.moveaxis(rows, -2, 0)
     product = _rowdot(g_x[..., :n], g_p[..., n:]) - _rowdot(g_x[..., n:], g_p[..., :n])
@@ -152,6 +152,7 @@ def _check_conjugate(rows: np.ndarray) -> None:
     bad = np.ravel(~(np.abs(product - 1.0) <= UNCERTAINTY_TOL * scale))  # NaN rows fail too
     if np.any(bad):
         raise ConditioningError(f"mode-0 rows lost canonicity (g_x^T Omega g_p = {np.ravel(product)[bad][0]!r})")
+    return rows
 
 
 def _norms(rows: np.ndarray) -> np.ndarray:
@@ -175,8 +176,9 @@ class _World:
 
     The initial state is a product over the physical modes, of mean `mean` and covariance diag(`var`): the
     particle's packet (`width`), then thermal bath modes.  The model is the squared normal-mode frequencies
-    `sq_freqs` and, with V^T M V = I, x = V q and p = MV pi.  `splits` holds the particle's and the alternate
-    split's (a, b) (`pair`) as normal-mode coefficients [[a V, 0], [0, b MV]], (2, 2, 2n); `flow_rows` turns
+    `sq_freqs` and the orthonormal U of its arrowhead, with x = U q / `sqrt_m` and p = `sqrt_m` U pi row by row;
+    U is the one n x n array.  `splits` holds the particle's and the alternate split's (a, b) (`pair`) as
+    normal-mode coefficients [[(a / sqrt_m) U, 0], [0, (b sqrt_m) U]], (2, 2, 2n); `flow_rows` turns
     coefficients into rows of S(t) on a block of times, `rows` from pod's dense D(t) (`mode_flow`, which the
     perfbench tracer test pins at a propagator call per pod sample).
     """
@@ -186,8 +188,8 @@ class _World:
     mean: np.ndarray
     var: np.ndarray
     sq_freqs: np.ndarray
-    V: np.ndarray
-    MV: np.ndarray
+    U: np.ndarray
+    sqrt_m: np.ndarray
     pair: np.ndarray  # the alternate split's (a, b), (2, n)
     splits: np.ndarray
 
@@ -204,15 +206,13 @@ class _World:
         return propagator(self.normal, t)
 
     def _physical(self, coefficients: np.ndarray) -> np.ndarray:
-        """Rows over the normal modes (q.., pi..) as rows over the physical (x.., p..): q = MV^T x, pi = V^T p."""
-        n = self.n_phys
-        return np.concatenate([coefficients[..., :n] @ self.MV.T, coefficients[..., n:] @ self.V.T], axis=-1)
+        """Normal-mode rows (q.., pi..) as physical rows (x.., p..): q = U^T (sqrt_m x), pi = U^T (p / sqrt_m)."""
+        q, pi = coefficients[..., : self.n_phys] @ self.U.T, coefficients[..., self.n_phys :] @ self.U.T
+        return np.concatenate([q * self.sqrt_m, pi / self.sqrt_m], axis=-1)
 
     def rows(self, D: np.ndarray) -> np.ndarray:
         """Both splits' mode-0 x and p rows of the flow over the physical (x.., p..) coordinates, (2, 2, 2n)."""
-        rows = self._physical(self.splits @ D)
-        _check_conjugate(rows)
-        return rows
+        return _check_conjugate(self._physical(self.splits @ D))
 
     def flow_rows(self, coefficients: np.ndarray, times: np.ndarray) -> np.ndarray:
         """Rows of S(t) over the physical (x.., p..), (n_t, k, 2n), for k rows of normal-mode coefficients.
@@ -228,9 +228,7 @@ class _World:
     def split_rows(self, times: np.ndarray) -> np.ndarray:
         """`rows` at every time: one (n_t, 2, 2, 2n) stack."""
         n = self.n_phys
-        rows = self.flow_rows(self.splits.reshape(4, 2 * n), times).reshape(len(times), 2, 2, 2 * n)
-        _check_conjugate(rows)
-        return rows
+        return _check_conjugate(self.flow_rows(self.splits.reshape(4, 2 * n), times).reshape(len(times), 2, 2, 2 * n))
 
     @cached_property
     def _squeeze(self) -> np.ndarray:
@@ -312,25 +310,25 @@ def _prepare(cfg: ScenarioConfig, split=None) -> _World:
         raise DomainError(f"a split's X = a.x and P = b.p must be conjugate, a.b = 1; got a.b = {a @ b!r}")
     mw = params.m1 * (params.omega if params.potential == POTENTIAL_HARMONIC else 1.0)
     var_x, var_p = _thermal_widths(masses[1:], np.array(params.bath)[:, 1], cfg.bath_temperature)
-    sq_freqs, V = star_normal_modes(*arrowhead(params), masses)
-    if sq_freqs[0] < 0:  # ascending; M^-1/2 B M^-1/2 has the inertia of the position block B (Sylvester)
+    sq_freqs, U = star_normal_modes(*arrowhead(params))
+    if np.min(sq_freqs) < 0:  # M^-1/2 B M^-1/2 has the inertia of the position block B (Sylvester)
         warnings.warn(
             "position block of the model Hamiltonian is indefinite "
             "(coupling exceeds confinement); dynamics are unbounded",
             stacklevel=2,
         )
-    MV = masses[:, None] * V
+    sqrt_m = np.sqrt(masses)
     pairs = np.array([[np.eye(1, n)[0]] * 2, [a, b]])  # the particle split (e_1, e_1), then the alternate one
     splits = np.zeros((2, 2, 2 * n))
-    splits[:, 0, :n], splits[:, 1, n:] = pairs[:, 0] @ V, pairs[:, 1] @ MV
+    splits[:, 0, :n], splits[:, 1, n:] = (pairs[:, 0] / sqrt_m) @ U, (pairs[:, 1] * sqrt_m) @ U
     return _World(
         cfg,
         n,
         np.r_[cfg.x0, np.zeros(n - 1), cfg.p0, np.zeros(n - 1)],
         np.r_[0.5 / mw, var_x, 0.5 * mw, var_p],
         sq_freqs=sq_freqs,
-        V=V,
-        MV=MV,
+        U=U,
+        sqrt_m=sqrt_m,
         pair=pairs[1],
         splits=splits,
     )
@@ -573,11 +571,11 @@ def run_oracle_compare(
     world = _prepare(cfg, None)
     n, cov0, mu_plus = world.n_phys, np.diag(world.var), world.mean
     mu_minus = mu_plus * np.r_[-1.0, np.ones(2 * n - 1)]
-    env = np.zeros((2 * n - 2, 2 * n))  # normal-mode coefficients of the bath's x_i = V_i q and p_i = (MV)_i pi
-    env[: n - 1, :n], env[n - 1 :, n:] = world.V[1:], world.MV[1:]
+    env = np.zeros((2 * n - 2, 2 * n))  # normal-mode coefficients of the bath's x_i and p_i
+    env[: n - 1, :n], env[n - 1 :, n:] = world.U[1:] / world.sqrt_m[1:, None], world.U[1:] * world.sqrt_m[1:, None]
 
     def gaussian_rows(times: np.ndarray) -> np.ndarray:
-        mean, cov = world.moments(world.split_rows(times)[:, 0])
+        mean, cov = world.moments(_check_conjugate(world.flow_rows(world.splits[0], times)))  # the particle's rows
         # gaussian.decoherence_factor: r = exp(-|G^T w|^2 / 2), G = S_E diag(sqrt(var)), w = Omega_E S_E (mu_- - mu_+)
         s_env = world.flow_rows(env, times)
         w = -2.0 * cfg.x0 * np.concatenate([s_env[:, n - 1 :, 0], -s_env[:, : n - 1, 0]], axis=-1)

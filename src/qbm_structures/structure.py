@@ -5,9 +5,10 @@ x' = T x together with its canonical lift p' = T^{-T} p.  The lift
 S = diag(T, T^{-T}) preserves the symplectic form exactly in exact
 arithmetic; constructors check it numerically.
 
-The two maps used throughout are the center-of-mass + relative-coordinate
-split (relative coordinates taken against the distinguished particle, which
-keeps the textbook reduced masses and produces the momentum-momentum
+The maps here are test references (runs take the model's normal modes from
+star_normal_modes): the center-of-mass + relative-coordinate split
+(relative coordinates taken against the distinguished particle, which keeps
+the textbook reduced masses and produces the momentum-momentum
 cross-couplings of the collective frame) and the normal-mode map that
 decouples a quadratically coupled block.
 """
@@ -25,7 +26,7 @@ from .model import QuadraticHamiltonian
 CANONICITY_TOL = 1e-10
 NORMAL_MODE_TOL = 1e-10
 _EPS = float(np.finfo(float).eps)
-_ROOT_BLOCK = 256  # secular roots, and U^T U columns, per stacked step: temporaries stay O(_ROOT_BLOCK N)
+_ROOT_BLOCK = 256  # secular roots per stacked step: temporaries stay O(_ROOT_BLOCK N)
 _MAX_STEPS = 100
 
 
@@ -120,23 +121,26 @@ def normal_modes(B: np.ndarray, masses) -> tuple[np.ndarray, np.ndarray]:
     return _mass_orthonormal(w, U, r)
 
 
-def star_normal_modes(tip: float, sq_freqs, couplings, masses) -> tuple[np.ndarray, np.ndarray]:
-    """normal_modes of the particle + bath model from O(N) data, in O(N^2) plus the one U^T U check.
+def star_normal_modes(tip: float, sq_freqs, couplings) -> tuple[np.ndarray, np.ndarray]:
+    """Squared frequencies w and orthonormal eigenvectors U of the particle + bath arrowhead C, in O(N^2).
 
-    Its C = M^-1/2 B M^-1/2 is an arrowhead (model.arrowhead): the tip C_00 = k_1 / m_1, the squared
-    bath frequencies d_i on the diagonal and the couplings z_i in row and column 0.  A zero coupling
-    deflates (d_i, e_i), and equal frequencies deflate after a Givens rotation folds one coupling into
-    the other.  With every remaining z_i nonzero and the d_i distinct, C u = w u reads
+    C = M^-1/2 B M^-1/2 (model.arrowhead) has the tip C_00 = k_1 / m_1, the squared bath frequencies d_i
+    on the diagonal and the couplings z_i in row and column 0; the model's normal modes are V = M^-1/2 U.
+    A zero coupling deflates (d_i, e_i), and equal frequencies deflate after a Givens rotation folds one
+    coupling into the other.  With every remaining z_i nonzero and the d_i distinct, C u = w u reads
     u_i = z_i u_0 / (w - d_i), and w solves the secular equation f(w) = w - tip + sum_i z_i^2 / (d_i - w)
     = 0 (Ullersma, Physica 32, 27 (1966)): f increases between its poles, so one root lies below d_1,
-    one between each pair of neighbours and one above d_N.  Same conventions and check as normal_modes.
+    one between each pair of neighbours and one above d_N.  w holds those roots ascending, then the
+    deflated d_i; no column has a fixed sign.  U is orthonormal to rounding whatever the roots
+    (_secular_modes), so the check is the backward error: ConditioningError unless the couplings z^ for
+    which the roots are exact miss z by at most NORMAL_MODE_TOL (max(|tip|, max |d|) + |z|).
     """
     d, z = (np.asarray(v, dtype=float) for v in (sq_freqs, couplings))
-    r = np.sqrt(1.0 / np.asarray(masses, dtype=float))
     n = d.size + 1
     order = np.argsort(d, kind="stable")
     d, z, rows = d[order], z[order], order + 1  # rows: each sorted bath mode's row of U
-    tol = 8 * _EPS * (max(abs(tip), np.max(np.abs(d))) + math.sqrt(z @ z))
+    scale = max(abs(tip), np.max(np.abs(d))) + math.sqrt(z @ z)
+    tol = 8 * _EPS * scale
     live = np.abs(z) > tol
     rotations = []
     at = np.flatnonzero(live)
@@ -153,25 +157,28 @@ def star_normal_modes(tip: float, sq_freqs, couplings, masses) -> tuple[np.ndarr
     k = np.count_nonzero(live)
     U = np.zeros((n, n))
     w = np.empty(n)
-    w[: k + 1] = _secular_modes(tip, d[live], z[live], U, np.concatenate(([0], rows[live])))
+    w[: k + 1], miss = _secular_modes(tip, d[live], z[live], U, np.concatenate(([0], rows[live])))
+    if not miss <= NORMAL_MODE_TOL * scale:
+        raise ConditioningError(f"normal modes miss the model's couplings by {miss / scale:.3e} (relative)")
     w[k + 1 :] = d[~live]
     U[rows[~live], np.arange(k + 1, n)] = 1.0
     for i, j, c, s in reversed(rotations):  # back to the bath's own coordinates
         U[[i, j]] = c * U[i] + s * U[j], c * U[j] - s * U[i]
-    return _mass_orthonormal(w, U, r)
+    return w, U
 
 
-def _secular_modes(tip: float, d: np.ndarray, z: np.ndarray, U: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _secular_modes(tip: float, d: np.ndarray, z: np.ndarray, U: np.ndarray, rows: np.ndarray) -> tuple:
     """Eigenvalues of the arrowhead (tip, d, z), d ascending and distinct, z nonzero; eigenvectors into U[rows, :k+1].
 
     U takes the couplings z^ for which the computed roots w_j are exact, z^_i^2 = -prod_j (w_j - d_i) /
     prod_{l != i} (d_l - d_i) (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 172 (1995)): it is
-    orthonormal to rounding however close two roots lie.
+    orthonormal to rounding however close two roots lie, and a wrong root shows only in max |z^ - z|,
+    returned with the roots.
     """
     k = d.size
     if k == 0:
         U[rows[0], 0] = 1.0
-        return np.array([tip])
+        return np.array([tip]), 0.0
     z2 = z * z
     spread = math.sqrt(z2.sum())
     lower = np.concatenate(([min(tip, d[0]) - spread], d))  # root j lies in (lower_j, upper_j)
@@ -208,7 +215,7 @@ def _secular_modes(tip: float, d: np.ndarray, z: np.ndarray, U: np.ndarray, rows
         norm = np.sqrt(1.0 + np.einsum("ij,ij->i", u, u))
         U[rows[0], b] = 1.0 / norm
         U[rows[1:], b] = (u / norm[:, None]).T
-    return d[origin] + tau
+    return d[origin] + tau, float(np.max(np.abs(zhat - z)))
 
 
 def _secular_roots(tip: float, d: np.ndarray, z2: np.ndarray, lower, upper, start, first: int) -> np.ndarray:
@@ -269,14 +276,8 @@ def _secular_roots(tip: float, d: np.ndarray, z2: np.ndarray, lower, upper, star
 
 
 def _mass_orthonormal(w: np.ndarray, U: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Check U^T U = I one block of columns at a time, scale to V = r U in place, and fix signs and tie order."""
-    n = len(w)
-    width = max(_ROOT_BLOCK, n // 8)  # wider blocks run GEMM faster; each holds at most n^2 / 8 entries
-    residual = 0.0
-    for s in range(0, n, width):
-        gram = U[:, : s + width].T @ U[:, s : s + width]  # the upper triangle, one block of columns at a time
-        gram[np.arange(s, min(s + width, n)), np.arange(gram.shape[1])] -= 1.0
-        residual = max(residual, float(np.max(np.abs(gram))))
+    """Check U^T U = I, scale to V = r U in place, and fix signs and tie order."""
+    residual = float(np.max(np.abs(U.T @ U - np.eye(len(w)))))
     if not residual <= NORMAL_MODE_TOL:
         raise ConditioningError(f"normal modes are not mass-orthonormal (residual {residual:.3e})")
     V = np.multiply(U, r[:, None], out=U)
@@ -286,8 +287,6 @@ def _mass_orthonormal(w: np.ndarray, U: np.ndarray, r: np.ndarray) -> tuple[np.n
     flip = first < -1e-12  # a column with no such entry keeps its sign
     V[:, flip] *= -1.0
     order = _tie_broken_order(w, V)
-    if np.array_equal(order, np.arange(n)):
-        return w, V
     return w[order], V[:, order]
 
 

@@ -3,8 +3,9 @@
     python tests/compare_outputs.py PARENT_TREE
 
 Runs each perfbench/workloads/*.ini at seeds 0-2 through `python -m qbm_structures.cli`, once with
-PARENT_TREE/src and once with this tree's src, and prints per workload the largest absolute and relative
-difference over every CSV value and whether the printed summary differs.  oracle-compare also runs
+PARENT_TREE/src and once with this tree's src, and prints per workload the largest absolute difference
+over every CSV value, the largest relative one |this - parent| / max(1, |parent|), which is the gate's own
+measure, and whether the printed summary differs.  oracle-compare also runs
 certified and with a free particle (VARIANTS): the larger space and the off-diagonal h_0 take Fock
 products that the plain run does not.  Exits 1 when a value differs by more than 1e-12 times
 max(1, |parent value|), when a summary, a header or an exit status differs, and 0 otherwise.  The CSVs
@@ -44,6 +45,21 @@ def run(
     return proc.returncode, proc.stdout, lines[:2], values
 
 
+def compare(parent: tuple, this: tuple) -> tuple[float, float, bool]:
+    """Largest absolute and relative difference between two runs' CSV values, and whether they fail the gate.
+
+    Each run is run()'s (status, stdout, header, values).  The relative difference is |this - parent| /
+    max(1, |parent|); the runs fail when it exceeds TOL (a NaN fails too), or when the exit status, the
+    header or the shape of the values differs.
+    """
+    (status_a, _, head_a, old), (status_b, _, head_b, new) = parent, this
+    if status_a != status_b or head_a != head_b or old.shape != new.shape:
+        return 0.0, 0.0, True
+    gap = np.abs(new - old)
+    rel = gap / np.maximum(1.0, np.abs(old))
+    return float(np.max(gap, initial=0.0)), float(np.max(rel, initial=0.0)), bool(np.any(~(rel <= TOL)))
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1 or not (Path(argv[0]) / "src" / "qbm_structures").is_dir():
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
@@ -62,16 +78,9 @@ def main(argv: list[str]) -> int:
                     out = Path(tmp) / label / f"{config.stem}-{seed}.csv"
                     out.parent.mkdir(exist_ok=True)
                     runs.append(run(tree, config, overrides, seed, out))
-                (status_a, stdout_a, head_a, old), (status_b, stdout_b, head_b, new) = runs
-                stdout_differs |= stdout_a != stdout_b
-                if status_a != status_b or head_a != head_b or old.shape != new.shape:
-                    mismatch = True
-                    continue
-                gap = np.abs(new - old)
-                worst_abs = max(worst_abs, float(np.max(gap, initial=0.0)))
-                nonzero = old != 0
-                worst_rel = max(worst_rel, float(np.max(gap[nonzero] / np.abs(old[nonzero]), initial=0.0)))
-                mismatch |= bool(np.any(~(gap <= TOL * np.maximum(1.0, np.abs(old)))))
+                stdout_differs |= runs[0][1] != runs[1][1]
+                gap, rel, fails = compare(*runs)
+                worst_abs, worst_rel, mismatch = max(worst_abs, gap), max(worst_rel, rel), mismatch or fails
             failed |= mismatch or stdout_differs
             print(
                 f"{name}: max abs {worst_abs:.3g}, max rel {worst_rel:.3g}, "

@@ -145,8 +145,8 @@ def lift_total(state, smap):
 
 def dense_flow(world, D):
     """Dense S(t) on the physical modes from the normal-mode flow D(t) = world.mode_flow(t); O(N^3)."""
-    n = world.n_phys
-    return world._physical(np.vstack([world.V @ D[:n], world.MV @ D[n:]]))
+    n, U, root = world.n_phys, world.U, world.sqrt_m[:, None]
+    return world._physical(np.vstack([U @ D[:n] / root, U @ D[n:] * root]))
 
 
 def evolved_state(world, t, purify=purify):
@@ -240,13 +240,12 @@ def arrowhead_matrix(tip, sq_freqs, couplings):
     return C
 
 
-def dense_star_modes(tip, sq_freqs, couplings, masses):
-    """structure.star_normal_modes by the dense route: B = M^1/2 C M^1/2 and one eigh (normal_modes).
+def dense_star_modes(tip, sq_freqs, couplings):
+    """structure.star_normal_modes by the dense route: one eigh of the arrowhead C (normal_modes, unit masses).
 
     Patched over experiments.star_normal_modes, it makes _prepare solve the model as it did before the secular
     solver."""
-    root = np.sqrt(np.asarray(masses, dtype=float))
-    return normal_modes(root[:, None] * arrowhead_matrix(tip, sq_freqs, couplings) * root, masses)
+    return normal_modes(arrowhead_matrix(tip, sq_freqs, couplings), np.ones(len(sq_freqs) + 1))
 
 
 def per_sample(times, sample):

@@ -1,7 +1,8 @@
 """The CI workflow runs the Tier-1 command that ROADMAP.md names, verbatim,
-after running the benchmark's output checks on every workload, checking the
-mixed-state pod negativities against their 50-digit reference and certifying
-the Fock oracle on the oracle-compare workload."""
+after comparing a pull request's outputs with its base commit's, running the
+benchmark's output checks on every workload, checking the mixed-state pod
+negativities against their 50-digit reference and certifying the Fock oracle
+on the oracle-compare workload."""
 
 import re
 from pathlib import Path
@@ -15,6 +16,10 @@ CERTIFY = (
 )
 REFERENCE = "PYTHONPATH=src python tests/reference_pod_negativity.py --check"
 BENCHMARK = "python3 perfbench/run.py --workload all --seed 0 --seconds 1"
+COMPARE = (
+    "git archive --prefix=base/ ${{ github.event.pull_request.base.sha }} | tar -x -C /tmp"
+    " && python tests/compare_outputs.py /tmp/base"
+)
 
 
 def test_tier1_workflow_runs_the_roadmap_command():
@@ -34,3 +39,9 @@ def test_tier1_workflow_runs_the_roadmap_command():
     assert commands[-4] == BENCHMARK  # baseline replays and output checks of every workload, unchanged harness
     for package in ("numpy", "scipy", "pytest", "hypothesis", "mpmath", "pyyaml"):
         assert package in commands[0].split()
+    # on a pull request, every workload's output against its base commit's, after install and before the benchmark
+    assert commands[1] == COMPARE
+    (compare,) = [s for s in job["steps"] if s.get("run") == COMPARE]
+    assert compare["if"] == "github.event_name == 'pull_request'"
+    (checkout,) = [s for s in job["steps"] if s.get("uses", "").startswith("actions/checkout")]
+    assert checkout["with"]["fetch-depth"] == 0  # the base commit is in the clone

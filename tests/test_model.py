@@ -187,7 +187,7 @@ def _spy_solvers(monkeypatch, names=SOLVERS):
 
 
 def test_prepare_solves_the_model_once(monkeypatch):
-    # the secular equation on O(N) data: no dense solver, no position block, no n x n array but V and MV
+    # the secular equation on O(N) data: no dense solver, no position block, no n x n array but U
     calls = _spy_solvers(monkeypatch)
     for build in (model.build_qbm_hamiltonian, model.position_block):
         for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "qbm_structures"]:
@@ -200,7 +200,7 @@ def test_prepare_solves_the_model_once(monkeypatch):
         assert np.array_equal(position_block(params), build_qbm_hamiltonian(params).position_block)
     assert not set(calls) & set(SOLVERS)  # building the model, either way, solves nothing
 
-    wide = cli.build_scenario(cli.parse_config("[scenario]\nkind = marginal\n[model]\nn_bath = 1023\n"))
+    wide = cli.build_scenario(cli.parse_config("[scenario]\nkind = marginal\n[model]\nn_bath = 4095\n"))
     n = wide.model.n_modes
     tracemalloc.start()
     try:
@@ -208,8 +208,9 @@ def test_prepare_solves_the_model_once(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert [k for k, v in vars(world).items() if np.shape(v) == (n, n)] == ["V", "MV"]
-    assert peak <= 2.5 * n * n * 8  # V and MV, and temporaries of O(N) rows: the dense route peaked at 4 n^2
+    assert [k for k, v in vars(world).items() if np.shape(v) == (n, n)] == ["U"]
+    # U, and temporaries of O(_ROOT_BLOCK N): V and MV with a U^T U check peaked at 2 n^2, the dense route at 4 n^2
+    assert peak <= 1.5 * n * n * 8
 
     worlds = []
     monkeypatch.setattr(ex, "_prepare", lambda *a, _f=ex._prepare: worlds.append(_f(*a)) or worlds[-1])

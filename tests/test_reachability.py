@@ -54,6 +54,8 @@ UNREACHED = {
         ("structure", "cm_relative_map"),
         ("structure", "normal_mode_map"),
         ("structure", "normal_modes"),
+        ("structure", "_mass_orthonormal"),
+        ("structure", "_tie_broken_order"),
         ("structure", "transform_hamiltonian"),
         ("gaussian", "CatState.__post_init__"),
         ("gaussian", "CatState.n_modes"),

@@ -22,7 +22,8 @@ from qbm_structures import (
 from qbm_structures import BathSpec, ModelParams, discretize_bath
 from qbm_structures.experiments import ScenarioConfig, _prepare
 from qbm_structures.model import arrowhead, position_block
-from helpers import arrowhead_matrix, random_model
+from qbm_structures.cli import apply_overrides, build_scenario
+from helpers import arrowhead_matrix, random_model, workload
 
 CANONICITY_TOL = 1e-10
 
@@ -268,7 +269,7 @@ def star_models(draw):
 
 
 def _tie_groups(w):
-    """Index groups of w (ascending) within 1e-12 of the largest |w|, the convention's ties."""
+    """Index groups of w (ascending) within 1e-12 of the largest |w|, the dense convention's ties."""
     cut = np.flatnonzero(np.diff(w) > 1e-12 * max(1.0, np.max(np.abs(w)))) + 1
     return np.split(np.arange(len(w)), cut)
 
@@ -279,30 +280,26 @@ def test_secular_solver_equals_the_dense_reference(params):
     tip, d, z = arrowhead(params)
     masses = params.masses
     C = arrowhead_matrix(tip, d, z)
-    w, V = structure.star_normal_modes(tip, d, z, masses)
+    w, U = structure.star_normal_modes(tip, d, z)  # the backward-error gate never fires: it would raise here
     reference = np.linalg.eigh(C)[0]
     scale = np.max(np.abs(reference))
-    assert np.max(np.abs(np.sort(w) - reference)) <= 1e-12 * scale  # the tie order may swap w within 1e-12
-    U = np.sqrt(masses)[:, None] * V
+    assert np.max(np.abs(np.sort(w) - reference)) <= 1e-12 * scale
     assert np.max(np.abs(C @ U - U * w)) <= 1e-14 * max(1.0, np.max(np.abs(C)))
     assert np.max(np.abs(U.T @ U - np.eye(len(w)))) <= 1e-13
 
+    # the solver fixes no sign and no order: each eigenspace's projector against the dense route's
+    U = U[:, np.argsort(w, kind="stable")]
     w_dense, V_dense = structure.normal_modes(position_block(params), masses)
-    for group in _tie_groups(w):
-        block = V[:, group]
-        first = block[np.argmax(np.abs(block) > 1e-12, axis=0), np.arange(len(group))]
-        assert np.all(first > 1e-12)
-        keys = [tuple(np.round(column, 9)) for column in block.T]
-        assert keys == sorted(keys)
-        if len(group) > 1:  # a degenerate eigenspace has no preferred basis: compare its projectors
-            dense = V_dense[:, group]
-            projector = (block * masses[:, None]) @ block.T
-            assert np.max(np.abs(projector - (dense * masses[:, None]) @ dense.T)) <= 1e-8
+    U_dense = np.sqrt(masses)[:, None] * V_dense
+    for group in _tie_groups(reference):
+        projector = U[:, group] @ U[:, group].T
+        error = np.max(np.abs(projector - U_dense[:, group] @ U_dense[:, group].T))
+        if len(group) > 1:  # a degenerate eigenspace
+            assert error <= 1e-8
             continue
-        others = np.delete(w, group)
-        gap = np.min(np.abs(others - w[group[0]])) / scale if others.size else 1.0
-        # each route's column is within rounding / gap of the exact one: signs, order and all
-        assert np.max(np.abs(U[:, group] - np.sqrt(masses)[:, None] * V_dense[:, group])) <= 1e-13 / gap
+        others = np.delete(reference, group)
+        gap = np.min(np.abs(others - reference[group[0]])) / scale if others.size else 1.0
+        assert error <= 2e-13 / gap  # each route's column is within rounding / gap of the exact one
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -314,6 +311,28 @@ def test_secular_solver_equals_the_dense_reference(params):
             assert np.count_nonzero(w < 0) == 1  # coupled beyond confinement: one unstable mode
 
 
+def test_secular_gate_catches_a_wrong_root_that_u_t_u_misses(monkeypatch):
+    # U is built from the couplings z^ for which the computed roots are exact, so it stays orthonormal when a
+    # root is wrong; only the backward error max |z^ - z| sees it
+    run_cfg, _ = workload("marginal-wide")
+    tip, d, z = arrowhead(build_scenario(apply_overrides(run_cfg, ["model.n_bath=64"])).model)
+    roots = structure._secular_roots
+
+    def nudged(*args):  # one converged root's offset tau from its pole, scaled by 1 + 1e-6
+        out = roots(*args)
+        out[1, 32] *= 1 + 1e-6
+        return out
+
+    monkeypatch.setattr(structure, "_secular_roots", nudged)
+    with pytest.raises(ConditioningError, match="miss the model's couplings"):
+        structure.star_normal_modes(tip, d, z)
+    order, n = np.argsort(d), d.size + 1
+    U = np.zeros((n, n))
+    _, miss = structure._secular_modes(tip, d[order], z[order], U, np.r_[0, order + 1])  # nothing deflates here
+    assert miss > structure.NORMAL_MODE_TOL * (max(tip, np.max(d)) + np.linalg.norm(z))
+    assert np.max(np.abs(U.T @ U - np.eye(n))) <= 1e-13
+
+
 @pytest.mark.parametrize("gamma", [1e-26, 1e-20, 1e-14])
 @pytest.mark.parametrize("potential, omega", [("free", None), ("harmonic", 1.0), ("harmonic", 100.0)])
 def test_secular_solver_takes_couplings_near_the_deflation_tolerance(gamma, potential, omega):
@@ -321,20 +340,20 @@ def test_secular_solver_takes_couplings_near_the_deflation_tolerance(gamma, pote
     params = ModelParams(m1=1.0, bath=discretize_bath(BathSpec(64, gamma, 10.0)), potential=potential, omega=omega)
     tip, d, z = arrowhead(params)
     C = arrowhead_matrix(tip, d, z)
-    w, V = structure.star_normal_modes(tip, d, z, params.masses)
+    w, U = structure.star_normal_modes(tip, d, z)
     reference = np.linalg.eigh(C)[0]
     assert np.max(np.abs(np.sort(w) - reference)) <= 1e-12 * np.max(np.abs(reference))
-    assert np.max(np.abs(C @ V - V * w)) <= 1e-14 * np.max(np.abs(C))  # unit masses: U = V
-    assert np.max(np.abs(V.T @ V - np.eye(len(w)))) <= 1e-13
+    assert np.max(np.abs(C @ U - U * w)) <= 1e-14 * np.max(np.abs(C))
+    assert np.max(np.abs(U.T @ U - np.eye(len(w)))) <= 1e-13
 
 
 def test_secular_solver_deflates_zero_couplings_and_repeated_frequencies():
     # three bath modes at one frequency, one uncoupled: two of its eigenvectors live in the bath alone
     bath = ((1.0, 1.2, 0.1), (1.0, 1.2, 0.1), (1.0, 1.2, 0.0))
     params = ModelParams(m1=1.0, bath=bath, potential="harmonic", omega=1.0)
-    w, V = structure.star_normal_modes(*arrowhead(params), params.masses)
+    w, U = structure.star_normal_modes(*arrowhead(params))  # unit masses: U = V
     w_dense, V_dense = structure.normal_modes(position_block(params), params.masses)
-    assert np.max(np.abs(w - w_dense)) <= 1e-14
+    assert np.max(np.abs(np.sort(w) - w_dense)) <= 1e-14
     assert np.count_nonzero(np.abs(w - 1.44) <= 1e-14) == 2
-    assert np.all(V[0, np.abs(w - 1.44) <= 1e-14] == 0.0)
-    assert np.max(np.abs(V.T @ (params.masses[:, None] * V) - np.eye(4))) <= 1e-14
+    assert np.all(U[0, np.abs(w - 1.44) <= 1e-14] == 0.0)
+    assert np.max(np.abs(U.T @ U - np.eye(4))) <= 1e-14
