@@ -38,7 +38,6 @@ _SCHEMA: dict[str, dict[str, str]] = {
         "n_bath": "int",
         "gamma": "float",
         "cutoff_freq": "float",
-        "grid": "str",
         "bath_omegas": "floats",
         "bath_kappas": "floats",
         "bath_masses": "floats",
@@ -65,7 +64,6 @@ class RunConfig:
     n_bath: int = 8
     gamma: float = 0.2
     cutoff_freq: float = 5.0
-    grid: str = "linear"
     bath_omegas: tuple[float, ...] | None = None
     bath_kappas: tuple[float, ...] | None = None
     bath_masses: tuple[float, ...] | None = None
@@ -99,7 +97,7 @@ class RunConfig:
             raise DomainError("bath_omegas and bath_kappas must be given together")
         if self.bath_masses is not None and self.bath_omegas is None:
             raise DomainError("bath_masses needs bath_omegas and bath_kappas; the Ohmic grid uses bath_mass")
-        for key, field in (("n_bath", "n_modes"), ("gamma", "gamma"), ("cutoff_freq", "cutoff"), ("grid", "scheme")):
+        for key, field in (("n_bath", "n_modes"), ("gamma", "gamma"), ("cutoff_freq", "cutoff")):
             try:  # BathSpec's checks, one key at a time, also where explicit bath lists leave the grid unused
                 replace(BathSpec(1, 0.0, 1.0), **{field: getattr(self, key)})
             except DomainError as exc:
@@ -166,7 +164,8 @@ def parse_config(text: str) -> RunConfig:
 
 
 def apply_overrides(cfg: RunConfig, pairs: list[str]) -> RunConfig:
-    """Apply --set section.key=value flags on top of the file values."""
+    """Apply --set section.key=value flags over the file values at once (the last of a key wins), then validate."""
+    values = {}
     for pair in pairs:
         if "=" not in pair or "." not in pair.split("=", 1)[0]:
             raise DomainError(f"--set expects section.key=value, got {pair!r}")
@@ -175,8 +174,8 @@ def apply_overrides(cfg: RunConfig, pairs: list[str]) -> RunConfig:
         if section not in _SCHEMA or key not in _SCHEMA[section]:
             raise DomainError(f"unknown key {key!r} in section [{section}]")
         name = _FIELD_MAP.get((section, key), key)
-        cfg = replace(cfg, **{name: _coerce(_SCHEMA[section][key], raw, target)})
-    return cfg
+        values[name] = _coerce(_SCHEMA[section][key], raw, target)
+    return replace(cfg, **values)
 
 
 _M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
@@ -241,7 +240,7 @@ def build_scenario(cfg: RunConfig) -> ex.ScenarioConfig:
             raise DomainError("bath_omegas, bath_kappas and bath_masses must have equal lengths")
         bath = tuple(zip(masses, omegas, kappas))
     else:
-        bath = discretize_bath(BathSpec(cfg.n_bath, cfg.gamma, cfg.cutoff_freq, cfg.grid), cfg.bath_mass)
+        bath = discretize_bath(BathSpec(cfg.n_bath, cfg.gamma, cfg.cutoff_freq), cfg.bath_mass)
     m1 = cfg.m1
     if cfg.perturb > 0:
         draws = _uniform_draws(cfg.seed)

@@ -16,7 +16,7 @@ a.b = 1 (a point map T's first row and T^-1's first column): (e_1, e_1) for the
 particle, and (m / M, 1), the centre of mass and total momentum, for the
 collective split.  Two maps that share the pair differ by I (+) D, local on the
 rest, which changes no mode-0 diagnostic, so every diagnostic uses only mode-0
-rows of the flow (and oracle-compare's decoherence factor the bath's rows).
+rows of the flow; so does the rest's decoherence factor (_World.decoherence_factor).
 All but pod evaluate blocks of the time grid at once (_World.flow_rows); pod
 builds D(t) once per sample.  oracle-compare's number-basis rows come per block
 of grid times, as the Fock evolver yields them (fock_oracle.branch_diagnostics).
@@ -273,6 +273,17 @@ class _World:
         n1, n2 = (np.sqrt(_rowdot(z.real, z.real) + _rowdot(z.imag, z.imag)) for z in (z1, z2_perp))
         neg = np.arcsinh(n1 * n2) / np.log(2.0)
         return np.where(neg < NEGATIVITY_FLOOR, 0.0, neg)
+
+    def decoherence_factor(self, rows: np.ndarray, shift: np.ndarray) -> np.ndarray:
+        """Overlap r of the rest's states in two branches whose means differ by `shift`, from the split's rows g_x, g_p.
+
+        The shift's generator shift^T Omega z is conserved; its mode-0 part is dX P - dP X, dX = g_x.shift and
+        dP = g_p.shift, and the rest c.z, c = shift^T Omega - dX g_p + dP g_x.  So r = exp(-c^T sigma0 c / 2) in
+        O(N) per time, naming no coordinate of the rest (Zurek, Rev. Mod. Phys. 75, 715 (2003)).
+        """
+        (g_x, g_p), n = np.moveaxis(rows, -2, 0), self.n_phys
+        c = np.r_[-shift[n:], shift[:n]] - _rowdot(g_x, shift)[..., None] * g_p + _rowdot(g_p, shift)[..., None] * g_x
+        return np.exp(-0.5 * _rowdot(c * self.var, c))
 
     def mixed_log_negativity(self, rows: np.ndarray) -> float:
         """1|rest log-negativity from the split's rows g_x, g_p; unpurified global states.
@@ -553,8 +564,8 @@ def run_oracle_compare(
 
     Valid for one or two bath modes with a zero-temperature bath.  Each route gives one row per grid time:
     particle purity, particle mean (x, p) and 2 x 2 covariance, and the two-branch decoherence factor for
-    branches displaced to +/- x0.  The Gaussian columns come from rows of the flow per grid block, the particle's
-    mode-0 rows and the bath's; the two Fock branches move together along the grid in fock_oracle.ChebyshevEvolver,
+    branches displaced to +/- x0.  Every Gaussian column, r too, comes from the particle's two rows of the flow per
+    grid block; the two Fock branches move together along the grid in fock_oracle.ChebyshevEvolver,
     and fock_oracle.branch_diagnostics reads their rows off each block the evolver yields.  With certify=True the
     number-basis route is repeated with every cutoff raised by `bump` (at least 1) and the worst drift is
     reported (convergence certification); a drift above ORACLE_DRIFT_TOL raises ConditioningError.
@@ -571,16 +582,11 @@ def run_oracle_compare(
     world = _prepare(cfg, None)
     n, cov0, mu_plus = world.n_phys, np.diag(world.var), world.mean
     mu_minus = mu_plus * np.r_[-1.0, np.ones(2 * n - 1)]
-    env = np.zeros((2 * n - 2, 2 * n))  # normal-mode coefficients of the bath's x_i and p_i
-    env[: n - 1, :n], env[n - 1 :, n:] = world.U[1:] / world.sqrt_m[1:, None], world.U[1:] * world.sqrt_m[1:, None]
 
     def gaussian_rows(times: np.ndarray) -> np.ndarray:
-        mean, cov = world.moments(_check_conjugate(world.flow_rows(world.splits[0], times)))  # the particle's rows
-        # gaussian.decoherence_factor: r = exp(-|G^T w|^2 / 2), G = S_E diag(sqrt(var)), w = Omega_E S_E (mu_- - mu_+)
-        s_env = world.flow_rows(env, times)
-        w = -2.0 * cfg.x0 * np.concatenate([s_env[:, n - 1 :, 0], -s_env[:, : n - 1, 0]], axis=-1)
-        g = w[:, None] @ (s_env * np.sqrt(world.var))
-        return np.column_stack([_purity_from_cov(cov), mean, cov.reshape(-1, 4), np.exp(-0.5 * _rowdot(g, g))])
+        rows = _check_conjugate(world.flow_rows(world.splits[0], times))  # the particle's rows
+        (mean, cov), r = world.moments(rows), world.decoherence_factor(rows, mu_minus - mu_plus)
+        return np.column_stack([_purity_from_cov(cov), mean, cov.reshape(-1, 4), r])
 
     def fock_table(space: fo.FockSpace) -> np.ndarray:
         branches = [fo.gaussian_to_fock(GaussianState(mu, cov0), space) for mu in (mu_plus, mu_minus)]

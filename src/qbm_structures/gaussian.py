@@ -191,8 +191,12 @@ def thermal_state(modes, temperature: float) -> GaussianState:
 
 def _thermal_widths(m: np.ndarray, w: np.ndarray, temperature: float) -> tuple[np.ndarray, np.ndarray]:
     """sigma_xx and sigma_pp of thermal modes of masses m and frequencies w: coth(w / 2T) times 1/2mw and mw/2."""
-    coth = 1.0 if temperature == 0 else 1.0 / np.tanh(w / (2 * temperature))
-    return coth / (2 * m * w), m * w * coth / 2
+    with np.errstate(over="ignore", divide="ignore"):  # w / 2T overflows only where coth is 1.0; other infs fail below
+        coth = 1.0 if temperature == 0 else 1.0 / np.tanh(w / (2 * temperature))
+        widths = coth / (2 * m * w), m * w * coth / 2
+    if not np.all(np.isfinite(widths)):
+        raise ConditioningError(f"thermal widths at T = {temperature!r} leave the float range")
+    return widths
 
 
 def _ancilla_nus(nus: np.ndarray) -> np.ndarray:

@@ -25,9 +25,6 @@ SYMMETRY_TOL = 1e-12
 POTENTIAL_FREE = "free"
 POTENTIAL_HARMONIC = "harmonic"
 
-GRID_LINEAR = "linear"
-GRID_LOG = "log"
-
 
 @functools.lru_cache
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -68,19 +65,23 @@ class ModelParams:
             raise DomainError(f"m1 must be positive, got {self.m1}")
         if len(self.bath) < 1:
             raise DomainError("bath must contain at least one oscillator")
+        object.__setattr__(self, "bath", tuple((float(m), float(w), float(k)) for m, w, k in self.bath))
         for i, (m, w, _k) in enumerate(self.bath):
             if m <= 0:
                 raise DomainError(f"bath mass {i} must be positive, got {m}")
             if w <= 0:
                 raise DomainError(f"bath frequency {i} must be positive, got {w}")
+            if not np.isfinite(m * (w * w)):
+                raise DomainError(f"bath frequency {i} = {w!r} overflows the stiffness m w^2")
         if self.potential not in (POTENTIAL_FREE, POTENTIAL_HARMONIC):
             raise DomainError(f"unknown potential kind {self.potential!r}")
         if self.potential == POTENTIAL_HARMONIC:
             if self.omega is None or self.omega <= 0:
                 raise DomainError("harmonic potential requires omega > 0")
+            if not np.isfinite(self.m1 * (self.omega * self.omega)):
+                raise DomainError(f"omega = {self.omega!r} overflows the stiffness m1 omega^2")
         if self.coupling_sign not in (+1, -1):
             raise DomainError(f"coupling_sign must be +1 or -1, got {self.coupling_sign}")
-        object.__setattr__(self, "bath", tuple((float(m), float(w), float(k)) for m, w, k in self.bath))
 
     @property
     def n_modes(self) -> int:
@@ -131,7 +132,6 @@ class BathSpec:
     n_modes: int
     gamma: float
     cutoff: float
-    scheme: str = GRID_LINEAR
 
     def __post_init__(self) -> None:
         if self.n_modes < 1:
@@ -141,33 +141,24 @@ class BathSpec:
             raise DomainError(f"gamma must be >= 0, got {self.gamma}")
         if self.cutoff <= 0:
             raise DomainError(f"cutoff must be positive, got {self.cutoff}")
-        if self.scheme not in (GRID_LINEAR, GRID_LOG):
-            raise DomainError(f"unknown grid scheme {self.scheme!r}")
 
 
 def discretize_bath(spec: BathSpec, mass: float = 1.0) -> tuple[tuple[float, float, float], ...]:
-    """Sample an Ohmic spectral density J(w) = mass * gamma * w on a frequency grid.
+    """Sample an Ohmic spectral density J(w) = mass * gamma * w on the linear grid w_i = i * cutoff / n.
 
     Returns (mass, w_i, kappa_i) triples with kappa_i^2 = (2/pi) * mass * gamma
-    * w_i^2 * dw_i, where dw_i is the local grid spacing.  The linear grid is
-    w_i = i * cutoff / n; the log grid is geometric from cutoff/n up to cutoff.
+    * w_i^2 * dw, where dw = cutoff / n is the grid spacing.  Other grids come
+    as explicit bath lists.
     """
     if mass <= 0:
         raise DomainError(f"bath mass must be positive, got {mass}")
     n, lam = spec.n_modes, spec.cutoff
-    if spec.scheme == GRID_LINEAR:
-        omegas = lam * np.arange(1, n + 1) / n
-        spacings = np.full(n, lam / n)
-    else:
-        omegas = np.geomspace(lam / n, lam, n)
-        if n == 1:
-            spacings = np.array([lam])
-        else:
-            spacings = np.empty(n)
-            spacings[1:-1] = (omegas[2:] - omegas[:-2]) / 2
-            spacings[0] = omegas[1] - omegas[0]
-            spacings[-1] = omegas[-1] - omegas[-2]
-    kappas = np.sqrt((2.0 / np.pi) * mass * spec.gamma * omegas**2 * spacings)
+    omegas = lam * np.arange(1, n + 1) / n
+    try:
+        with np.errstate(over="raise"):
+            kappas = np.sqrt((2.0 / np.pi) * mass * spec.gamma * omegas**2 * (lam / n))
+    except FloatingPointError as exc:
+        raise DomainError(f"cutoff {lam!r} overflows the Ohmic couplings kappa_i^2") from exc
     return tuple((mass, float(w), float(k)) for w, k in zip(omegas, kappas))
 
 

@@ -2,14 +2,15 @@
 
     python tests/compare_outputs.py PARENT_TREE
 
-Runs each perfbench/workloads/*.ini at seeds 0-2 through `python -m qbm_structures.cli`, once with
-PARENT_TREE/src and once with this tree's src, and prints per workload the largest absolute difference
-over every CSV value, the largest relative one |this - parent| / max(1, |parent|), which is the gate's own
-measure, and whether the printed summary differs.  oracle-compare also runs
-certified and with a free particle (VARIANTS): the larger space and the off-diagonal h_0 take Fock
-products that the plain run does not.  Exits 1 when a value differs by more than 1e-12 times
-max(1, |parent value|), when a summary, a header or an exit status differs, and 0 otherwise.  The CSVs
-go to a temporary directory; perfbench/ is only read.
+Runs each perfbench/workloads/*.ini at seeds 0-2 through `python -W error::RuntimeWarning -m
+qbm_structures.cli`, so that a numpy overflow or invalid value fails the run, once with PARENT_TREE/src and
+once with this tree's src.  Prints per workload the largest absolute difference over every CSV value, the
+largest relative one |this - parent| / max(1, |parent|), which is the gate's own measure, and whether the
+printed summary differs.  Some workloads also run with overrides (VARIANTS): oracle-compare certified and with
+a free particle, whose larger space and off-diagonal h_0 take Fock products that the plain run does not, and
+pod-wide as er and unpurified (mixed), routes that no workload takes.  Exits 1 when a value differs by more
+than 1e-12 times max(1, |parent value|), when a summary, a header or an exit status differs, and 0 otherwise.
+The CSVs go to a temporary directory; perfbench/ is only read.
 """
 
 from __future__ import annotations
@@ -26,7 +27,10 @@ ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (0, 1, 2)
 TOL = 1e-12
 # extra --set overrides per workload, each run as a workload of its own
-VARIANTS = {"oracle-compare": (["oracle.certify=true"], ["model.potential=free"])}
+VARIANTS = {
+    "oracle-compare": (["oracle.certify=true"], ["model.potential=free"]),
+    "pod-wide": (["scenario.kind=er"], ["initial.purified=false"]),
+}
 
 
 def run(
@@ -34,7 +38,8 @@ def run(
 ) -> tuple[int, str, list[str], np.ndarray]:
     """Exit status, stdout, CSV header and CSV values of one CLI run against tree/src."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    argv = [sys.executable, "-m", "qbm_structures.cli", str(config), "--seed", str(seed), "--output", str(output)]
+    argv = [sys.executable, "-W", "error::RuntimeWarning", "-m", "qbm_structures.cli", str(config)]
+    argv += ["--seed", str(seed), "--output", str(output)]
     for item in overrides:
         argv += ["--set", item]
     proc = subprocess.run(argv, env=env, capture_output=True, text=True, cwd=output.parent)

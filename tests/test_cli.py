@@ -174,10 +174,72 @@ def test_apply_overrides():
     cfg = parse_config(MINIMAL_POD)
     cfg = apply_overrides(cfg, ["model.gamma=0.5", "times.n_points=11"])
     assert cfg.gamma == 0.5 and cfg.n_points == 11
+    assert apply_overrides(cfg, ["model.gamma=0.7", "model.gamma=0.3"]).gamma == 0.3  # the last one wins
     with pytest.raises(DomainError):
         apply_overrides(cfg, ["model.fooo=1"])
     with pytest.raises(DomainError):
         apply_overrides(cfg, ["not-a-pair"])
+
+
+def test_bath_lists_set_in_separate_flags_are_validated_together(tmp_path, capsys):
+    # every order of the three flags runs the model that the same lists in the file give; none is checked half-set
+    lists = {"bath_omegas": "0.8 1.1", "bath_kappas": "0.1 0.2", "bath_masses": "5 7"}
+    text = MINIMAL_POD + "[times]\nn_points = 3\n"
+    in_file = _write_config(tmp_path, text + "[model]\n" + "".join(f"{k} = {v}\n" for k, v in lists.items()), "lists")
+    assert main([str(in_file), "--output", str(tmp_path / "file.csv")]) == 0
+    path = _write_config(tmp_path, text)
+    for i, order in enumerate(itertools.permutations(lists)):
+        argv = [str(path), "--output", str(tmp_path / f"{i}.csv")]
+        for key in order:
+            argv += ["--set", f"model.{key}={lists[key]}"]
+        assert main(argv) == 0, order
+        assert (tmp_path / f"{i}.csv").read_bytes() == (tmp_path / "file.csv").read_bytes()
+    capsys.readouterr()
+    assert main([str(path), "--output", str(tmp_path / "x.csv"), "--set", "model.bath_omegas=0.8"]) == 1
+    assert capsys.readouterr().err == "error: bath_omegas and bath_kappas must be given together\n"
+
+
+# finite values whose squares or widths leave the float range: a message and an exit status, never a traceback, and
+# no numpy RuntimeWarning (the suite's filter makes one an error)
+FLOAT_RANGE_CASES = {
+    "omega=1e160": (["model.omega=1e160"], 1, "error: omega = 1e+160 overflows the stiffness m1 omega^2"),
+    "bath frequency=1e200": (
+        ["model.bath_omegas=0.8 1e200", "model.bath_kappas=0.1 0.2"],
+        1,
+        "error: bath frequency 1 = 1e+200 overflows the stiffness m w^2",
+    ),
+    "bath frequency=1e200 on oracle-compare": (
+        ["scenario.kind=oracle-compare", "initial.temperature=0", "initial.purified=false"]
+        + ["model.bath_omegas=0.8 1e200", "model.bath_kappas=0.1 0.2"],
+        1,
+        "error: bath frequency 1 = 1e+200 overflows the stiffness m w^2",
+    ),
+    "cutoff_freq=1e300": (["model.cutoff_freq=1e300"], 1, "error: cutoff 1e+300 overflows the Ohmic couplings"),
+    "cutoff_freq=1e-300": (
+        ["model.cutoff_freq=1e-300"],
+        2,
+        "conditioning error: thermal widths at T = 1.0 leave the float range",
+    ),
+    "temperature=1e-310": (["initial.temperature=1e-310"], 0, "pod: "),
+}
+
+
+@pytest.mark.parametrize("case", list(FLOAT_RANGE_CASES))
+def test_values_beyond_the_float_range_exit_cleanly(tmp_path, capsys, case):
+    overrides, status, prefix = FLOAT_RANGE_CASES[case]
+    text = MINIMAL_POD + "[model]\npotential = harmonic\nomega = 1.0\nn_bath = 2\n[times]\nn_points = 3\n"
+    text += "[initial]\nx = 1.0\ntemperature = 1.0\npurified = true\n[oracle]\ncutoff = 4\n"
+    path = _write_config(tmp_path, text)
+    argv = [str(path), "--output", str(tmp_path / "x.csv")]
+    assert main(argv + [item for pair in overrides for item in ("--set", pair)]) == status
+    out, err = capsys.readouterr()
+    assert (err or out).startswith(prefix)
+    if status == 0:  # w / 2T overflows, and coth(w / 2T) is 1 to the last bit: the T = 0 run
+        zero = str(tmp_path / "zero.csv")
+        assert main([str(path), "--output", zero, "--set", "initial.temperature=0"]) == 0
+        assert (tmp_path / "x.csv").read_bytes() == (tmp_path / "zero.csv").read_bytes()
+    else:
+        assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize("perturb", ["1.0", "1.5", "-0.1"])
@@ -395,7 +457,6 @@ UNUSED_KEY_CASES = {
     "model.n_bath=0": ORACLE_TINY,
     "model.gamma=-1": ORACLE_TINY,
     "model.cutoff_freq=-2": ORACLE_TINY,
-    "model.grid=cubic": ORACLE_TINY,
     "oracle.cutoff=0": MINIMAL_POD,
     "oracle.bump=-1": MINIMAL_POD,
 }

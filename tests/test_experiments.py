@@ -28,6 +28,7 @@ from qbm_structures import (
 )
 from qbm_structures.experiments import (
     ScenarioConfig,
+    _World,
     _prepare,
     gaussian_l1_distance,
     marginal_incompatibility,
@@ -43,6 +44,7 @@ from helpers import (
     branch_proxy,
     default_split,
     dense_factor,
+    dense_flow,
     dense_initial,
     evolved_state,
     exclusivity_scenario,
@@ -564,6 +566,93 @@ def test_oracle_compare_rejects_large_or_warm_runs():
     warm = small_scenario(temperature=1.0, n_times=2)
     with pytest.raises(DomainError):
         run_oracle_compare(warm)
+
+
+# ---------------------------------------------------------------------------
+# the decoherence factor from a split's two rows
+
+
+def test_oracle_compare_flows_only_the_particle_rows(monkeypatch):
+    # r comes from the particle's two rows that the moments use: no bath row of S(t) is formed
+    run_cfg, scenario = workload("oracle-compare")
+    passed = []
+    real = _World.flow_rows
+
+    def spy(self, coefficients, times):
+        passed.append(np.array_equal(coefficients, self.splits[0]))
+        return real(self, coefficients, times)
+
+    monkeypatch.setattr(_World, "flow_rows", spy)
+    for certify in (False, True):
+        run_oracle_compare(scenario, run_cfg.cutoff, certify=certify, bump=2)
+    assert passed == [True, True]
+
+
+def _dense_decoherence_factor(world, T, shift, t):
+    """r from the full point map T (X = T x, P = T^-T p): the rest's characteristic function at the rest's shift, with
+    the covariance S(t) sigma0 S(t)^T and the shift S(t) shift lifted from the dense S(t)."""
+    n = world.n_phys
+    L = np.zeros((2 * n, 2 * n))
+    L[:n, :n], L[n:, n:] = T, np.linalg.inv(T).T
+    LS = L @ dense_flow(world, world.mode_flow(t))
+    rest = np.r_[1:n, n + 1 : 2 * n]
+    sigma, w = (LS * world.var) @ LS.T, symplectic_form(n - 1) @ (LS @ shift)[rest]
+    return np.exp(-0.5 * w @ sigma[np.ix_(rest, rest)] @ w)
+
+
+@st.composite
+def split_cases(draw):
+    """A harmonic model of up to 6 bath modes at T > 0, unpurified; a split (a, b) with a.b = 1; a shift with x and p
+    parts; and two full maps with the split as mode 0, whose rest rows span b-perp and differ by an invertible M."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = 1 + draw(st.integers(1, 6))
+    params = random_model(rng, n - 1, potential="harmonic", kappa_range=(0.05, 0.3))
+    times = np.linspace(0.0, draw(st.floats(1.0, 20.0)), 4)
+    cfg = ScenarioConfig(params, times, bath_temperature=draw(st.floats(0.1, 3.0)))
+    b, v = rng.normal(size=(2, n))
+    a = b / (b @ b) + v - b * (v @ b) / (b @ b)
+    perp = np.linalg.qr(b[:, None], mode="complete")[0][:, 1:].T
+    maps = [np.vstack([a, M @ perp]) for M in (np.eye(n - 1), rng.normal(size=(n - 1, n - 1)))]
+    return cfg, (a, b), rng.normal(size=2 * n), maps
+
+
+@settings(max_examples=25, deadline=None)
+@given(split_cases())
+def test_decoherence_factor_from_rows_equals_the_dense_route_in_any_split(case):
+    cfg, split, shift, (T, T_mixed) = case
+    world = _prepare(cfg, split)
+    r = world.decoherence_factor(world.split_rows(cfg.times)[:, 1], shift)
+    for t, r_t in zip(cfg.times, r):
+        dense = _dense_decoherence_factor(world, T, shift, t)
+        assert abs(r_t - dense) <= 1e-14
+        # the rest's coordinates do not enter: a map that mixes them gives the same r
+        assert abs(_dense_decoherence_factor(world, T_mixed, shift, t) - dense) <= 1e-12
+
+
+def test_collective_decoherence_factor_matches_the_fock_route():
+    # on the oracle-compare model the rest's Weyl operator in the centre-of-mass split is a product of one-mode
+    # factors with shifts (dx_i - dX b_i, dp_i - dP a_i), dX = a.dx and dP = b.dp, from the Fock branches' means
+    _, cfg = workload("oracle-compare")
+    world = _prepare(cfg, None)
+    (a, b), n = world.pair, world.n_phys
+    shift = np.r_[-2 * cfg.x0, np.zeros(2 * n - 1)]
+    r_rows = world.decoherence_factor(world.split_rows(cfg.times)[:, 1], shift)
+    space = fo.FockSpace.for_model(cfg.model, (16, 10, 10))
+    cov0 = np.diag(world.var)
+    branches = [fo.gaussian_to_fock(GaussianState(mu, cov0), space) for mu in (world.mean, world.mean + shift)]
+    xs, ps = fo._mode_quadratures(space)
+    r_fock = []
+    for block in fo.ChebyshevEvolver(cfg.model, space).propagate(branches, cfg.times):
+        for plus, minus in block:
+            means = [fo.mode_means(fo.FockState(psi.ravel(), space)) for psi in (plus, minus)]
+            dx, dp = np.split(means[1] - means[0], 2)
+            shifted = plus
+            for i, (dx_i, dp_i) in enumerate(zip(dx - (a @ dx) * b, dp - (b @ dp) * a)):
+                W = fo._weyl_factors(xs[i], ps[i], np.array([dx_i]), np.array([dp_i]))[0]
+                shifted = np.moveaxis(np.tensordot(W, shifted, axes=(1, i)), 0, i)
+            r_fock.append(abs(np.vdot(plus, shifted)))
+    assert np.max(np.abs(r_rows - r_fock)) <= 1e-8
+    assert r_rows[0] < 0.75  # a particle cat is only partly a cat of the centre of mass
 
 
 # ---------------------------------------------------------------------------

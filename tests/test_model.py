@@ -266,23 +266,13 @@ def test_discretize_single_mode_linear():
 
 
 def test_discretize_zero_damping():
-    for scheme in ("linear", "log"):
-        modes = discretize_bath(BathSpec(n_modes=5, gamma=0.0, cutoff=2.0, scheme=scheme))
-        assert all(k == 0.0 for _, _, k in modes)
+    modes = discretize_bath(BathSpec(n_modes=5, gamma=0.0, cutoff=2.0))
+    assert all(k == 0.0 for _, _, k in modes)
 
 
 def test_discretize_linear_grid():
     modes = discretize_bath(BathSpec(n_modes=4, gamma=0.1, cutoff=2.0))
     assert [w for _, w, _ in modes] == pytest.approx([0.5, 1.0, 1.5, 2.0])
-
-
-def test_discretize_log_grid_in_range():
-    modes = discretize_bath(BathSpec(n_modes=6, gamma=0.1, cutoff=3.0, scheme="log"))
-    omegas = np.array([w for _, w, _ in modes])
-    assert np.all(omegas > 0) and omegas[-1] == pytest.approx(3.0)
-    assert np.all(np.diff(omegas) > 0)
-    ratios = omegas[1:] / omegas[:-1]
-    assert np.allclose(ratios, ratios[0])
 
 
 def test_discretize_rejects_bad_spec():

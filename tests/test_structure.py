@@ -241,14 +241,19 @@ STAR_CASES = ("ohmic", "zero gamma", "one zero kappa", "repeated", "crowded", "s
 
 @st.composite
 def star_models(draw):
-    """Ohmic baths of up to 256 modes, shuffled, with zero couplings, repeated or 1e-9-apart frequencies, a free
-    (so unstable) or harmonic particle, stiff (omega = 100) or not, and every bath mass scaled by 1 or 64 at fixed J."""
+    """Ohmic baths of up to 256 modes on a linear or geometric grid, shuffled, with zero couplings, repeated or
+    1e-9-apart frequencies, a free (so unstable) or harmonic particle, stiff (omega = 100) or not, and every bath
+    mass scaled by 1 or 64 at fixed J."""
     case = draw(st.sampled_from(STAR_CASES))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_bath = draw(st.integers(1, 256))
     gamma = 0.0 if case == "zero gamma" else draw(st.floats(0.01, 0.5))
-    spec = BathSpec(n_bath, gamma, draw(st.floats(1.0, 10.0)), draw(st.sampled_from(["linear", "log"])))
-    m, w, k = (np.array(column) for column in zip(*discretize_bath(spec)))
+    cutoff = draw(st.floats(1.0, 10.0))
+    if draw(st.booleans()):
+        m, w, k = (np.array(column) for column in zip(*discretize_bath(BathSpec(n_bath, gamma, cutoff))))
+    else:  # clustered at low frequencies: geometric from cutoff / n_bath, the Ohmic kappa_i^2 rule on local spacings
+        w = np.geomspace(cutoff / n_bath, cutoff, n_bath)
+        m, k = np.ones(n_bath), np.sqrt((2 / np.pi) * gamma * w**2 * (np.gradient(w) if n_bath > 1 else cutoff))
     if case == "one zero kappa":
         k[rng.integers(n_bath)] = 0.0
     if case == "repeated":
