@@ -45,4 +45,5 @@ from .structure import (
     transform_hamiltonian,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the API's names, without the submodules (errors, gaussian, model, structure) that the imports above bind
+__all__ = sorted(name for name, obj in globals().items() if not (name.startswith("_") or isinstance(obj, type(_os))))

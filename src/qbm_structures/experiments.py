@@ -45,7 +45,7 @@ from .gaussian import (
     evolve,  # unused: held for perfbench/test_perfbench.py's rebinding check until ROADMAP item 1
     propagator,
 )
-from .model import POTENTIAL_HARMONIC, ModelParams, QuadraticHamiltonian, arrowhead, symplectic_form
+from .model import ModelParams, QuadraticHamiltonian, arrowhead, symplectic_form
 from .structure import CANONICITY_TOL, star_normal_modes
 
 ER_PRODUCT_TOL = 1e-8
@@ -319,8 +319,9 @@ def _prepare(cfg: ScenarioConfig, split=None) -> _World:
         raise DomainError(f"a split is a pair (a, b) of {n}-vectors, one entry per mode")
     if not abs(a @ b - 1.0) <= CANONICITY_TOL:  # NaN fails too
         raise DomainError(f"a split's X = a.x and P = b.p must be conjugate, a.b = 1; got a.b = {a @ b!r}")
-    mw = params.m1 * (params.omega if params.potential == POTENTIAL_HARMONIC else 1.0)
-    var_x, var_p = _thermal_widths(masses[1:], np.array(params.bath)[:, 1], cfg.bath_temperature)
+    freqs = params.frequencies
+    mw = params.m1 * freqs[0]
+    var_x, var_p = _thermal_widths(masses[1:], freqs[1:], cfg.bath_temperature)
     sq_freqs, U = star_normal_modes(*arrowhead(params))
     if np.min(sq_freqs) < 0:  # M^-1/2 B M^-1/2 has the inertia of the position block B (Sylvester)
         warnings.warn(
@@ -562,7 +563,8 @@ def run_oracle_compare(
 ) -> OracleCompareReport:
     """Compare the covariance-route results against the number-basis route (fock_oracle).
 
-    Valid for one or two bath modes with a zero-temperature bath.  Each route gives one row per grid time:
+    Valid with a zero-temperature bath of any size whose number basis stays within fock_oracle.DEFAULT_DIM_CAP
+    states.  Each route gives one row per grid time:
     particle purity, particle mean (x, p) and 2 x 2 covariance, and the two-branch decoherence factor for
     branches displaced to +/- x0.  Every Gaussian column, r too, comes from the particle's two rows of the flow per
     grid block; the two Fock branches move together along the grid in fock_oracle.ChebyshevEvolver,
@@ -571,8 +573,6 @@ def run_oracle_compare(
     reported (convergence certification); a drift above ORACLE_DRIFT_TOL raises ConditioningError.
     """
     params = cfg.model
-    if len(params.bath) > 2:
-        raise DomainError("oracle comparison is limited to at most two bath modes")
     if cfg.bath_temperature != 0.0 or cfg.purified:
         raise DomainError("oracle comparison runs with a zero-temperature, unpurified bath")
     if certify and bump < 1:

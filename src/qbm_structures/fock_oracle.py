@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ConditioningError, DomainError
 from .gaussian import PURITY_TOL, GaussianState
-from .model import POTENTIAL_HARMONIC, ModelParams
+from .model import ModelParams
 
 DEFAULT_DIM_CAP = 20_000
 TRUNCATION_TOL = 1e-8
@@ -72,10 +72,7 @@ class FockSpace:
         """
         if isinstance(cutoffs, int):
             cutoffs = (cutoffs,) * params.n_modes
-        w1 = params.omega if params.potential == POTENTIAL_HARMONIC else 1.0
-        masses = (params.m1,) + tuple(m for m, _, _ in params.bath)
-        freqs = (w1,) + tuple(w for _, w, _ in params.bath)
-        return cls(tuple(cutoffs), masses, freqs)
+        return cls(tuple(cutoffs), tuple(params.masses), tuple(params.frequencies))
 
     @property
     def n_modes(self) -> int:
@@ -152,12 +149,11 @@ def _factors(params: ModelParams, space: FockSpace):
     """The factors of H = sum_i h_i + x_0 sum_i s kappa_i x_i: h_i = p^2/2m_i + k_i x^2/2, x_i, s kappa_i."""
     if space.n_modes != params.n_modes:
         raise DomainError("space mode count does not match the model")
-    stiffness = (params.m1 * params.omega**2 if params.potential == POTENTIAL_HARMONIC else 0.0,)
-    stiffness += tuple(m * w**2 for m, w, _ in params.bath)
     xs, ps = _mode_quadratures(space)
-    hs = [(p @ p).real / (2 * m) + 0.5 * k * (x @ x) for x, p, m, k in zip(xs, ps, params.masses, stiffness)]
+    stiff = params.stiffnesses
+    hs = [(p @ p).real / (2 * m) + 0.5 * k * (x @ x) for x, p, m, k in zip(xs, ps, params.masses, stiff)]
     hs = [(h + h.T) / 2 for h in hs]
-    return hs, xs, [params.coupling_sign * kappa for _, _, kappa in params.bath]
+    return hs, xs, params.couplings
 
 
 def build_fock_hamiltonian(params: ModelParams, space: FockSpace) -> np.ndarray:

@@ -256,46 +256,24 @@ def _purity_from_cov(cov: np.ndarray) -> float | np.ndarray:
 
 
 def williamson(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Decompose cov = S diag(nu.., nu..) S^T with S symplectic, nu ascending."""
-    import scipy.linalg  # loaded on first use: no scenario purifies a correlated state
+    """Decompose cov = S diag(nu.., nu..) S^T with S symplectic, nu ascending, from one Hermitian eigh.
 
+    A = cov^-1/2 Omega cov^-1/2 is antisymmetric, so iA is Hermitian with eigenvalues +/- t_k, t_k = 1 / nu_k.
+    An eigenvector v = x + iy of +t_k gives A x = t_k y and A y = -t_k x, and v is orthogonal to every other
+    eigenvector and to their conjugates, so the columns sqrt(2) y_k, then sqrt(2) x_k, form a real orthonormal O
+    with O^T A O = [[0, T], [-T, 0]], T = diag(t), and S = cov^1/2 O diag(t, t)^1/2 (Williamson, Am. J. Math.
+    58, 141 (1936)).
+    """
     n = cov.shape[0] // 2
-    perm = np.empty(2 * n, dtype=int)
-    perm[0::2] = np.arange(n)
-    perm[1::2] = np.arange(n) + n
-    sig = cov[np.ix_(perm, perm)]
-
-    w, U = np.linalg.eigh(sig)
+    w, U = np.linalg.eigh(cov)
     if w.min() <= 0:
         raise ConditioningError("covariance is not positive definite")
-    sqrt_sig = (U * np.sqrt(w)) @ U.T
-    isqrt_sig = (U / np.sqrt(w)) @ U.T
-
-    omega_pair = np.zeros((2 * n, 2 * n))
-    for k in range(n):
-        omega_pair[2 * k, 2 * k + 1] = 1.0
-        omega_pair[2 * k + 1, 2 * k] = -1.0
-    skew = isqrt_sig @ omega_pair @ isqrt_sig
-    T, O = scipy.linalg.schur((skew - skew.T) / 2)
-
-    nus = np.empty(n)
-    for k in range(n):
-        t = T[2 * k, 2 * k + 1]
-        if t < 0:
-            O[:, [2 * k, 2 * k + 1]] = O[:, [2 * k + 1, 2 * k]]
-            t = -t
-        nus[k] = 1.0 / t
-    order = np.argsort(nus)
-    nus = nus[order]
-    col_order = np.empty(2 * n, dtype=int)
-    col_order[0::2] = 2 * order
-    col_order[1::2] = 2 * order + 1
-    O = O[:, col_order]
-
-    scale = np.repeat(1.0 / np.sqrt(nus), 2)
-    S_pair = sqrt_sig @ O * scale
-    inv_perm = np.argsort(perm)
-    return S_pair[np.ix_(inv_perm, inv_perm)], nus
+    isqrt = (U / np.sqrt(w)) @ U.T
+    skew = isqrt @ symplectic_form(n) @ isqrt
+    t, V = np.linalg.eigh(0.5j * (skew - skew.T))
+    t, V = t[n:][::-1], V[:, n:][:, ::-1]  # the positive half, t descending: nu ascending
+    O = np.hstack([V.imag, V.real]) * np.sqrt(2 * np.r_[t, t])
+    return (U * np.sqrt(w)) @ U.T @ O, 1.0 / t
 
 
 def purify(state: GaussianState) -> GaussianState:
@@ -340,17 +318,14 @@ def purify(state: GaussianState) -> GaussianState:
 
 
 def propagator(H: QuadraticHamiltonian, t: float) -> np.ndarray:
-    """Exact phase-space flow S(t) = exp(Omega K t).
+    """Exact phase-space flow S(t) = exp(Omega K t) of a decoupled generator, in closed form per mode.
 
-    A decoupled generator (diagonal K, as for a model written in its normal modes) flows in
-    closed form per mode (_decoupled_flow); any other K takes Pade scaling-and-squaring.
+    K must be diagonal, as for a model written in its normal modes (_decoupled_flow); any other K raises.
     """
     K, n = H.K, H.n_modes
     d = np.diagonal(K)
     if np.count_nonzero(K) != np.count_nonzero(d):
-        import scipy.linalg  # loaded on first use: every scenario flows a decoupled K
-
-        return scipy.linalg.expm(symplectic_form(n) @ K * t)
+        raise DomainError("propagator needs a decoupled K: diagonal, as for a model written in its normal modes")
     a, b = d[:n], d[n:]
     c, s = _decoupled_flow(a, b, t)
     return np.block([[np.diag(c), np.diag(b * s)], [np.diag(-(a * s)), np.diag(c)]])

@@ -71,17 +71,26 @@ class ModelParams:
                 raise DomainError(f"bath mass {i} must be positive, got {m}")
             if w <= 0:
                 raise DomainError(f"bath frequency {i} must be positive, got {w}")
-            if not np.isfinite(m * (w * w)):
-                raise DomainError(f"bath frequency {i} = {w!r} overflows the stiffness m w^2")
         if self.potential not in (POTENTIAL_FREE, POTENTIAL_HARMONIC):
             raise DomainError(f"unknown potential kind {self.potential!r}")
-        if self.potential == POTENTIAL_HARMONIC:
-            if self.omega is None or self.omega <= 0:
-                raise DomainError("harmonic potential requires omega > 0")
-            if not np.isfinite(self.m1 * (self.omega * self.omega)):
-                raise DomainError(f"omega = {self.omega!r} overflows the stiffness m1 omega^2")
+        if self.potential == POTENTIAL_HARMONIC and (self.omega is None or self.omega <= 0):
+            raise DomainError("harmonic potential requires omega > 0")
         if self.coupling_sign not in (+1, -1):
             raise DomainError(f"coupling_sign must be +1 or -1, got {self.coupling_sign}")
+        with np.errstate(all="ignore"):  # what leaves the float range is named below
+            stiff = self.stiffnesses
+            squares = (self.couplings / np.sqrt(self.m1 * self.masses[1:])) ** 2  # arrowhead's z_i^2
+            total = np.sum(squares)
+        if not np.all(np.isfinite(stiff[1:])):
+            i = int(np.argmin(np.isfinite(stiff[1:])))
+            raise DomainError(f"bath frequency {i} = {self.bath[i][1]!r} overflows the stiffness m w^2")
+        if not np.isfinite(stiff[0]):
+            raise DomainError(f"omega = {self.omega!r} overflows the stiffness m1 omega^2")
+        if not np.all(np.isfinite(squares)):
+            i = int(np.argmin(np.isfinite(squares)))
+            raise DomainError(f"bath coupling {i} = {self.bath[i][2]!r} overflows its square kappa^2 / (m1 m)")
+        if not np.isfinite(total):
+            raise DomainError("the bath couplings overflow the sum of their squares kappa_i^2 / (m1 m_i)")
 
     @property
     def n_modes(self) -> int:
@@ -90,6 +99,25 @@ class ModelParams:
     @property
     def masses(self) -> np.ndarray:
         return np.array([self.m1] + [m for m, _, _ in self.bath])
+
+    @property
+    def frequencies(self) -> np.ndarray:
+        """Each mode's reference frequency: omega for a harmonic particle (1.0 for a free one), then the bath's."""
+        w1 = self.omega if self.potential == POTENTIAL_HARMONIC else 1.0
+        return np.array([w1] + [w for _, w, _ in self.bath])
+
+    @property
+    def stiffnesses(self) -> np.ndarray:
+        """Each mode's potential m w^2: m1 omega^2 for a harmonic particle (0 for a free one), then the bath's."""
+        k = self.masses * self.frequencies**2
+        if self.potential != POTENTIAL_HARMONIC:
+            k[0] = 0.0
+        return k
+
+    @property
+    def couplings(self) -> np.ndarray:
+        """The signed couplings (+/-) kappa_i, one per bath mode."""
+        return self.coupling_sign * np.array([k for _, _, k in self.bath])
 
 
 @dataclass(frozen=True)
@@ -162,28 +190,19 @@ def discretize_bath(spec: BathSpec, mass: float = 1.0) -> tuple[tuple[float, flo
     return tuple((mass, float(w), float(k)) for w, k in zip(omegas, kappas))
 
 
-def _star_entries(params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The model's masses, its potentials m w^2 (the particle's m1 omega^2 only when it is harmonic, else 0) and
-    its signed couplings (+/-) kappa_i: the entries position_block and arrowhead are built from."""
-    bath_m, bath_w, kappa = np.array(params.bath).T
-    particle = params.m1 * params.omega**2 if params.potential == POTENTIAL_HARMONIC else 0.0
-    return np.r_[params.m1, bath_m], np.r_[particle, bath_m * bath_w**2], params.coupling_sign * kappa
-
-
 def position_block(params: ModelParams) -> np.ndarray:
-    """B, the n x n position block of K: potentials m w^2 on the diagonal, couplings (+/-) kappa_i at [0, i] and [i, 0]."""
-    _, potentials, couplings = _star_entries(params)
-    B = np.diag(potentials)
-    B[0, 1:] = B[1:, 0] = couplings
+    """B, the n x n position block of K: stiffnesses m w^2 on the diagonal, couplings (+/-) kappa_i in row/column 0."""
+    B = np.diag(params.stiffnesses)
+    B[0, 1:] = B[1:, 0] = params.couplings
     return B
 
 
 def arrowhead(params: ModelParams) -> tuple[float, np.ndarray, np.ndarray]:
     """C = M^-1/2 B M^-1/2 of position_block(params) as an arrowhead (tip, diagonal, couplings): C_00 = k_1 / m_1
     (0 for a free particle), C_ii = omega_i^2 and C_0i = (+/-) kappa_i / sqrt(m_1 m_i)."""
-    masses, potentials, couplings = _star_entries(params)
-    scaled = potentials / masses
-    return float(scaled[0]), scaled[1:], couplings / np.sqrt(masses[0] * masses[1:])
+    masses = params.masses
+    scaled = params.stiffnesses / masses
+    return float(scaled[0]), scaled[1:], params.couplings / np.sqrt(masses[0] * masses[1:])
 
 
 def build_qbm_hamiltonian(params: ModelParams) -> QuadraticHamiltonian:

@@ -5,6 +5,7 @@ import math
 import os
 
 import numpy as np
+import scipy.linalg
 
 from qbm_structures import (
     BathSpec,
@@ -141,6 +142,11 @@ def dense_initial(cfg, purify=purify):
 def lift_total(state, smap):
     """The split's canonical lift on every mode of a global state (identity on ancillas)."""
     return embed_symplectic(smap.lift, state.n_modes, range(smap.n_modes))
+
+
+def expm_flow(H, t):
+    """S(t) = exp(Omega K t) for any K, by scipy's Pade scaling-and-squaring: the reference flow of a coupled model."""
+    return scipy.linalg.expm(symplectic_form(H.n_modes) @ H.K * t)
 
 
 def dense_flow(world, D):

@@ -214,6 +214,16 @@ FLOAT_RANGE_CASES = {
         1,
         "error: bath frequency 1 = 1e+200 overflows the stiffness m w^2",
     ),
+    "bath coupling=1e200": (
+        ["model.bath_omegas=0.8 1.1", "model.bath_kappas=1e200 0.1"],
+        1,
+        "error: bath coupling 0 = 1e+200 overflows its square kappa^2 / (m1 m)",
+    ),
+    "bath couplings=1e154 1e154": (
+        ["model.bath_omegas=0.8 1.1", "model.bath_kappas=1e154 1e154"],
+        1,
+        "error: the bath couplings overflow the sum of their squares",
+    ),
     "cutoff_freq=1e300": (["model.cutoff_freq=1e300"], 1, "error: cutoff 1e+300 overflows the Ohmic couplings"),
     "cutoff_freq=1e-300": (
         ["model.cutoff_freq=1e-300"],
@@ -521,9 +531,8 @@ def _write_config(tmp_path, text, name="config.txt"):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy loads only on routes no scenario takes: williamson on a correlated
-    # state, propagator's Pade fallback and the tests' Fock mode transform;
-    # numpy.random and the Fock oracle load on no import of the CLI
+    # the package imports no scipy (tests/test_package.py), and numpy.random
+    # and the Fock oracle load on no import of the CLI
     code = f"import sys, qbm_structures.cli; print({LOADED_OPTIONAL})"
     out = subprocess.run([sys.executable, "-c", code], env=_package_env(), capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qbm_structures.fock_oracle as fo
+from qbm_structures import cli
 from qbm_structures import (
     BathSpec,
     ConditioningError,
@@ -21,7 +22,6 @@ from qbm_structures import (
     build_qbm_hamiltonian,
     evolve,
     log_negativity,
-    propagator,
     purity,
     reduce,
     symplectic_form,
@@ -561,11 +561,23 @@ def test_oracle_compare_forms_no_dense_hamiltonian(monkeypatch):
 def test_oracle_compare_rejects_large_or_warm_runs():
     params = ModelParams(m1=1.0, bath=((1.0, 1.0, 0.1),) * 3)
     cfg = ScenarioConfig(model=params, times=np.array([0.0, 1.0]), x0=1.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="Fock dimension 65536 exceeds the cap 20000"):  # 16^4 at the default
         run_oracle_compare(cfg)
     warm = small_scenario(temperature=1.0, n_times=2)
     with pytest.raises(DomainError):
         run_oracle_compare(warm)
+
+
+def test_oracle_compare_runs_three_bath_modes():
+    # the Fock dimension cap is the only size rule: the oracle-compare workload with a third bath mode
+    run_cfg, _ = workload("oracle-compare")
+    run_cfg = cli.apply_overrides(run_cfg, ["model.bath_omegas=0.9 1.4 1.9", "model.bath_kappas=0.15 0.15 0.15"])
+    scenario = cli.build_scenario(run_cfg)
+    assert scenario.model.n_modes == 4
+    rep = run_oracle_compare(scenario, 10, certify=True, bump=1)
+    deltas = [rep.delta_purity, rep.delta_mean, rep.delta_cov, rep.delta_decoherence]
+    assert np.max(deltas) < 1e-6
+    assert rep.certification_delta < 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from qbm_structures.fock_oracle import (
     weyl_operator,
 )
 from qbm_structures.structure import collective_mode_map
-from helpers import is_pure, workload
+from helpers import expm_flow, is_pure, workload
 from reference import (
     gaussian_to_fock_by_quadrature,
     log_negativity_density,
@@ -374,7 +374,7 @@ def test_four_mode_dynamics_match_the_gaussian_route():
     times = np.linspace(0.0, 6.0, 5)
     blocks = ChebyshevEvolver(params, space).propagate([gaussian_to_fock(g0, space)], times)
     for t, (amps,) in zip(times, np.concatenate(list(blocks)), strict=True):
-        expected = evolve(g0, propagator(H, t))
+        expected = evolve(g0, expm_flow(H, t))
         mean, cov = state_moments(FockState(amps.ravel(), space))
         assert np.abs(mean - expected.mean).max() < 1e-6
         assert np.abs(cov - expected.cov).max() < 1e-5
@@ -743,7 +743,7 @@ def test_mode_transform_unitary_matches_gaussian_route():
     evolver = DenseEvolver(build_fock_hamiltonian(params, space), space)
     t = 1.9
     ft = evolver.propagate(f0, t)
-    alt = evolve(evolve(g0, propagator(H, t)), comp.lift)
+    alt = evolve(evolve(g0, expm_flow(H, t)), comp.lift)
 
     fa = mode_transform(ft, comp.lift)
     rho_sp = reduced_density(fa, [0])

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -32,7 +31,7 @@ from qbm_structures import (
     williamson,
 )
 from qbm_structures.gaussian import DET_FLOOR, UNCERTAINTY_TOL, _check_uncertainty, _purity_from_cov
-from helpers import dense_uncertainty_min, is_pure, random_model
+from helpers import dense_uncertainty_min, expm_flow, is_pure, random_model
 
 
 def tms_covariance(r):
@@ -45,7 +44,7 @@ def tms_covariance(r):
 
 def random_symplectic(n, rng, t=0.8):
     K = rng.standard_normal((2 * n, 2 * n))
-    return propagator(QuadraticHamiltonian(n, (K + K.T) / 2), t)
+    return expm_flow(QuadraticHamiltonian(n, (K + K.T) / 2), t)
 
 
 def random_mixed_state(n, rng):
@@ -188,6 +187,21 @@ def test_williamson_reconstructs_and_is_symplectic():
         assert np.max(np.abs(S @ om @ S.T - om)) < 1e-10
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_williamson_on_repeated_symplectic_eigenvalues(n):
+    # the eigh route keeps a repeated nu's eigenvectors orthogonal to each other and to their conjugates
+    rng = np.random.default_rng(50 + n)
+    om = symplectic_form(n)
+    for _ in range(50):
+        nus_in = np.sort(rng.choice(rng.uniform(0.5, 3.0, size=max(1, n // 2)), size=n))
+        S_in = random_symplectic(n, rng, t=0.5)
+        cov = S_in @ np.diag(np.r_[nus_in, nus_in]) @ S_in.T
+        S, nus = williamson((cov + cov.T) / 2)
+        assert np.max(np.abs(nus - nus_in) / nus_in) <= 1e-12
+        assert np.max(np.abs(S @ np.diag(np.r_[nus, nus]) @ S.T - cov)) <= 1e-12 * np.max(np.abs(cov))
+        assert np.max(np.abs(S @ om @ S.T - om)) <= 1e-12 * np.max(np.abs(S)) ** 2
+
+
 def test_purify_vacuum_needs_no_squeezing():
     pure = purify(coherent_state(1, 0, 0.0, 0.0))
     assert np.array_equal(pure.cov, 0.5 * np.eye(4))
@@ -237,10 +251,13 @@ def test_purify_thermal():
 # dynamics
 
 
+def decoupled_hamiltonian():
+    """Three decoupled modes, one per branch of the closed form: ab > 0, ab = 0 and ab < 0."""
+    return QuadraticHamiltonian(3, np.diag([1.3, 0.0, -0.7, 0.8, 1.2, 0.5]))
+
+
 def test_propagator_zero_time_identity():
-    params = random_model(np.random.default_rng(7), n_bath=2)
-    H = build_qbm_hamiltonian(params)
-    assert np.allclose(propagator(H, 0.0), np.eye(6))
+    assert np.array_equal(propagator(decoupled_hamiltonian(), 0.0), np.eye(6))
 
 
 def test_propagator_free_particle():
@@ -257,15 +274,19 @@ def test_propagator_harmonic_quarter_period():
 
 
 def test_propagator_group_property_and_symplecticity():
-    rng = np.random.default_rng(9)
-    params = random_model(rng, n_bath=4)
-    H = build_qbm_hamiltonian(params)
+    H = decoupled_hamiltonian()
     om = symplectic_form(H.n_modes)
     t1, t2 = 0.7, 1.9
     S1, S2, S12 = propagator(H, t1), propagator(H, t2), propagator(H, t1 + t2)
     assert np.max(np.abs(S2 @ S1 - S12)) < 1e-8
     for S in (S1, S2, S12):
         assert np.max(np.abs(S @ om @ S.T - om)) < 1e-10
+
+
+def test_propagator_rejects_a_coupled_generator():
+    H = build_qbm_hamiltonian(random_model(np.random.default_rng(7), n_bath=2))
+    with pytest.raises(DomainError, match="propagator needs a decoupled K"):
+        propagator(H, 1.0)
 
 
 def test_evolve_preserves_purity_and_uncertainty():
@@ -398,7 +419,7 @@ def test_cat_norm_preserved_under_evolution():
     params = random_model(np.random.default_rng(14), n_bath=1, potential="harmonic")
     H = build_qbm_hamiltonian(params)
     for t in (0.5, 2.0):
-        assert evolve(cat, propagator(H, t)).norm() == pytest.approx(1.0, abs=1e-10)
+        assert evolve(cat, expm_flow(H, t)).norm() == pytest.approx(1.0, abs=1e-10)
 
 
 def test_decoherence_factor_product_start_is_one():
@@ -429,7 +450,7 @@ def test_decoherence_factor_purified_thermal_bath():
     assert decoherence_factor(cat, [1, 2]) == pytest.approx(1.0, abs=1e-10)
     params_coupled = ModelParams(m1=1.0, bath=((1.0, 1.3, 0.25),), potential="harmonic", omega=1.0)
     H = build_qbm_hamiltonian(params_coupled)
-    S = embed_symplectic(propagator(H, 2.0), 3, [0, 1])
+    S = embed_symplectic(expm_flow(H, 2.0), 3, [0, 1])
     r = decoherence_factor(evolve(cat, S), [1, 2])
     assert 0.0 <= r < 1.0
 

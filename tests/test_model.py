@@ -17,7 +17,6 @@ from qbm_structures import (
     cli,
     evolve,
     product_state,
-    propagator,
     symplectic_form,
     thermal_state,
 )
@@ -25,7 +24,7 @@ import qbm_structures.experiments as ex
 import qbm_structures.model as model
 from qbm_structures.experiments import ScenarioConfig, _prepare
 from qbm_structures.model import position_block
-from helpers import random_model, workload
+from helpers import expm_flow, random_model, workload
 from test_reachability import ORACLE
 
 
@@ -299,7 +298,7 @@ def test_energy_conserved_along_evolution():
         energy = lambda st: 0.5 * (np.trace(H.K @ st.cov) + st.mean @ H.K @ st.mean)  # noqa: E731
         e0 = energy(state)
         for t in (0.3, 1.7, 4.0):
-            assert energy(evolve(state, propagator(H, t))) == pytest.approx(e0, rel=1e-8)
+            assert energy(evolve(state, expm_flow(H, t))) == pytest.approx(e0, rel=1e-8)
 
 
 def test_symplectic_form_shape():
