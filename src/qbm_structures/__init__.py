@@ -1,6 +1,6 @@
 """Exact simulator for a particle-plus-harmonic-bath universe and its alternate decompositions.
 
-The number-basis oracle is imported from `qbm_structures.fock_oracle`; only oracle-compare loads it.
+The API is the model's inputs and the two error types; each scenario and routine is imported from its module.
 """
 
 import os as _os
@@ -10,40 +10,6 @@ import os as _os
 _os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "26")
 
 from .errors import ConditioningError, DomainError
-from .gaussian import (
-    CatState,
-    GaussianState,
-    cat_state,
-    coherent_state,
-    condition_on_coherent,
-    decoherence_factor,
-    embed_symplectic,
-    evolve,
-    log_negativity,
-    product_state,
-    propagator,
-    purify,
-    purity,
-    reduce,
-    symplectic_eigenvalues,
-    thermal_state,
-    williamson,
-)
-from .model import (
-    BathSpec,
-    ModelParams,
-    QuadraticHamiltonian,
-    build_qbm_hamiltonian,
-    discretize_bath,
-    symplectic_form,
-)
-from .structure import (
-    StructureMap,
-    cm_relative_map,
-    collective_mode_map,
-    normal_mode_map,
-    transform_hamiltonian,
-)
+from .model import BathSpec, ModelParams, discretize_bath
 
-# the API's names, without the submodules (errors, gaussian, model, structure) that the imports above bind
-__all__ = sorted(name for name, obj in globals().items() if not (name.startswith("_") or isinstance(obj, type(_os))))
+__all__ = ["BathSpec", "ConditioningError", "DomainError", "ModelParams", "discretize_bath"]

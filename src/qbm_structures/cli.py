@@ -84,6 +84,8 @@ class RunConfig:
             raise DomainError(f"unknown scenario kind {self.kind!r}; expected one of {SCENARIOS}")
         if self.seed < 0:
             raise DomainError("seed must be a non-negative integer")
+        if self.initial_kind != "coherent":
+            raise DomainError(f"unsupported particle state kind {self.initial_kind!r}")
         if self.coupling_sign not in ("plus", "minus"):
             raise DomainError(f"coupling_sign must be 'plus' or 'minus', got {self.coupling_sign!r}")
         if self.t_max <= 0:
@@ -260,7 +262,6 @@ def build_scenario(cfg: RunConfig) -> ex.ScenarioConfig:
         times=times,
         x0=cfg.x,
         p0=cfg.p,
-        particle_state=cfg.initial_kind,
         bath_temperature=cfg.temperature,
         purified=cfg.purified,
     )
@@ -328,7 +329,7 @@ def run(cfg: RunConfig) -> int:
             columns["delta_decoherence"] = rep.delta_decoherence
             columns["max_abs_delta"] = np.max(np.column_stack(list(columns.values())), axis=1)
             cert = "" if rep.certification_delta is None else f", certification drift {rep.certification_delta:.3e}"
-            summary = f"oracle-compare: max |delta| = {rep.max_abs_delta:.3e}{cert}"
+            summary = f"oracle-compare: max |delta| = {columns['max_abs_delta'].max():.3e}{cert}"
         _write_csv(cfg.output, ["t", *columns], np.column_stack([rep.times, *columns.values()]))
         print(summary)
     except DomainError as exc:
@@ -337,6 +338,9 @@ def run(cfg: RunConfig) -> int:
     except ConditioningError as exc:
         print(f"conditioning error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: the run does not fit in memory ({exc})", file=sys.stderr)
+        return 1
     return 0
 
 

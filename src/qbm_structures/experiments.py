@@ -54,8 +54,6 @@ EXCLUSIVITY_THRESHOLD = 1e-3
 ORACLE_DRIFT_TOL = 1e-6
 _BLOCK = 16  # grid times per stacked evaluation: per-block arrays stay O(_BLOCK N)
 
-PARTICLE_STATE_COHERENT = "coherent"
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -65,9 +63,9 @@ class ScenarioConfig:
     times: np.ndarray
     x0: float = 0.0
     p0: float = 0.0
-    particle_state: str = PARTICLE_STATE_COHERENT
     bath_temperature: float = 0.0
     purified: bool = False
+    particle_state = "coherent"  # not a field: the particle starts in a coherent packet; perfbench/probe.py reads it
 
     def __post_init__(self) -> None:
         times = np.array(np.asarray(self.times, dtype=float))
@@ -78,8 +76,6 @@ class ScenarioConfig:
             raise DomainError("times must start at 0")
         if times.size > 1 and np.any(np.diff(times) <= 0):
             raise DomainError("times must be strictly increasing")
-        if self.particle_state != PARTICLE_STATE_COHERENT:
-            raise DomainError(f"unsupported particle state kind {self.particle_state!r}")
         if self.bath_temperature < 0:
             raise DomainError("bath temperature must be >= 0")
         times.flags.writeable = False
@@ -128,10 +124,6 @@ class OracleCompareReport(NamedTuple):
     delta_cov: np.ndarray
     delta_decoherence: np.ndarray
     certification_delta: float | None
-
-    @property
-    def max_abs_delta(self) -> float:
-        return float(np.max([self.delta_purity, self.delta_mean, self.delta_cov, self.delta_decoherence]))
 
 
 # ---------------------------------------------------------------------------

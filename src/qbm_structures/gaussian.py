@@ -277,36 +277,28 @@ def williamson(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def purify(state: GaussianState) -> GaussianState:
-    """Extend to a pure state on doubled modes whose first-half reduction is the input.
+    """Extend a diagonal-covariance state to a pure state on doubled modes whose first-half reduction is the input.
 
     Ancilla n + k is paired with mode k in a two-mode squeezed state whose
     squeezing s = sqrt(nu^2 - 1/4) reproduces the mode's symplectic
-    eigenvalue nu (cosh 2r = 2 nu).  A diagonal covariance (thermal, coherent
-    and vacuum states) is purified in closed form: with nu = sqrt(a b) for
-    the mode's variances a = sigma_xx and b = sigma_pp, the pair's x/x block
-    is [[a, s sqrt(a / nu)], [s sqrt(a / nu), nu]] and its p/p block
-    [[b, -s sqrt(b / nu)], [-s sqrt(b / nu), nu]].  Any other covariance is
-    first brought to Williamson normal form, and mode k is then its k-th
-    normal mode.  Modes with nu < 1/2 + 1e-12 get unsqueezed vacuum ancillas.
+    eigenvalue nu (cosh 2r = 2 nu).  The covariance must be diagonal, as for
+    thermal, coherent and vacuum states; any other covariance raises.  With
+    nu = sqrt(a b) for the mode's variances a = sigma_xx and b = sigma_pp, the
+    pair's x/x block is [[a, s sqrt(a / nu)], [s sqrt(a / nu), nu]] and its p/p
+    block [[b, -s sqrt(b / nu)], [-s sqrt(b / nu), nu]].  Modes with
+    nu < 1/2 + 1e-12 get unsqueezed vacuum ancillas.
     """
     n, N = state.n_modes, 2 * state.n_modes
     d = np.diagonal(state.cov)
-    diagonal = np.count_nonzero(state.cov) == np.count_nonzero(d)
-    if diagonal:
-        a, b = d[:n], d[n:]
-        nus = np.sqrt(a * b)
-    else:
-        S_w, nus = williamson(state.cov)
-        a = b = nus
-    nus = _ancilla_nus(nus)
+    if np.count_nonzero(state.cov) != np.count_nonzero(d):
+        raise DomainError("purify needs a diagonal covariance, as for thermal, coherent and vacuum states")
+    a, b = d[:n], d[n:]
+    nus = _ancilla_nus(np.sqrt(a * b))
     s = np.sqrt(nus**2 - 0.25)
     cov = np.diag(np.concatenate([a, nus, b, nus]))
     i = np.arange(n)
     cov[i, n + i] = cov[n + i, i] = s * np.sqrt(a / nus)
     cov[N + i, N + n + i] = cov[N + n + i, N + i] = -s * np.sqrt(b / nus)
-    if not diagonal:
-        S_full = embed_symplectic(S_w, N, range(n))
-        cov = S_full @ cov @ S_full.T
     mean = np.zeros(2 * N)
     mean[:n] = state.mean[:n]
     mean[N : N + n] = state.mean[n:]

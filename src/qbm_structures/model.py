@@ -146,12 +146,6 @@ class QuadraticHamiltonian:
         n = self.n_modes
         return self.K[n:, n:]
 
-    @property
-    def cross_block(self) -> np.ndarray:
-        """Position-momentum block (zero for untransformed models)."""
-        n = self.n_modes
-        return self.K[:n, n:]
-
 
 @dataclass(frozen=True)
 class BathSpec:

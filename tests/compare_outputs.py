@@ -6,9 +6,10 @@ Runs each perfbench/workloads/*.ini at seeds 0-2 through `python -W error::Runti
 qbm_structures.cli`, so that a numpy overflow or invalid value fails the run, once with PARENT_TREE/src and
 once with this tree's src.  Prints per workload the largest absolute difference over every CSV value, the
 largest relative one |this - parent| / max(1, |parent|), which is the gate's own measure, and whether the
-printed summary differs.  Some workloads also run with overrides (VARIANTS): oracle-compare certified and with
+printed summary differs.  Some workloads also run with overrides (VARIANTS): oracle-compare certified, with
 a free particle, whose larger space and off-diagonal h_0 take Fock products that the plain run does not, and
-pod-wide as er and unpurified (mixed), routes that no workload takes.  Exits 1 when a value differs by more
+with three bath modes, whose four-mode number basis (dimension 10^4) no workload builds; and pod-wide as er
+and unpurified (mixed), routes that no workload takes.  Exits 1 when a value differs by more
 than 1e-12 times max(1, |parent value|), when a summary, a header or an exit status differs, and 0 otherwise.
 The CSVs go to a temporary directory; perfbench/ is only read.
 """
@@ -28,7 +29,11 @@ SEEDS = (0, 1, 2)
 TOL = 1e-12
 # extra --set overrides per workload, each run as a workload of its own
 VARIANTS = {
-    "oracle-compare": (["oracle.certify=true"], ["model.potential=free"]),
+    "oracle-compare": (
+        ["oracle.certify=true"],
+        ["model.potential=free"],
+        ["model.bath_omegas=0.9 1.4 1.9", "model.bath_kappas=0.15 0.15 0.15"],
+    ),
     "pod-wide": (["scenario.kind=er"], ["initial.purified=false"]),
 }
 

@@ -7,27 +7,24 @@ import os
 import numpy as np
 import scipy.linalg
 
-from qbm_structures import (
-    BathSpec,
-    ConditioningError,
+from qbm_structures.errors import ConditioningError
+from qbm_structures.experiments import EXCLUSIVITY_THRESHOLD, ScenarioConfig, _prepare
+from qbm_structures.gaussian import (
+    NEGATIVITY_FLOOR,
+    PURITY_TOL,
     GaussianState,
-    ModelParams,
-    build_qbm_hamiltonian,
     coherent_state,
     condition_on_coherent,
-    discretize_bath,
     embed_symplectic,
     evolve,
     log_negativity,
     product_state,
     purify,
     symplectic_eigenvalues,
-    symplectic_form,
     thermal_state,
     williamson,
 )
-from qbm_structures.experiments import EXCLUSIVITY_THRESHOLD, ScenarioConfig, _prepare
-from qbm_structures.gaussian import NEGATIVITY_FLOOR, PURITY_TOL
+from qbm_structures.model import BathSpec, ModelParams, build_qbm_hamiltonian, discretize_bath, symplectic_form
 from qbm_structures.structure import collective_mode_map, normal_modes
 
 POD_SEED = 42

@@ -16,9 +16,10 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 import qbm_structures.fock_oracle as fo
-from qbm_structures import ConditioningError, DomainError, symplectic_eigenvalues, symplectic_form
+from qbm_structures.errors import ConditioningError, DomainError
+from qbm_structures.model import symplectic_form
 from qbm_structures.fock_oracle import FockState
-from qbm_structures.gaussian import PURITY_TOL
+from qbm_structures.gaussian import PURITY_TOL, symplectic_eigenvalues
 
 
 def _check_party(party_a, k: int) -> list[int]:

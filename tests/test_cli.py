@@ -488,6 +488,26 @@ def test_unwritable_output_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: cannot write output: ")
 
 
+@pytest.mark.parametrize("where", ["file", "flag"])
+def test_particle_state_other_than_coherent_exits_1(tmp_path, capsys, where):
+    text = MINIMAL_POD + ("[initial]\nkind = squeezed\n" if where == "file" else "")
+    argv = [str(_write_config(tmp_path, text)), "--output", str(tmp_path / "x.csv")]
+    assert main(argv + (["--set", "initial.kind=squeezed"] if where == "flag" else [])) == 1
+    assert capsys.readouterr().err == "error: unsupported particle state kind 'squeezed'\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_run_that_does_not_fit_in_memory_exits_1(tmp_path, capsys, monkeypatch):
+    # a real allocation of that size may or may not be refused, as the host's overcommit setting decides
+    def refuse(scenario):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,)")
+
+    monkeypatch.setattr("qbm_structures.experiments.run_pod", refuse)
+    assert main([str(_write_config(tmp_path, MINIMAL_POD)), "--output", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error: the run does not fit in memory (Unable to allocate 7.28 TiB")
+    assert not (tmp_path / "x.csv").exists()
+
+
 # modules a run must load only when it needs them: scipy (no scenario), numpy.random (the jitter
 # draws its own copy of numpy's stream) and the Fock oracle (oracle-compare only)
 LOADED_OPTIONAL = (

@@ -12,20 +12,7 @@ from hypothesis import strategies as st
 
 import qbm_structures.fock_oracle as fo
 from qbm_structures import cli
-from qbm_structures import (
-    BathSpec,
-    ConditioningError,
-    DomainError,
-    GaussianState,
-    ModelParams,
-    discretize_bath,
-    build_qbm_hamiltonian,
-    evolve,
-    log_negativity,
-    purity,
-    reduce,
-    symplectic_form,
-)
+from qbm_structures.errors import ConditioningError, DomainError
 from qbm_structures.experiments import (
     ScenarioConfig,
     _World,
@@ -38,6 +25,8 @@ from qbm_structures.experiments import (
     run_oracle_compare,
     run_pod,
 )
+from qbm_structures.gaussian import GaussianState, evolve, log_negativity, purity, reduce
+from qbm_structures.model import BathSpec, ModelParams, build_qbm_hamiltonian, discretize_bath, symplectic_form
 from qbm_structures.structure import collective_mode_map
 from helpers import (
     DATA_DIR,
@@ -92,8 +81,6 @@ def test_times_must_start_at_zero_and_increase():
         ScenarioConfig(model=params, times=np.array([1.0, 2.0]))
     with pytest.raises(DomainError):
         ScenarioConfig(model=params, times=np.array([0.0, 2.0, 1.0]))
-    with pytest.raises(DomainError):
-        ScenarioConfig(model=params, times=np.array([0.0]), particle_state="squeezed")
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +486,7 @@ def test_oracle_compare_small_instance():
         model=cfg.model, times=times, x0=cfg.x0, p0=cfg.p0
     )
     rep = run_oracle_compare(cfg, cutoffs=18, certify=True, bump=8)
-    assert rep.max_abs_delta < 1e-6
+    assert np.max([rep.delta_purity, rep.delta_mean, rep.delta_cov, rep.delta_decoherence]) < 1e-6
     assert rep.certification_delta is not None and rep.certification_delta < 1e-8
 
 
@@ -624,7 +611,9 @@ def split_cases(draw):
     b, v = rng.normal(size=(2, n))
     a = b / (b @ b) + v - b * (v @ b) / (b @ b)
     perp = np.linalg.qr(b[:, None], mode="complete")[0][:, 1:].T
-    maps = [np.vstack([a, M @ perp]) for M in (np.eye(n - 1), rng.normal(size=(n - 1, n - 1)))]
+    # M = Q diag(u), Q orthogonal: cond(M) <= 4 keeps the dense references' own inversions of T accurate
+    mix = np.linalg.qr(rng.normal(size=(n - 1, n - 1)))[0] * rng.uniform(0.5, 2.0, size=n - 1)
+    maps = [np.vstack([a, M @ perp]) for M in (np.eye(n - 1), mix)]
     return cfg, (a, b), rng.normal(size=2 * n), maps
 
 

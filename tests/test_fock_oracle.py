@@ -6,12 +6,9 @@ import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qbm_structures import (
-    ConditioningError,
-    DomainError,
+from qbm_structures.errors import ConditioningError, DomainError
+from qbm_structures.gaussian import (
     GaussianState,
-    ModelParams,
-    build_qbm_hamiltonian,
     coherent_state,
     evolve,
     log_negativity,
@@ -21,6 +18,7 @@ from qbm_structures import (
     reduce,
     thermal_state,
 )
+from qbm_structures.model import ModelParams, build_qbm_hamiltonian
 import qbm_structures.fock_oracle as fo
 from qbm_structures.fock_oracle import (
     ChebyshevEvolver,

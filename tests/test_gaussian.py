@@ -5,14 +5,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qbm_structures import (
+from qbm_structures.errors import ConditioningError, DomainError
+from qbm_structures.gaussian import (
+    DET_FLOOR,
+    UNCERTAINTY_TOL,
     CatState,
-    ConditioningError,
-    DomainError,
     GaussianState,
-    ModelParams,
-    QuadraticHamiltonian,
-    build_qbm_hamiltonian,
+    _check_uncertainty,
+    _purity_from_cov,
     cat_state,
     coherent_state,
     condition_on_coherent,
@@ -26,12 +26,11 @@ from qbm_structures import (
     purity,
     reduce,
     symplectic_eigenvalues,
-    symplectic_form,
     thermal_state,
     williamson,
 )
-from qbm_structures.gaussian import DET_FLOOR, UNCERTAINTY_TOL, _check_uncertainty, _purity_from_cov
-from helpers import dense_uncertainty_min, expm_flow, is_pure, random_model
+from qbm_structures.model import ModelParams, QuadraticHamiltonian, build_qbm_hamiltonian, symplectic_form
+from helpers import dense_uncertainty_min, expm_flow, is_pure, random_model, williamson_purify
 
 
 def tms_covariance(r):
@@ -207,10 +206,16 @@ def test_purify_vacuum_needs_no_squeezing():
     assert np.array_equal(pure.cov, 0.5 * np.eye(4))
 
 
+def test_purify_needs_a_diagonal_covariance():
+    state, _ = random_mixed_state(2, np.random.default_rng(6))
+    with pytest.raises(DomainError, match="diagonal"):
+        purify(state)
+
+
 def test_purify_reduces_back():
     rng = np.random.default_rng(6)
     state, _ = random_mixed_state(2, rng)
-    pure = purify(state)
+    pure = williamson_purify(state)
     assert pure.n_modes == 4
     red = reduce(pure, [0, 1])
     assert np.max(np.abs(red.cov - state.cov)) < 1e-10

@@ -6,24 +6,21 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qbm_structures import (
+import qbm_structures.experiments as ex
+import qbm_structures.model as model
+from qbm_structures import cli
+from qbm_structures.errors import DomainError
+from qbm_structures.experiments import ScenarioConfig, _prepare
+from qbm_structures.gaussian import coherent_state, evolve, product_state, thermal_state
+from qbm_structures.model import (
     BathSpec,
-    DomainError,
     ModelParams,
     QuadraticHamiltonian,
     build_qbm_hamiltonian,
-    coherent_state,
     discretize_bath,
-    cli,
-    evolve,
-    product_state,
+    position_block,
     symplectic_form,
-    thermal_state,
 )
-import qbm_structures.experiments as ex
-import qbm_structures.model as model
-from qbm_structures.experiments import ScenarioConfig, _prepare
-from qbm_structures.model import position_block
 from helpers import expm_flow, random_model, workload
 from test_reachability import ORACLE
 

@@ -1,7 +1,10 @@
-"""The package's surface: numpy is its only dependency, and `__all__` holds its API names and nothing else."""
+"""The package's surface: numpy is its only dependency, and `__all__` holds its five API names and nothing else."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -40,7 +43,15 @@ def test_numpy_is_the_only_declared_dependency():
 
 def test_all_lists_api_names_and_no_module():
     assert not [name for name in qbm_structures.__all__ if isinstance(getattr(qbm_structures, name), types.ModuleType)]
-    assert len(qbm_structures.__all__) == len(set(qbm_structures.__all__)) == 30
+    assert qbm_structures.__all__ == ["BathSpec", "ConditioningError", "DomainError", "ModelParams", "discretize_bath"]
     namespace = {}
     exec("from qbm_structures import *", namespace)
     assert sorted(name for name in namespace if name != "__builtins__") == sorted(qbm_structures.__all__)
+
+
+def test_package_import_loads_only_errors_and_model():
+    # the scenarios, the Gaussian routines, the structure maps and the oracle load from their own modules
+    code = "import sys, qbm_structures; print(sorted(m for m in sys.modules if m.split('.')[0] == 'qbm_structures'))"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == str(["qbm_structures", "qbm_structures.errors", "qbm_structures.model"])

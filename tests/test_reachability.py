@@ -67,7 +67,6 @@ UNREACHED = {
     },
     "test reference": {
         ("structure", "StructureMap.lift"),
-        ("model", "QuadraticHamiltonian.cross_block"),
         ("fock_oracle", "state_moments"),
         ("fock_oracle", "_apply"),
     },
